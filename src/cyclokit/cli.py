@@ -320,6 +320,8 @@ def _cmd_torus(args) -> tuple[dict, dict, int]:
         return params_desc, _torus_params_payload(args), EXIT_OK
     if args.q == 0:
         raise UsageError("this action needs a prime q")
+    if args.count < 0 or args.vectors < 0:
+        raise UsageError("--count and --vectors must be >= 0")
     _torus_guard(args.q, args.p, args.r)
     params_desc.update({"count": args.count, "seed": args.seed})
     if args.action == "roundtrip":

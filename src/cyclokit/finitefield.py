@@ -6,6 +6,17 @@ degree (coefficient vectors compared from the constant term up), so a
 field object -- and every test vector built on it -- is a pure function
 of (q, n). Norm maps onto the order-Phi_k(q) subgroups are realized as
 exponentiations by the cofactor values U_k(q) = (q^n - 1)/Phi_k(q).
+
+Elements store their canonical coefficient tuple. Products and powers
+run on a packed form (Kronecker substitution): (a_0, ..., a_{n-1})
+becomes the single integer sum a_i * 2^(W*i), with a slot width W wide
+enough that no slot ever carries into the next. One bigint product then
+yields every coefficient of the polynomial product at once. Reduction
+stays packed too: a Barrett step on the integers (one multiply, a shift
+and a mask) takes every slot mod q, and a Barrett step on polynomials,
+with mu = floor(X^(2n-2) / f) over F_q, reduces mod the modulus f.
+A power packs its base once and runs the whole square-and-multiply
+ladder on packed integers.
 """
 
 from __future__ import annotations
@@ -131,6 +142,28 @@ def _is_irreducible(f: tuple[int, ...], q: int) -> bool:
     return b == x
 
 
+def _packed_reducer(q, n, w, k, m, mu, neg_low):
+    """Map a packed product of two reduced elements to its reduced residue.
+
+    With f = X^n + f_low, the input c = c_hi X^n + c_lo has degree at most
+    2n - 2. Polynomial Barrett gives the quotient Q = floor(c_hi * mu /
+    X^(n-2)) exactly, and the residue is c_lo + Q * (-f_low) mod X^n.
+    Every slot is taken mod q before it is multiplied again.
+    """
+    qmask = sum(((1 << (w - k)) - 1) << (w * i) for i in range(2 * n))
+    low = (1 << (n * w)) - 1
+    hi_shift, mu_shift = n * w, max(n - 2, 0) * w
+
+    def reduce(c: int) -> int:
+        c -= ((c * m >> k) & qmask) * q
+        quo = (c >> hi_shift) * mu >> mu_shift
+        quo -= ((quo * m >> k) & qmask) * q
+        c = (c & low) + ((quo * neg_low) & low)
+        return c - ((c * m >> k) & qmask) * q
+
+    return reduce
+
+
 # -- field objects ----------------------------------------------------------
 
 
@@ -158,13 +191,41 @@ class ExtField:
         self.base = base
         self.n = n
         self.modulus = IntPoly(mod)
-        # X^{n+i} mod modulus, for reducing schoolbook products
-        self._red: list[tuple[int, ...]] = []
-        cur = _pmod((0,) * n + (1,), mod, q)
-        for _ in range(n - 1):
-            row = tuple(cur) + (0,) * (n - len(cur))
-            self._red.append(row)
-            cur = _pmod(_pmul(cur, (0, 1), q), mod, q)
+        # Kernel constants. Every slot value the kernel produces is at most
+        # `bound`: a product coefficient is a sum of at most n terms (q-1)^2,
+        # and the quotient and residue steps stay below that too. Barrett's
+        # floor(x*m / 2^k) equals floor(x/q) for all x <= bound once
+        # bound*(m*q - 2^k) < 2^k; the slot width W holds bound*m.
+        bound = n * (q - 1) ** 2
+        k = bound.bit_length()
+        while bound * (-(-(1 << k) // q) * q - (1 << k)) >= 1 << k:
+            k += 1
+        m = -(-(1 << k) // q)
+        w = max((bound * m).bit_length(), k)
+        self._w = w
+        self._slot = (1 << w) - 1
+        self._shifts = tuple(range(0, n * w, w))
+        mu, _ = divrem_exact(IntPoly.monomial(2 * n - 2), self.modulus)
+        self._reduce = _packed_reducer(
+            q, n, w, k, m,
+            mu=self._pack([c % q for c in mu.coeffs]),
+            neg_low=self._pack([-c % q for c in mod[:n]]),
+        )
+
+    def __reduce__(self):
+        # pickle by construction data; the kernel's reducer is a closure
+        return ExtField, (self.base, self.n, self.modulus)
+
+    def _pack(self, coeffs) -> int:
+        """sum c_i 2^(W*i) for a sequence of reduced coefficients c_i."""
+        w, x = self._w, 0
+        for c in reversed(coeffs):
+            x = (x << w) | c
+        return x
+
+    def _unpack(self, x: int) -> tuple[int, ...]:
+        slot = self._slot
+        return tuple((x >> s) & slot for s in self._shifts)
 
     @property
     def q(self) -> int:
@@ -242,7 +303,7 @@ class ExtFieldElement:
     def _same_field(self, other: ExtFieldElement) -> ExtField:
         if not isinstance(other, ExtFieldElement):
             raise TypeError("expected an extension field element")
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("operands belong to different fields")
         return self.field
 
@@ -270,21 +331,8 @@ class ExtFieldElement:
 
     def __mul__(self, other: ExtFieldElement) -> ExtFieldElement:
         field = self._same_field(other)
-        q, n = field.q, field.n
-        if n == 1:
-            return ExtFieldElement(field, (self.coeffs[0] * other.coeffs[0] % q,))
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in enumerate(other.coeffs):
-                    prod[i + j] += ai * bj
-        for i in range(2 * n - 2, n - 1, -1):
-            c = prod[i] % q
-            if c:
-                row = field._red[i - n]
-                for j, rj in enumerate(row):
-                    prod[j] += c * rj
-        return ExtFieldElement(field, tuple(c % q for c in prod[:n]))
+        prod = field._pack(self.coeffs) * field._pack(other.coeffs)
+        return ExtFieldElement(field, field._unpack(field._reduce(prod)))
 
     def inv(self) -> ExtFieldElement:
         if self.is_zero:
@@ -297,14 +345,13 @@ class ExtFieldElement:
         field = self.field
         if e == 0:
             return field.one
-        result = field.one
-        base = self
-        k = abs(e)
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        reduce = field._reduce
+        base = acc = field._pack(self.coeffs)
+        for bit in bin(abs(e))[3:]:  # left to right, below the leading 1
+            acc = reduce(acc * acc)
+            if bit == "1":
+                acc = reduce(acc * base)
+        result = ExtFieldElement(field, field._unpack(acc))
         return result.inv() if e < 0 else result
 
     def to_json_dict(self) -> dict:
@@ -330,7 +377,8 @@ def norm_exponent(q: int, pr: int, k: int) -> int:
     if pr < 2 or k < 1 or pr % k:
         raise ValueError(f"{k} does not divide {pr}")
     u_k, rem = divrem_exact(IntPoly.monomial(pr) - IntPoly.one(), cyclotomic(k))
-    assert rem.is_zero
+    if not rem.is_zero:
+        raise ArithmeticError(f"Phi_{k} does not divide X^{pr} - 1")
     return u_k.evaluate(q)
 
 

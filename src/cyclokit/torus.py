@@ -59,7 +59,7 @@ def derive_exponent_polys(p: int, r: int) -> BezoutExponents:
     u1, u_pr solve Phi_pr*u1 + Phi_1*u_pr = 1; u_p, u_r solve
     Phi_r*u_p + Phi_p*u_r = 1; v1, v2 are the p*r-scaled canonical pair
     for (Phi_p*Phi_r, Phi_1*Phi_pr) and must come out integral, which is
-    enforced. All three identities are asserted as exact polynomial
+    enforced. All three identities are checked as exact polynomial
     equations before returning.
     """
     pair = PrimePair.of(p, r)
@@ -79,9 +79,12 @@ def derive_exponent_polys(p: int, r: int) -> BezoutExponents:
         v1=v1_s.num, v2=v2_s.num,
     )
     one, pr_const = IntPoly.one(), IntPoly.constant(n)
-    assert phipr * exps.u1 + phi1 * exps.u_pr == one
-    assert phir * exps.u_p + phip * exps.u_r == one
-    assert phip * phir * exps.v1 + phi1 * phipr * exps.v2 == pr_const
+    if phipr * exps.u1 + phi1 * exps.u_pr != one:
+        raise ArithmeticError(f"Phi_pr*u1 + Phi_1*u_pr != 1 for ({p}, {r})")
+    if phir * exps.u_p + phip * exps.u_r != one:
+        raise ArithmeticError(f"Phi_r*u_p + Phi_p*u_r != 1 for ({p}, {r})")
+    if phip * phir * exps.v1 + phi1 * phipr * exps.v2 != pr_const:
+        raise ArithmeticError(f"Phi_p*Phi_r*v1 + Phi_1*Phi_pr*v2 != p*r for ({p}, {r})")
     return exps
 
 
@@ -176,7 +179,8 @@ def recombine(c: TorusComponents, params: TorusParams) -> ExtFieldElement:
 def _single_prime_cofactor(p: int, q: int) -> int:
     """Integer b with Phi_p(q)*1 + (q-1)*b = p (the scaled degree-one Bezout pair)."""
     b = -sum((p - 1 - k) * q**k for k in range(p - 1))
-    assert cyclotomic(p).evaluate(q) + (q - 1) * b == p
+    if cyclotomic(p).evaluate(q) + (q - 1) * b != p:
+        raise ArithmeticError(f"Phi_{p}(q) + (q-1)*b != {p} for q = {q}")
     return b
 
 
@@ -268,7 +272,8 @@ def _embedding(small: ExtField, big: ExtField) -> _Embedding:
         m = _mat_mul(m, frob, q)
     m_minus_i = [[(m[i][j] - (1 if i == j else 0)) % q for j in range(n)] for i in range(n)]
     basis = _nullspace(m_minus_i, q)
-    assert len(basis) == d, "Frobenius-fixed subspace must have dimension d"
+    if len(basis) != d:
+        raise ArithmeticError(f"Frobenius-fixed subspace has dimension {len(basis)}, not {d}")
 
     # all q^d subfield elements, scanned in canonical (coefficient-lex) order
     def combo(cs):
@@ -290,7 +295,8 @@ def _embedding(small: ExtField, big: ExtField) -> _Embedding:
         if acc.is_zero:
             beta = elem
             break
-    assert beta is not None, "the subfield modulus must split in the big field"
+    if beta is None:
+        raise ArithmeticError("the subfield modulus must split in the big field")
     powers = [big.one]
     for _ in range(d - 1):
         powers.append(powers[-1] * beta)
@@ -383,7 +389,8 @@ def theta(
         tpr=x,
     )
     xpr = recombine(comps, params)
-    assert not any(x1_big.coeffs[1:]), "the T_1 output must be a prime-field constant"
+    if any(x1_big.coeffs[1:]):
+        raise ArithmeticError("the T_1 output must be a prime-field constant")
     x1 = make_ext_field(q, 1).element((x1_big.coeffs[0],))
     return x1, xpr
 
@@ -431,16 +438,18 @@ def theta_dimensions(p: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def composite_exponents(params: TorusParams) -> tuple[int, int, int]:
     """Fixed exponents (d_x, d_p, d_r) of theta_reverse composed with theta.
 
-    The T_pr slot returns exactly x^{pr}; this is asserted symbolically by
+    The T_pr slot returns exactly x^{pr}; this is checked symbolically by
     reducing U_pr * u_pr * v1 - p*r modulo Phi_pr. The subfield slots pick
     up the integer exponents computed here.
     """
     q, p, r, n = params.q, params.pair.p, params.pair.r, params.pair.n
     u_pr_poly, rem = divrem_exact(IntPoly.monomial(n) - IntPoly.one(), cyclotomic(n))
-    assert rem.is_zero
+    if not rem.is_zero:
+        raise ArithmeticError(f"Phi_{n} does not divide X^{n} - 1")
     witness = u_pr_poly * params.u_pr * params.v1 - IntPoly.constant(n)
     _, sym_rem = divrem_exact(witness, cyclotomic(n))
-    assert sym_rem.is_zero, "T_pr slot exponent must reduce to p*r"
+    if not sym_rem.is_zero:
+        raise ArithmeticError("T_pr slot exponent must reduce to p*r")
     d_x = n
     phi1_q = q - 1
     a_q = (

@@ -1,11 +1,15 @@
 """CLI envelopes, golden vectors, exit codes, determinism."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cyclokit
 from cyclokit.cli import main
 
 
@@ -17,6 +21,27 @@ def run_cli(capsys, *argv):
 
 def last_envelope(out: str) -> dict:
     return json.loads(out.strip().splitlines()[-1])
+
+
+def without_elapsed(out: str) -> str:
+    """stdout with the envelope's elapsed_ms dropped; every other byte kept."""
+    *lines, last = out.splitlines()
+    env = json.loads(last)
+    del env["elapsed_ms"]
+    return "\n".join(lines + [json.dumps(env)]) + "\n"
+
+
+def run_module(*args, python_flags=()):
+    src = str(Path(cyclokit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "cyclokit", *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
 
 
 class TestBasicCommands:
@@ -164,6 +189,20 @@ class TestTorus:
         code, _, err = run_cli(capsys, "torus", "roundtrip", "--q", "0", "--p", "3", "--r", "5")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("action", ["roundtrip", "theta-demo"])
+    def test_negative_count_is_usage_error(self, capsys, action):
+        code, out, err = run_cli(
+            capsys, "torus", action, "--q", "5", "--p", "2", "--r", "3", "--count", "-1"
+        )
+        assert code == 2 and not out and "error" in err
+
+    def test_negative_vectors_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "torus", "roundtrip", "--q", "5", "--p", "2", "--r", "3",
+            "--count", "2", "--vectors", "-3",
+        )
+        assert code == 2 and not out and "error" in err
+
 
 class TestDeterminism:
     def test_repeat_run_identical_modulo_elapsed(self, capsys):
@@ -178,6 +217,28 @@ class TestDeterminism:
 
         assert snapshot() == snapshot()
 
+    # sha256 of stdout without elapsed_ms, recorded with the schoolbook field
+    # multiply that the packed kernel replaced
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("torus", "roundtrip", "--q", "7", "--p", "3", "--r", "5",
+                 "--count", "3", "--seed", "1", "--vectors", "3"),
+                "c26777d196425bf012b8984930e61739dca5ca32cbc743e4525da68e6b6c516e",
+            ),
+            (
+                ("torus", "theta-demo", "--q", "5", "--p", "2", "--r", "3",
+                 "--count", "5", "--seed", "7"),
+                "83660e571312ba2d1663717224aec5b2f7f47dec378b36d09a8fbab4e6a7836e",
+            ),
+        ],
+    )
+    def test_seeded_torus_output_golden(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(without_elapsed(out).encode()).hexdigest() == digest
+
     def test_verify_stream_deterministic(self, capsys):
         def lines():
             _, out, _ = run_cli(capsys, "verify", "--mode", "alternation", "--max", "7")
@@ -187,12 +248,15 @@ class TestDeterminism:
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "cyclokit", "phi", "3"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_module("phi", "3")
     assert proc.returncode == 0
     env = json.loads(proc.stdout.strip())
     assert env["result"]["num"] == ["1", "1", "1"]
+
+
+def test_optimized_interpreter_output_identical():
+    argv = ("torus", "roundtrip", "--q", "5", "--p", "2", "--r", "3", "--count", "5", "--seed", "3")
+    plain = run_module(*argv)
+    optimized = run_module(*argv, python_flags=("-O",))
+    assert plain.returncode == optimized.returncode == 0
+    assert without_elapsed(optimized.stdout) == without_elapsed(plain.stdout)

@@ -1,8 +1,11 @@
 """Extension field construction, arithmetic axioms, and subgroup projections."""
 
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclokit.cyclotomic import cyclotomic, factorize
 from cyclokit.finitefield import (
@@ -41,6 +44,13 @@ class TestConstruction:
     def test_rejects_reducible_modulus(self):
         with pytest.raises(ValueError):
             ExtField(PrimeField(2), 2, IntPoly((1, 0, 1)))  # (X + 1)^2 over F_2
+
+    def test_pickle_round_trip(self):
+        f = make_ext_field(7, 15)
+        x = f.element(range(15))
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and y.field == f
+        assert y * x == x * x
 
 
 class TestArithmetic:
@@ -192,3 +202,113 @@ class TestOrder:
                     if not e.is_zero:
                         orders.add(multiplicative_order(e))
         assert 7 in orders
+
+
+# -- packed kernel against a schoolbook reference ---------------------------
+
+
+def schoolbook_mulmod(a, b, f, q):
+    """Product of coefficient tuples a, b modulo the monic f over F_q."""
+    n = len(f) - 1
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    for i in range(2 * n - 2, n - 1, -1):  # cancel X^i with c * X^(i-n) * f
+        c = prod[i] % q
+        for j, fj in enumerate(f):
+            prod[i - n + j] -= c * fj
+    return tuple(c % q for c in prod[:n])
+
+
+def schoolbook_pow(a, e, f, q):
+    """a^e for e >= 0 by right-to-left square-and-multiply on the reference."""
+    n = len(f) - 1
+    result, base = (1,) + (0,) * (n - 1), tuple(a)
+    while e:
+        if e & 1:
+            result = schoolbook_mulmod(result, base, f, q)
+        base = schoolbook_mulmod(base, base, f, q)
+        e >>= 1
+    return result
+
+
+# n = 1, q = 2, the two benchmark fields and large q at small n, so that slot
+# widths from 1 bit to over 100 bits are exercised
+KERNEL_FIELDS = [
+    (2, 1), (7, 1), (65537, 1), (2**31 - 1, 1),
+    (2, 2), (2, 5), (2, 21), (5, 2), (13, 6),
+    (7, 15), (3, 35),
+    (65537, 2), (65537, 6), (2**31 - 1, 2), (2**31 - 1, 3),
+]
+
+
+@st.composite
+def field_and_vectors(draw, count):
+    q, n = draw(st.sampled_from(KERNEL_FIELDS))
+    coeff = st.integers(0, q - 1)
+    vecs = [draw(st.lists(coeff, min_size=n, max_size=n)) for _ in range(count)]
+    return make_ext_field(q, n), vecs
+
+
+def modulus_of(f):
+    return tuple(f.modulus.coeffs)
+
+
+class TestPackedKernel:
+    @given(field_and_vectors(2))
+    @settings(max_examples=300, deadline=None)
+    def test_product_matches_schoolbook(self, case):
+        f, (a, b) = case
+        got = f.element(a) * f.element(b)
+        assert got.coeffs == schoolbook_mulmod(a, b, modulus_of(f), f.q)
+
+    @pytest.mark.parametrize("q, n", KERNEL_FIELDS)
+    def test_largest_coefficients(self, q, n):
+        # all slots at q - 1 give the largest value every kernel step can see
+        f = make_ext_field(q, n)
+        top = [q - 1] * n
+        for other in (top, [1] + [0] * (n - 1), [q - 1] + [0] * (n - 1), [0] * (n - 1) + [q - 1]):
+            got = f.element(top) * f.element(other)
+            assert got.coeffs == schoolbook_mulmod(top, other, modulus_of(f), q)
+
+    @given(field_and_vectors(1), st.integers(0, 24))
+    @settings(max_examples=200, deadline=None)
+    def test_power_matches_repeated_product(self, case, e):
+        f, (a,) = case
+        expected = f.one.coeffs
+        for _ in range(e):
+            expected = schoolbook_mulmod(expected, a, modulus_of(f), f.q)
+        assert (f.element(a) ** e).coeffs == expected
+
+    @given(field_and_vectors(1), st.integers(0, 2**40))
+    @settings(max_examples=100, deadline=None)
+    def test_power_beyond_field_order(self, case, extra):
+        f, (a,) = case
+        e = f.order + extra
+        got = f.element(a) ** e
+        assert got.coeffs == schoolbook_pow(a, e, modulus_of(f), f.q)
+        if any(a):  # Lagrange: x^(q^n - 1) = 1
+            assert got == f.element(a) ** (e % (f.order - 1))
+
+    @given(field_and_vectors(1), st.integers(1, 2**70))
+    @settings(max_examples=100, deadline=None)
+    def test_negative_power_is_inverse_power(self, case, e):
+        f, (a,) = case
+        x = f.element(a)
+        if x.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                x ** (-e)
+            return
+        inverse = x.inv()
+        assert x ** (-1) == inverse
+        assert x ** (-e) == inverse**e
+        assert (x ** (-e) * x**e) == f.one
+
+    def test_equal_fields_from_distinct_objects_multiply(self):
+        f = make_ext_field(7, 3)
+        twin = ExtField(PrimeField(7), 3, f.modulus)
+        assert twin is not f
+        x, y = f.element([1, 2, 3]), twin.element([4, 5, 6])
+        assert (x * y).coeffs == schoolbook_mulmod((1, 2, 3), (4, 5, 6), modulus_of(f), 7)
+        assert x * y == y * x

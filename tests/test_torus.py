@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cyclokit import torus
 from cyclokit.cyclotomic import cyclotomic, primes_upto
 from cyclokit.finitefield import make_ext_field, random_nonzero
 from cyclokit.intpoly import IntPoly
@@ -166,6 +167,12 @@ class TestSinglePrime:
         field = make_ext_field(5, 6)
         with pytest.raises(ValueError):
             decompose_single(field.one)
+
+    def test_broken_identity_raises_arithmetic_error(self, monkeypatch):
+        # an explicit raise, not an assert, so the check also runs under -O
+        monkeypatch.setattr(torus, "cyclotomic", lambda k: IntPoly.constant(2))
+        with pytest.raises(ArithmeticError):
+            torus._single_prime_cofactor(3, 5)
 
 
 class TestSubfieldEmbedding:
