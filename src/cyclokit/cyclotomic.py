@@ -137,7 +137,8 @@ def cyclotomic(n: int) -> IntPoly:
         if d == n:
             continue
         num, rem = divrem_exact(num, cyclotomic(d))
-        assert rem.is_zero, "X^n - 1 must factor exactly"
+        if not rem.is_zero:
+            raise ArithmeticError(f"Phi_{d} does not divide X^{n} - 1 exactly")
     return num
 
 
@@ -212,7 +213,8 @@ def lam_leung_phi_pr(p: int, r: int) -> IntPoly:
     first = comb(0, s, p, 0, t, r)
     second = comb(s + 1, r - 1, p, t + 1, p - 1, r)
     n = p * r
-    assert all(c == 0 for c in second.coeffs[:n]), "second product must start above X^pr"
+    if any(second.coeffs[:n]):
+        raise ArithmeticError(f"second product does not start above X^{n} for ({p}, {r})")
     return first - IntPoly(second.coeffs[n:])
 
 
@@ -223,7 +225,7 @@ def resultant_apostol(m: int, n: int) -> int:
     For m > n > 1 it is the product of p^(mu(n/d) * phi(m)/phi(p^a)) over
     divisors d | n with m/gcd(m, d) = p^a a prime power. Exponents are
     accumulated per prime as exact rationals and must total a nonnegative
-    integer, which is asserted.
+    integer, which is checked.
     """
     if m <= n or n < 1:
         raise ValueError("requires m > n >= 1")
@@ -242,7 +244,8 @@ def resultant_apostol(m: int, n: int) -> int:
         exponents[p] = exponents.get(p, Fraction(0)) + term
     out = 1
     for p, e in exponents.items():
-        assert e.denominator == 1 and e >= 0, "per-prime exponent must be a nonnegative integer"
+        if e.denominator != 1 or e < 0:
+            raise ArithmeticError(f"exponent {e} of {p} in Res(Phi_{m}, Phi_{n}) is not a nonnegative integer")
         out *= p ** int(e)
     return out
 

@@ -7,16 +7,20 @@ field object -- and every test vector built on it -- is a pure function
 of (q, n). Norm maps onto the order-Phi_k(q) subgroups are realized as
 exponentiations by the cofactor values U_k(q) = (q^n - 1)/Phi_k(q).
 
-Elements store their canonical coefficient tuple. Products and powers
-run on a packed form (Kronecker substitution): (a_0, ..., a_{n-1})
-becomes the single integer sum a_i * 2^(W*i), with a slot width W wide
-enough that no slot ever carries into the next. One bigint product then
-yields every coefficient of the polynomial product at once. Reduction
-stays packed too: a Barrett step on the integers (one multiply, a shift
-and a mask) takes every slot mod q, and a Barrett step on polynomials,
-with mu = floor(X^(2n-2) / f) over F_q, reduces mod the modulus f.
-A power packs its base once and runs the whole square-and-multiply
-ladder on packed integers.
+Elements store their canonical coefficient tuple. Arithmetic mod the
+modulus runs on one packed kernel (Kronecker substitution):
+(a_0, ..., a_{n-1}) becomes the single integer sum a_i * 2^(W*i), with a
+slot width W wide enough that no slot ever carries into the next. One
+bigint product then yields every coefficient of the polynomial product at
+once. Reduction stays packed too: a Barrett step on the integers (one
+multiply, a shift and a mask) takes every slot mod q, and a Barrett step
+on polynomials, with mu = floor(X^(2n-2) / f) over F_q, reduces mod the
+modulus f. A power packs its base once and runs the whole
+square-and-multiply ladder on packed integers. Products, powers,
+inversion (Fermat: x^(-1) = x^(q^n - 2)) and the Rabin irreducibility
+test behind the modulus search all run on this kernel; only the test's
+gcd checkpoints and the reduction of over-long input vectors use the
+coefficient-tuple helpers below.
 """
 
 from __future__ import annotations
@@ -39,17 +43,6 @@ def _ptrim(v) -> tuple[int, ...]:
     return out[:end]
 
 
-def _pmul(a, b, q) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _ptrim(c % q for c in out)
-
-
 def _pmod(a, f, q) -> tuple[int, ...]:
     # f monic of degree >= 1
     r = [c % q for c in a]
@@ -61,21 +54,6 @@ def _pmod(a, f, q) -> tuple[int, ...]:
                 r[k + i] = (r[k + i] - c * f[i]) % q
             r[k + df] = 0
     return _ptrim(r)
-
-
-def _pmulmod(a, b, f, q) -> tuple[int, ...]:
-    return _pmod(_pmul(a, b, q), f, q)
-
-
-def _ppowmod(a, e, f, q) -> tuple[int, ...]:
-    result = (1,)
-    base = _pmod(a, f, q)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, f, q)
-        base = _pmulmod(base, base, f, q)
-        e >>= 1
-    return result
 
 
 def _pgcd(a, b, q) -> tuple[int, ...]:
@@ -90,35 +68,6 @@ def _pgcd(a, b, q) -> tuple[int, ...]:
     return a
 
 
-def _pinvmod(a, f, q) -> tuple[int, ...]:
-    # extended Euclid in F_q[X]; f irreducible, a != 0 mod f
-    r0, r1 = tuple(c % q for c in f), _pmod(a, f, q)
-    if not r1:
-        raise ZeroDivisionError("inversion of zero in extension field")
-    s0, s1 = (), (1,)
-    while r1:
-        inv_lead = pow(r1[-1], -1, q)
-        r1m = tuple(c * inv_lead % q for c in r1)
-        # quotient of r0 by r1m, monic divisor
-        rr = [c % q for c in r0]
-        df = len(r1m) - 1
-        quo = [0] * max(len(rr) - df, 0)
-        for k in range(len(rr) - 1 - df, -1, -1):
-            c = rr[k + df]
-            if c:
-                quo[k] = c
-                for i in range(df):
-                    rr[k + i] = (rr[k + i] - c * r1m[i]) % q
-                rr[k + df] = 0
-        quo = tuple(c * inv_lead % q for c in quo)
-        r0, r1 = r1, _ptrim(rr)
-        s0, s1 = s1, _psub(s0, _pmul(quo, s1, q), q)
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible")
-    c_inv = pow(r0[0], -1, q)
-    return _pmod(tuple(x * c_inv % q for x in s0), f, q)
-
-
 def _psub(a, b, q) -> tuple[int, ...]:
     out = [0] * max(len(a), len(b))
     for i, x in enumerate(a):
@@ -128,28 +77,53 @@ def _psub(a, b, q) -> tuple[int, ...]:
     return _ptrim(c % q for c in out)
 
 
-def _is_irreducible(f: tuple[int, ...], q: int) -> bool:
-    """Rabin test: X^{q^n} = X mod f, and gcd(X^{q^{n/l}} - X, f) = 1 for primes l | n."""
-    n = len(f) - 1
-    x = _pmod((0, 1), f, q)
-    checkpoints = {n // ell for ell in factorize(n).primes}
-    b = x
-    for i in range(1, n + 1):
-        b = _ppowmod(b, q, f, q)
-        if i in checkpoints and i < n:
-            if _pgcd(_psub(b, x, q), f, q) != (1,):
-                return False
-    return b == x
+# -- the packed kernel ------------------------------------------------------
 
 
-def _packed_reducer(q, n, w, k, m, mu, neg_low):
-    """Map a packed product of two reduced elements to its reduced residue.
+def _packed_kernel(q: int, f: tuple[int, ...]):
+    """(pack, unpack, reduce) for arithmetic mod the monic f of degree n >= 1 over F_q.
 
-    With f = X^n + f_low, the input c = c_hi X^n + c_lo has degree at most
-    2n - 2. Polynomial Barrett gives the quotient Q = floor(c_hi * mu /
-    X^(n-2)) exactly, and the residue is c_lo + Q * (-f_low) mod X^n.
-    Every slot is taken mod q before it is multiplied again.
+    pack maps reduced coefficients (c_0, c_1, ...) to sum c_i 2^(W*i),
+    unpack maps a packed residue back to its n coefficients, and reduce
+    maps a packed product of two packed residues to the packed residue.
+
+    Every slot value the kernel produces is at most `bound`: a product
+    coefficient is a sum of at most n terms (q-1)^2, and the quotient and
+    residue steps stay below that too. Barrett's floor(x*m / 2^k) equals
+    floor(x/q) for all x <= bound once bound*(m*q - 2^k) < 2^k; the slot
+    width W holds bound*m. With f = X^n + f_low, a product c = c_hi X^n +
+    c_lo has degree at most 2n - 2. Polynomial Barrett gives the quotient
+    Q = floor(c_hi * mu / X^(n-2)) exactly, and the residue is
+    c_lo + Q * (-f_low) mod X^n. Every slot is taken mod q before it is
+    multiplied again.
     """
+    n = len(f) - 1
+    bound = n * (q - 1) ** 2
+    k = bound.bit_length()
+    while bound * (-(-(1 << k) // q) * q - (1 << k)) >= 1 << k:
+        k += 1
+    m = -(-(1 << k) // q)
+    w = max((bound * m).bit_length(), k)
+    slot = (1 << w) - 1
+    shifts = tuple(range(0, n * w, w))
+
+    def pack(coeffs) -> int:
+        x = 0
+        for c in reversed(coeffs):
+            x = (x << w) | c
+        return x
+
+    def unpack(x: int) -> tuple[int, ...]:
+        return tuple((x >> s) & slot for s in shifts)
+
+    # mu = floor(X^(2n-2) / f) over F_q, by long division
+    rem, quo = [0] * (2 * n - 2) + [1], [0] * (n - 1)
+    for i in range(n - 2, -1, -1):
+        c = quo[i] = rem[i + n] % q
+        for j in range(n):
+            rem[i + j] -= c * f[j]
+    mu = pack(quo)
+    neg_low = pack([-c % q for c in f[:n]])
     qmask = sum(((1 << (w - k)) - 1) << (w * i) for i in range(2 * n))
     low = (1 << (n * w)) - 1
     hi_shift, mu_shift = n * w, max(n - 2, 0) * w
@@ -161,7 +135,33 @@ def _packed_reducer(q, n, w, k, m, mu, neg_low):
         c = (c & low) + ((quo * neg_low) & low)
         return c - ((c * m >> k) & qmask) * q
 
-    return reduce
+    return pack, unpack, reduce
+
+
+def _packed_pow(x: int, e: int, reduce) -> int:
+    """x^e for e >= 1 and a packed residue x: left-to-right square-and-multiply."""
+    acc = x
+    for bit in bin(e)[3:]:  # below the leading 1
+        acc = reduce(acc * acc)
+        if bit == "1":
+            acc = reduce(acc * x)
+    return acc
+
+
+def _is_irreducible(f: tuple[int, ...], q: int) -> bool:
+    """Rabin test: X^{q^n} = X mod f, and gcd(X^{q^{n/l}} - X, f) = 1 for primes l | n."""
+    n = len(f) - 1
+    if n == 1:
+        return True
+    pack, unpack, reduce = _packed_kernel(q, f)
+    x = pack((0, 1))
+    checkpoints = {n // ell for ell in factorize(n).primes}
+    b = x
+    for i in range(1, n + 1):
+        b = _packed_pow(b, q, reduce)  # X^{q^i}
+        if i in checkpoints and _pgcd(_psub(unpack(b), (0, 1), q), f, q) != (1,):
+            return False
+    return b == x
 
 
 # -- field objects ----------------------------------------------------------
@@ -191,41 +191,11 @@ class ExtField:
         self.base = base
         self.n = n
         self.modulus = IntPoly(mod)
-        # Kernel constants. Every slot value the kernel produces is at most
-        # `bound`: a product coefficient is a sum of at most n terms (q-1)^2,
-        # and the quotient and residue steps stay below that too. Barrett's
-        # floor(x*m / 2^k) equals floor(x/q) for all x <= bound once
-        # bound*(m*q - 2^k) < 2^k; the slot width W holds bound*m.
-        bound = n * (q - 1) ** 2
-        k = bound.bit_length()
-        while bound * (-(-(1 << k) // q) * q - (1 << k)) >= 1 << k:
-            k += 1
-        m = -(-(1 << k) // q)
-        w = max((bound * m).bit_length(), k)
-        self._w = w
-        self._slot = (1 << w) - 1
-        self._shifts = tuple(range(0, n * w, w))
-        mu, _ = divrem_exact(IntPoly.monomial(2 * n - 2), self.modulus)
-        self._reduce = _packed_reducer(
-            q, n, w, k, m,
-            mu=self._pack([c % q for c in mu.coeffs]),
-            neg_low=self._pack([-c % q for c in mod[:n]]),
-        )
+        self._pack, self._unpack, self._reduce = _packed_kernel(q, mod)
 
     def __reduce__(self):
-        # pickle by construction data; the kernel's reducer is a closure
+        # pickle by construction data; the kernel's functions are closures
         return ExtField, (self.base, self.n, self.modulus)
-
-    def _pack(self, coeffs) -> int:
-        """sum c_i 2^(W*i) for a sequence of reduced coefficients c_i."""
-        w, x = self._w, 0
-        for c in reversed(coeffs):
-            x = (x << w) | c
-        return x
-
-    def _unpack(self, x: int) -> tuple[int, ...]:
-        slot = self._slot
-        return tuple((x >> s) & slot for s in self._shifts)
 
     @property
     def q(self) -> int:
@@ -337,20 +307,13 @@ class ExtFieldElement:
     def inv(self) -> ExtFieldElement:
         if self.is_zero:
             raise ZeroDivisionError("inversion of zero")
-        field = self.field
-        out = _pinvmod(self.coeffs, tuple(field.modulus.coeffs), field.q)
-        return field.element(out)
+        return self ** (self.field.order - 2)  # Fermat: x^(q^n - 1) = 1
 
     def __pow__(self, e: int) -> ExtFieldElement:
         field = self.field
         if e == 0:
             return field.one
-        reduce = field._reduce
-        base = acc = field._pack(self.coeffs)
-        for bit in bin(abs(e))[3:]:  # left to right, below the leading 1
-            acc = reduce(acc * acc)
-            if bit == "1":
-                acc = reduce(acc * base)
+        acc = _packed_pow(field._pack(self.coeffs), abs(e), field._reduce)
         result = ExtFieldElement(field, field._unpack(acc))
         return result.inv() if e < 0 else result
 

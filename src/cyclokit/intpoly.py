@@ -287,7 +287,8 @@ def xgcd_rational(a: IntPoly, b: IntPoly) -> tuple[ScaledPoly, ScaledPoly]:
     c = r0[0]
     u = _fdivmod([x / c for x in s0], bf)[1]
     v, rem = _fdivmod(_fsub([Fraction(1)], _fmul(af, u)), bf)
-    assert not rem, "Bezout residual must divide exactly"
+    if rem:
+        raise ArithmeticError("Bezout residual does not divide exactly")
     return ScaledPoly.from_fractions(u), ScaledPoly.from_fractions(v)
 
 
@@ -341,9 +342,11 @@ def resultant(a: IntPoly, b: IntPoly) -> int:
             h = g
         elif delta > 1:
             h, r2 = divmod(g**delta, h ** (delta - 1))
-            assert r2 == 0, "subresultant h-update must divide exactly"
+            if r2:
+                raise ArithmeticError("subresultant h-update does not divide exactly")
     ell = B.coeffs[0]
     dA = A.degree
     hf, r2 = divmod(ell**dA, h ** (dA - 1))
-    assert r2 == 0, "subresultant final step must divide exactly"
+    if r2:
+        raise ArithmeticError("subresultant final step does not divide exactly")
     return s * t * hf

@@ -60,9 +60,11 @@ def closed_form_ii(pair: PrimePair) -> tuple[ScaledPoly, ScaledPoly]:
     coefficient of V in {-1, 0, 1}.
     """
     phi_pr = cyclotomic(pair.n)
-    assert phi_pr.evaluate(1) == 1, "product-of-two-primes cyclotomic is 1 at X=1"
+    if phi_pr.evaluate(1) != 1:
+        raise ArithmeticError(f"Phi_{pair.n}(1) != 1")
     v, rem = divrem_exact(IntPoly.one() - phi_pr, cyclotomic(1))
-    assert rem.is_zero, "X=1 is a root of 1 - Phi_pr"
+    if not rem.is_zero:
+        raise ArithmeticError(f"X - 1 does not divide 1 - Phi_{pair.n}")
     return ScaledPoly(IntPoly.one(), 1), ScaledPoly(v, 1)
 
 
@@ -83,7 +85,8 @@ def closed_form_iii_reverse(pair: PrimePair) -> ScaledPoly:
     d = (r - 1) % p
     w = IntPoly.constant(r) - cyclotomic(pair.n) * IntPoly((1,) * (d + 1))
     v, rem = divrem_exact(w, cyclotomic(p))
-    assert rem.is_zero, "1 - Phi_pr * U must be divisible by Phi_p"
+    if not rem.is_zero:
+        raise ArithmeticError(f"Phi_{p} does not divide r - Phi_pr * U for ({p}, {r})")
     if any(c >= r for c in v.coeffs):
         raise ValueError(f"coefficient bound v_i < {r} violated for pair ({p}, {r})")
     return ScaledPoly(v, r)
@@ -92,16 +95,22 @@ def closed_form_iii_reverse(pair: PrimePair) -> ScaledPoly:
 def closed_form_iv(p: int, r: int) -> IntPoly:
     """Case iv: integer inverse of the p-th cyclotomic mod the r-th, coefficients in {-1,0,1}.
 
-    Integrality is forced by the unit resultant of the two polynomials and
-    is asserted; the coefficient set is asserted as well.
+    With k = p^{-1} mod r, U = sum_{i<k} X^{(ip mod r)} reduced mod Phi_r.
+    This works because Phi_p * (X-1) * sum_{i<k} X^{ip} = X^{pk} - 1, which
+    is X - 1 mod X^r - 1. The reduction is by a monic divisor, so U is
+    integral; that it inverts Phi_p mod Phi_r over Z is checked, and its
+    coefficient set as well.
     """
-    pair = PrimePair.of(p, r)  # validates distinct primes
-    u = inverse_mod(pair.p, pair.r)
-    if u.den != 1:
-        raise ValueError("two-prime inverse must be integral")
-    if any(c not in (-1, 0, 1) for c in u.num.coeffs):
+    PrimePair.of(p, r)  # validates distinct primes
+    powers = [0] * r
+    for i in range(pow(p, -1, r)):
+        powers[i * p % r] = 1
+    _, u = divrem_exact(IntPoly(tuple(powers)), cyclotomic(r))
+    if divrem_exact(cyclotomic(p) * u, cyclotomic(r))[1] != IntPoly.one():
+        raise ValueError(f"closed form iv is not an integral inverse of Phi_{p} mod Phi_{r}")
+    if any(c not in (-1, 0, 1) for c in u.coeffs):
         raise ValueError("coefficients outside {-1, 0, 1}")
-    return u.num
+    return u
 
 
 def difference_inverse(p: int, r: int) -> IntPoly:
@@ -113,7 +122,8 @@ def difference_inverse(p: int, r: int) -> IntPoly:
     """
     u = closed_form_iv(p, r)
     du = (IntPoly.monomial(1) - IntPoly.one()) * u
-    assert du.degree < r
+    if du.degree >= r:
+        raise ArithmeticError(f"difference inverse has degree {du.degree} >= {r}")
     if any(c not in (-1, 0, 1) for c in du.coeffs):
         raise ValueError("difference inverse has a coefficient outside {-1, 0, 1}")
     if not _signs_alternate(du):

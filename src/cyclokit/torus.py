@@ -29,7 +29,6 @@ from .cyclotomic import PrimePair, cyclotomic, divisors, euler_phi, is_prime, mo
 from .finitefield import (
     ExtField,
     ExtFieldElement,
-    _ppowmod,
     make_ext_field,
     norm_exponent,
     torus_membership,
@@ -213,44 +212,32 @@ class _Embedding:
     powers: tuple[ExtFieldElement, ...]  # images of 1, g, g^2, ..., g^{d-1}
 
 
-def _frobenius_matrix(field: ExtField) -> list[list[int]]:
-    # column j = coordinates of (X^j)^q mod modulus
-    q, n = field.q, field.n
-    mod = tuple(field.modulus.coeffs)
-    cols = []
-    for j in range(n):
-        img = _ppowmod((0,) * j + (1,), q, mod, q)
-        cols.append(list(img) + [0] * (n - len(img)))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]  # row-major
-
-
-def _mat_mul(a, b, q):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) % q for j in range(n)] for i in range(n)]
-
-
-def _nullspace(m, q) -> list[list[int]]:
-    """Basis of the right nullspace of m over F_q (Gaussian elimination)."""
-    n = len(m)
-    a = [row[:] for row in m]
+def _rref(rows, q) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of a rectangular matrix over F_q, and its pivot columns."""
+    a = [[c % q for c in row] for row in rows]
     pivots = []
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, n) if a[i][col] % q), None)
+    for col in range(len(a[0])):
+        row = len(pivots)
+        piv = next((i for i in range(row, len(a)) if a[i][col]), None)
         if piv is None:
             continue
         a[row], a[piv] = a[piv], a[row]
         inv = pow(a[row][col], -1, q)
         a[row] = [c * inv % q for c in a[row]]
-        for i in range(n):
+        for i in range(len(a)):
             if i != row and a[i][col]:
                 f = a[i][col]
                 a[i] = [(c - f * d) % q for c, d in zip(a[i], a[row])]
         pivots.append(col)
-        row += 1
+    return a, pivots
+
+
+def _nullspace(m, q) -> list[list[int]]:
+    """Basis of the right nullspace of the square matrix m over F_q."""
+    n = len(m)
+    a, pivots = _rref(m, q)
     basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         vec = [0] * n
         vec[fc] = 1
         for rr, pc in enumerate(pivots):
@@ -266,11 +253,12 @@ def _embedding(small: ExtField, big: ExtField) -> _Embedding:
     d, n, q = small.n, big.n, big.q
     if n % d:
         raise ValueError(f"degree {d} does not divide {n}")
-    frob = _frobenius_matrix(big)
-    m = frob
-    for _ in range(d - 1):
-        m = _mat_mul(m, frob, q)
-    m_minus_i = [[(m[i][j] - (1 if i == j else 0)) % q for j in range(n)] for i in range(n)]
+    # column j of the matrix of x -> x^(q^d) is (X^j)^(q^d) = g^j, g = X^(q^d)
+    g = big.element((0, 1)) ** q**d
+    cols = [big.one]
+    for _ in range(n - 1):
+        cols.append(cols[-1] * g)
+    m_minus_i = [[(cols[j].coeffs[i] - (i == j)) % q for j in range(n)] for i in range(n)]
     basis = _nullspace(m_minus_i, q)
     if len(basis) != d:
         raise ArithmeticError(f"Frobenius-fixed subspace has dimension {len(basis)}, not {d}")
@@ -322,32 +310,15 @@ def subfield_extract(y: ExtFieldElement, small: ExtField) -> ExtFieldElement:
     """Inverse of subfield_embed on its image; raises if y is not in the image."""
     emb = _embedding(small, y.field)
     q, n, d = y.field.q, y.field.n, small.n
-    # solve sum c_i * powers[i] = y over F_q
-    aug = [[emb.powers[j].coeffs[i] for j in range(d)] + [y.coeffs[i]] for i in range(n)]
-    row = 0
-    pivots = []
-    for col in range(d):
-        piv = next((i for i in range(row, n) if aug[i][col] % q), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = pow(aug[row][col], -1, q)
-        aug[row] = [c * inv % q for c in aug[row]]
-        for i in range(n):
-            if i != row and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [(c - f * dd) % q for c, dd in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-    if len(pivots) != d:
-        raise AssertionError("embedding powers must be independent")
-    sol = [0] * d
-    for rr, pc in enumerate(pivots):
-        sol[pc] = aug[rr][d]
-    for i in range(row, n):
-        if aug[i][d] % q:
-            raise ValueError("element is not in the subfield image")
-    # consistency rows above row index are already zeroed by elimination
+    # solve sum c_i * powers[i] = y over F_q; a pivot in column d means no solution
+    a, pivots = _rref(
+        [[emb.powers[j].coeffs[i] for j in range(d)] + [y.coeffs[i]] for i in range(n)], q
+    )
+    if pivots[:d] != list(range(d)):
+        raise ArithmeticError("embedding powers must be independent")
+    if len(pivots) > d:
+        raise ValueError("element is not in the subfield image")
+    sol = [a[i][d] for i in range(d)]
     check = subfield_embed(small.element(sol), y.field)
     if check != y:
         raise ValueError("element is not in the subfield image")
@@ -481,7 +452,14 @@ def kernel_annihilator(params: TorusParams) -> KernelReport:
         math.gcd(abs(d_p), q**p - 1),
         math.gcd(abs(d_r), q**r - 1),
     )
-    for k in range(0, 65):
-        if n**k % e == 0:
-            return KernelReport(d_x=d_x, d_p=d_p, d_r=d_r, exponent=e, power=k)
-    raise ArithmeticError(f"kernel exponent {e} is not {p},{r}-smooth")
+    # the least k with e | (p*r)^k is the larger of the p- and r-valuations of e
+    rest, power = e, 0
+    for ell in (p, r):
+        v = 0
+        while rest % ell == 0:
+            rest //= ell
+            v += 1
+        power = max(power, v)
+    if rest != 1:
+        raise ArithmeticError(f"kernel exponent {e} is not {p},{r}-smooth")
+    return KernelReport(d_x=d_x, d_p=d_p, d_r=d_r, exponent=e, power=power)

@@ -254,8 +254,15 @@ def test_module_entry_point():
     assert env["result"]["num"] == ["1", "1", "1"]
 
 
-def test_optimized_interpreter_output_identical():
-    argv = ("torus", "roundtrip", "--q", "5", "--p", "2", "--r", "3", "--count", "5", "--seed", "3")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("torus", "roundtrip", "--q", "5", "--p", "2", "--r", "3", "--count", "5", "--seed", "3"),
+        ("verify", "--mode", "theorem1", "--max", "7"),
+    ],
+    ids=["roundtrip", "theorem1"],
+)
+def test_optimized_interpreter_output_identical(argv):
     plain = run_module(*argv)
     optimized = run_module(*argv, python_flags=("-O",))
     assert plain.returncode == optimized.returncode == 0

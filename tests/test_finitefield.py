@@ -1,5 +1,6 @@
 """Extension field construction, arithmetic axioms, and subgroup projections."""
 
+import itertools
 import pickle
 import random
 
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclokit.cyclotomic import cyclotomic, factorize
+from cyclokit.cyclotomic import cyclotomic, divisors, factorize, moebius
 from cyclokit.finitefield import (
     ExtField,
     PrimeField,
+    _is_irreducible,
     make_ext_field,
     multiplicative_order,
     norm_exponent,
@@ -44,6 +46,16 @@ class TestConstruction:
     def test_rejects_reducible_modulus(self):
         with pytest.raises(ValueError):
             ExtField(PrimeField(2), 2, IntPoly((1, 0, 1)))  # (X + 1)^2 over F_2
+
+    @pytest.mark.parametrize("q, max_n", [(2, 10), (3, 6), (5, 4), (7, 3)])
+    def test_irreducible_count_matches_gauss(self, q, max_n):
+        # Gauss: (1/n) sum_{d | n} mu(n/d) q^d monic irreducibles of degree n
+        for n in range(1, max_n + 1):
+            accepted = sum(
+                _is_irreducible(low + (1,), q) for low in itertools.product(range(q), repeat=n)
+            )
+            gauss = sum(moebius(n // d) * q**d for d in divisors(n)) // n
+            assert accepted == gauss, (q, n)
 
     def test_pickle_round_trip(self):
         f = make_ext_field(7, 15)
@@ -304,6 +316,15 @@ class TestPackedKernel:
         assert x ** (-1) == inverse
         assert x ** (-e) == inverse**e
         assert (x ** (-e) * x**e) == f.one
+
+    @given(field_and_vectors(1))
+    @settings(max_examples=200, deadline=None)
+    def test_inverse_matches_schoolbook(self, case):
+        f, (a,) = case
+        if not any(a):
+            return
+        got = f.element(a).inv().coeffs
+        assert schoolbook_mulmod(a, got, modulus_of(f), f.q) == f.one.coeffs
 
     def test_equal_fields_from_distinct_objects_multiply(self):
         f = make_ext_field(7, 3)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cyclokit import inverses
 from cyclokit.cyclotomic import PrimePair, cyclotomic, euler_phi, primes_upto
 from cyclokit.intpoly import IntPoly, NotCoprimeError, ScaledPoly, divrem_exact
 from cyclokit.inverses import (
@@ -128,6 +129,14 @@ class TestClosedFormIV:
         # (X + 1) * (-X) = -X^2 - X = 1 mod X^2 + X + 1
         prod = cyclotomic(2) * IntPoly((0, -1))
         assert reduce_mod(prod, 3) == IntPoly.one()
+
+    def test_built_without_the_oracle(self, monkeypatch):
+        def no_oracle(m, n):
+            raise RuntimeError("the extended-GCD oracle must not be called")
+
+        monkeypatch.setattr(inverses, "inverse_mod", no_oracle)
+        assert closed_form_iv(3, 5) == IntPoly((1, 0, 0, 1))
+        assert difference_inverse(3, 5) == IntPoly((-1, 1, 0, -1, 1))
 
 
 class TestDifferenceInverse:

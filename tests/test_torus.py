@@ -214,6 +214,14 @@ class TestSubfieldEmbedding:
             x = random_nonzero(small, rng)
             assert subfield_extract(subfield_embed(x, big), small) == x
 
+    def test_extract_dependent_powers_raise_arithmetic_error(self, monkeypatch):
+        big = make_ext_field(5, 6)
+        small = make_ext_field(5, 3)
+        broken = torus._Embedding(small=small, big=big, powers=(big.one,) * 3)
+        monkeypatch.setattr(torus, "_embedding", lambda s, b: broken)
+        with pytest.raises(ArithmeticError):
+            subfield_extract(big.one, small)
+
     def test_extract_rejects_outsiders(self):
         big = make_ext_field(5, 6)
         small = make_ext_field(5, 3)
@@ -281,6 +289,13 @@ class TestTheta:
         assert report.power == 1
         again = kernel_annihilator(params)
         assert again == report
+
+    def test_kernel_annihilator_rejects_non_smooth_exponent(self, setup_7_3_5, monkeypatch):
+        params, _, _, _ = setup_7_3_5
+        # gcd(7^3 - 1, 7^3 - 1) = 2 * 3^2 * 19 is not 3,5-smooth
+        monkeypatch.setattr(torus, "composite_exponents", lambda prm: (15, 7**3 - 1, 1))
+        with pytest.raises(ArithmeticError):
+            kernel_annihilator(params)
 
     def test_second_parameter_set(self):
         params = derive_params(5, 2, 3)
