@@ -2,10 +2,8 @@
 and subgroup decompositions of small finite fields."""
 
 from .cyclotomic import (
-    CycloIndex,
     Factorization,
     PrimePair,
-    coprime_evaluations,
     cyclotomic,
     divisors,
     euler_phi,
@@ -55,12 +53,10 @@ from .torus import (
     TorusParams,
     composite_exponents,
     decompose,
-    decompose_single,
     derive_exponent_polys,
     derive_params,
     kernel_annihilator,
     recombine,
-    recombine_single,
     subfield_embed,
     subfield_extract,
     theta,

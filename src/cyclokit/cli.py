@@ -15,6 +15,7 @@ Exit codes: 0 success; 1 a mathematical check failed; 2 usage error;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -31,6 +32,7 @@ from .finitefield import make_ext_field, random_nonzero
 from .intpoly import IntPoly, NotCoprimeError, ScaledPoly, resultant
 from .inverses import difference_inverse, inverse_mod, verify_closed_forms
 from .torus import (
+    BezoutExponents,
     TorusMembershipError,
     decompose,
     derive_exponent_polys,
@@ -197,37 +199,22 @@ def _torus_guard(q: int, p: int, r: int) -> None:
 
 
 def _torus_params_payload(args) -> dict:
-    p, r = args.p, args.r
-    if args.q == 0:  # symbolic mode: keep q as the indeterminate
-        exps = derive_exponent_polys(p, r)
-        return {
-            "symbolic": True,
-            "u1": _poly_payload(exps.u1),
-            "u_pr": _poly_payload(exps.u_pr),
-            "u_p": _poly_payload(exps.u_p),
-            "u_r": _poly_payload(exps.u_r),
-            "v1": _poly_payload(exps.v1),
-            "v2": _poly_payload(exps.v2),
-        }
-    params = derive_params(args.q, p, r)
-    return {
-        "symbolic": False,
-        "u1": _poly_payload(params.u1),
-        "u_pr": _poly_payload(params.u_pr),
-        "u_p": _poly_payload(params.u_p),
-        "u_r": _poly_payload(params.u_r),
-        "v1": _poly_payload(params.v1),
-        "v2": _poly_payload(params.v2),
-        "evaluations": {
-            "u1": str(params.u1_q),
-            "u_pr": str(params.u_pr_q),
-            "u_p": str(params.u_p_q),
-            "u_r": str(params.u_r_q),
-            "v1": str(params.v1_q),
-            "v2": str(params.v2_q),
-        },
-        "norm_exponents": {str(k): str(v) for k, v in sorted(params.norm_exponents.items())},
-    }
+    q = args.q
+    if q == 0:  # symbolic mode: keep q as the indeterminate
+        exps = derive_exponent_polys(args.p, args.r)
+    else:
+        params = derive_params(q, args.p, args.r)
+        exps = params.exps
+    payload, evaluations = {"symbolic": q == 0}, {}
+    for f in dataclasses.fields(BezoutExponents):
+        poly = getattr(exps, f.name)
+        payload[f.name] = _poly_payload(poly)
+        evaluations[f.name] = str(poly.evaluate(q))
+    if q == 0:
+        return payload
+    payload["evaluations"] = evaluations
+    payload["norm_exponents"] = {str(k): str(v) for k, v in sorted(params.norm_exponents.items())}
+    return payload
 
 
 def _torus_roundtrip_payload(args) -> tuple[dict, int]:

@@ -104,25 +104,6 @@ def moebius(n: int) -> int:
     return -1 if len(f.pairs) % 2 else 1
 
 
-@dataclass(frozen=True)
-class CycloIndex:
-    """An index n bundled with its factorization and totient."""
-
-    n: int
-    factorization: Factorization
-    phi: int
-
-    def __post_init__(self):
-        if self.factorization.value != self.n:
-            raise ValueError("factorization does not reconstruct n")
-        if self.phi != euler_phi(self.n):
-            raise ValueError("phi field does not match the totient of n")
-
-    @classmethod
-    def of(cls, n: int) -> CycloIndex:
-        return cls(n, factorize(n), euler_phi(n))
-
-
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial: monic, degree phi(n), integer coefficients.
@@ -262,11 +243,3 @@ def nontrivial_resultant(m: int, n: int) -> bool:
         return False
     return len(factorize(m // n).pairs) == 1
 
-
-def coprime_evaluations(m: int, n: int) -> bool:
-    """Sufficient condition for gcd(Phi_m(q), Phi_n(q)) = 1 at every integer q.
-
-    This is the negation of ``nontrivial_resultant``: a unit resultant
-    bounds the gcd of the two evaluations by 1 regardless of q.
-    """
-    return not nontrivial_resultant(m, n)

@@ -255,9 +255,10 @@ def make_ext_field(q: int, n: int) -> ExtField:
             digits.append(kk % q)
             kk //= q
         coeffs = tuple(reversed(digits))  # (c_0, ..., c_{n-1})
-        f = coeffs + (1,)
-        if _is_irreducible(f, q):
-            return ExtField(base, n, IntPoly(f))
+        try:
+            return ExtField(base, n, IntPoly(coeffs + (1,)))
+        except ValueError:  # reducible: every candidate is monic of degree n
+            continue
     raise AssertionError("unreachable: irreducible polynomials exist for every degree")
 
 

@@ -9,13 +9,17 @@ bounds free of special cases.
 ScaledPoly pairs an IntPoly numerator with a positive integer denominator
 and keeps gcd(content, den) = 1, so every rational-coefficient result
 (Bezout cofactors, modular inverses) has exactly one representation.
+
+Arithmetic over Q never leaves Z[X]: one fraction-free pseudo-division,
+``_pseudo_divrem``, serves both the subresultant ``resultant`` and the
+Bezout pairs of ``xgcd_rational``, which run Euclid on primitive
+remainders and keep one denominator per cofactor in a ScaledPoly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 NEG_INF = float("-inf")
 
@@ -199,24 +203,9 @@ class ScaledPoly:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    @classmethod
-    def from_fractions(cls, fracs) -> ScaledPoly:
-        fracs = [Fraction(f) for f in fracs]
-        den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        nums = tuple(int(f * den) for f in fracs)
-        return cls(IntPoly(nums), den)
-
     @property
     def is_integral(self) -> bool:
         return self.den == 1
-
-    def as_intpoly(self) -> IntPoly:
-        if self.den != 1:
-            raise ValueError(f"denominator {self.den} is not 1")
-        return self.num
-
-    def evaluate(self, q: int) -> Fraction:
-        return Fraction(self.num.evaluate(q), self.den)
 
     def scaled(self, k: int) -> ScaledPoly:
         return ScaledPoly(self.num * k, self.den)
@@ -225,45 +214,36 @@ class ScaledPoly:
         return {"num": self.num.to_decimal_strings(), "den": str(self.den)}
 
 
-def _ftrim(v: list[Fraction]) -> list[Fraction]:
-    while v and v[-1] == 0:
-        v.pop()
-    return v
+def _pseudo_divrem(a, b) -> tuple[int, list[int], list[int]]:
+    """Pseudo-division of little-endian int lists: (scale, Q, R).
 
-
-def _fmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _ftrim(out)
-
-
-def _fsub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _ftrim(out)
-
-
-def _fdivmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    dl = den[-1]
-    r = list(num)
-    if len(r) < len(den):
-        return [], _ftrim(r)
-    q = [Fraction(0)] * (len(r) - len(den) + 1)
-    for k in range(len(r) - len(den), -1, -1):
-        c = r[k + len(den) - 1] / dl
+    scale*a = Q*b + R with deg R < deg b and
+    scale = lc(b)^max(deg a - deg b + 1, 0), so every step stays integral.
+    b must be nonzero with a nonzero last entry; a monic b skips the scaling.
+    """
+    db = len(b) - 1
+    lc = b[-1]
+    steps = max(len(a) - db, 0)
+    low = b[:-1]
+    r = list(a)
+    q = [0] * steps
+    for k in range(steps - 1, -1, -1):
+        # lc*r - c*X^k*b cancels the top term c*X^(k+db)
+        c = r.pop()
+        if lc != 1:
+            r = [x * lc for x in r]
         if c:
             q[k] = c
-            for i, dc in enumerate(den):
-                r[k + i] -= c * dc
-    return _ftrim(q), _ftrim(r)
+            for i, bc in enumerate(low):
+                r[k + i] -= c * bc
+    if lc == 1:
+        return 1, q, r
+    # q[k] was taken before the k later steps that scale everything by lc
+    power = 1
+    for k in range(steps):
+        q[k] *= power
+        power *= lc
+    return power, q, r
 
 
 def xgcd_rational(a: IntPoly, b: IntPoly) -> tuple[ScaledPoly, ScaledPoly]:
@@ -271,39 +251,34 @@ def xgcd_rational(a: IntPoly, b: IntPoly) -> tuple[ScaledPoly, ScaledPoly]:
 
     The returned pair satisfies deg U < deg b and deg V < deg a, which pins
     it uniquely; inputs must be nonzero and coprime over Q.
+
+    Fraction-free: Euclid runs on primitive integer remainders r_i, each
+    pseudo-remainder divided by its content, and carries cofactors s_i with
+    s_i*a = r_i (mod b).
     """
     if a.is_zero or b.is_zero:
         raise ValueError("xgcd_rational requires nonzero inputs")
-    af = [Fraction(c) for c in a.coeffs]
-    bf = [Fraction(c) for c in b.coeffs]
-    r0, r1 = af, bf
-    s0, s1 = [Fraction(1)], []
+    r0, r1 = a, b
+    s0, s1 = ScaledPoly(IntPoly.one()), ScaledPoly(IntPoly.zero())
     while r1:
-        q, rem = _fdivmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _fsub(s0, _fmul(q, s1))
-    if len(r0) != 1:
+        scale, q, rem = _pseudo_divrem(r0.coeffs, r1.coeffs)
+        rem = IntPoly(rem)
+        g = rem.content or 1
+        s2 = ScaledPoly(
+            s0.num * (scale * s1.den) - IntPoly(q) * s1.num * s0.den,
+            s0.den * s1.den * g,
+        )
+        r0, r1 = r1, rem.scalar_div_exact(g)
+        s0, s1 = s1, s2
+    if r0.degree != 0:
         raise NotCoprimeError("inputs share a factor of positive degree")
-    c = r0[0]
-    u = _fdivmod([x / c for x in s0], bf)[1]
-    v, rem = _fdivmod(_fsub([Fraction(1)], _fmul(af, u)), bf)
-    if rem:
+    # deg s0 = deg b - deg r_{k-1} < deg b for the last remainder r_k = c,
+    # so U = s0/c needs no reduction; b*V = 1 - a*U must divide exactly
+    u = ScaledPoly(s0.num, s0.den * r0.coeffs[0])
+    scale, q, rem = _pseudo_divrem((IntPoly.constant(u.den) - a * u.num).coeffs, b.coeffs)
+    if any(rem):
         raise ArithmeticError("Bezout residual does not divide exactly")
-    return ScaledPoly.from_fractions(u), ScaledPoly.from_fractions(v)
-
-
-def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    # lc(b)^(deg a - deg b + 1) * a = q*b + r with deg r < deg b
-    d = b.leading
-    e = a.degree - b.degree + 1
-    r = a
-    while not r.is_zero and r.degree >= b.degree:
-        shift = r.degree - b.degree
-        r = r * d - b * IntPoly.monomial(shift, r.leading)
-        e -= 1
-    if e:
-        r = r * (d**e)
-    return r
+    return u, ScaledPoly(IntPoly(q), scale * u.den)
 
 
 def resultant(a: IntPoly, b: IntPoly) -> int:
@@ -332,7 +307,7 @@ def resultant(a: IntPoly, b: IntPoly) -> int:
         delta = A.degree - B.degree
         if A.degree % 2 == 1 and B.degree % 2 == 1:
             s = -s
-        rem = _pseudo_rem(A, B)
+        rem = IntPoly(_pseudo_divrem(A.coeffs, B.coeffs)[2])
         A = B
         if rem.is_zero:
             return 0

@@ -93,12 +93,7 @@ class TorusParams:
 
     q: int
     pair: PrimePair
-    u1: IntPoly
-    u_pr: IntPoly
-    u_p: IntPoly
-    u_r: IntPoly
-    v1: IntPoly
-    v2: IntPoly
+    exps: BezoutExponents
     u1_q: int
     u_pr_q: int
     u_p_q: int
@@ -117,8 +112,7 @@ def derive_params(q: int, p: int, r: int) -> TorusParams:
     return TorusParams(
         q=q,
         pair=pair,
-        u1=exps.u1, u_pr=exps.u_pr, u_p=exps.u_p, u_r=exps.u_r,
-        v1=exps.v1, v2=exps.v2,
+        exps=exps,
         u1_q=exps.u1.evaluate(q),
         u_pr_q=exps.u_pr.evaluate(q),
         u_p_q=exps.u_p.evaluate(q),
@@ -181,25 +175,6 @@ def _single_prime_cofactor(p: int, q: int) -> int:
     if cyclotomic(p).evaluate(q) + (q - 1) * b != p:
         raise ArithmeticError(f"Phi_{p}(q) + (q-1)*b != {p} for q = {q}")
     return b
-
-
-def decompose_single(x: ExtFieldElement) -> tuple[ExtFieldElement, ExtFieldElement]:
-    """Split x in F_{q^p}^x into (x^{Phi_p(q)}, x^{q-1}) in T_1 x T_p."""
-    if x.is_zero:
-        raise ValueError("cannot decompose zero")
-    p, q = x.field.n, x.field.q
-    if not is_prime(p):
-        raise ValueError("decompose_single needs a prime extension degree")
-    return x ** cyclotomic(p).evaluate(q), x ** (q - 1)
-
-
-def recombine_single(t1: ExtFieldElement, tp: ExtFieldElement) -> ExtFieldElement:
-    """Reverse of decompose_single up to p-th powers: returns t1 * tp^b."""
-    field = t1._same_field(tp)
-    p, q = field.n, field.q
-    if not is_prime(p):
-        raise ValueError("recombine_single needs a prime extension degree")
-    return t1 * tp ** _single_prime_cofactor(p, q)
 
 
 # -- subfield embeddings -----------------------------------------------------
@@ -417,7 +392,7 @@ def composite_exponents(params: TorusParams) -> tuple[int, int, int]:
     u_pr_poly, rem = divrem_exact(IntPoly.monomial(n) - IntPoly.one(), cyclotomic(n))
     if not rem.is_zero:
         raise ArithmeticError(f"Phi_{n} does not divide X^{n} - 1")
-    witness = u_pr_poly * params.u_pr * params.v1 - IntPoly.constant(n)
+    witness = u_pr_poly * params.exps.u_pr * params.exps.v1 - IntPoly.constant(n)
     _, sym_rem = divrem_exact(witness, cyclotomic(n))
     if not sym_rem.is_zero:
         raise ArithmeticError("T_pr slot exponent must reduce to p*r")

@@ -232,9 +232,38 @@ class TestDeterminism:
                  "--count", "5", "--seed", "7"),
                 "83660e571312ba2d1663717224aec5b2f7f47dec378b36d09a8fbab4e6a7836e",
             ),
+            # the six Bezout exponent polynomials, symbolic and at q = 7
+            (
+                ("torus", "params", "--q", "0", "--p", "3", "--r", "5"),
+                "5c1b10c01ef99c79254712b7037a904fd8a3e2241992d51e90fef1adfb82c68f",
+            ),
+            (
+                ("torus", "params", "--q", "7", "--p", "3", "--r", "5"),
+                "69ab321dcd22c2bdb86d146ff44aaa961fb2ff8117428fc1a05bc9057fb37999",
+            ),
         ],
     )
     def test_seeded_torus_output_golden(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(without_elapsed(out).encode()).hexdigest() == digest
+
+    # the degree-840 paths of the Bezout oracle and of the resultant, recorded
+    # with the Fraction-based extended Euclid that pseudo-division replaced
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("inv", "29", "899"),
+                "3ee08390896cc9d26d6a7f7383c949c52ef64a05efe1b195afd0689be7a68b2e",
+            ),
+            (
+                ("res", "899", "29"),
+                "b172e44f4c0cd0adabc4a7b69876328e66b83018040bfc40fc6a21d1085fc578",
+            ),
+        ],
+    )
+    def test_seeded_oracle_output_golden(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(without_elapsed(out).encode()).hexdigest() == digest

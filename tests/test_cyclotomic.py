@@ -5,10 +5,8 @@ import math
 import pytest
 
 from cyclokit.cyclotomic import (
-    CycloIndex,
     Factorization,
     PrimePair,
-    coprime_evaluations,
     cyclotomic,
     divisors,
     euler_phi,
@@ -61,12 +59,6 @@ class TestNumberTheory:
     def test_moebius_divisor_sums_vanish(self):
         for n in range(2, 501):
             assert sum(moebius(d) for d in divisors(n)) == 0
-
-    def test_cyclo_index(self):
-        ci = CycloIndex.of(15)
-        assert ci.phi == 8 and ci.factorization.primes == (3, 5)
-        with pytest.raises(ValueError):
-            CycloIndex(15, factorize(15), 7)
 
 
 class TestCyclotomic:
@@ -166,17 +158,20 @@ class TestCoprimality:
             for n in range(1, m):
                 assert nontrivial_resultant(m, n) == (resultant_apostol(m, n) != 1)
 
+    # a unit resultant bounds gcd(Phi_m(q), Phi_n(q)) by 1 at every integer q
     def test_coprime_evaluations_true_case(self):
-        assert coprime_evaluations(15, 1)
+        assert not nontrivial_resultant(15, 1)
         for q in range(2, 101):
             assert math.gcd(cyclotomic(15).evaluate(q), cyclotomic(1).evaluate(q)) == 1
 
     def test_coprime_evaluations_false_case(self):
-        assert not coprime_evaluations(3, 1)
+        assert nontrivial_resultant(3, 1)
         assert math.gcd(cyclotomic(3).evaluate(4), cyclotomic(1).evaluate(4)) == 3
 
     def test_non_integer_ratio(self):
-        assert coprime_evaluations(5, 3)
+        assert not nontrivial_resultant(5, 3)
+        for q in range(2, 101):
+            assert math.gcd(cyclotomic(5).evaluate(q), cyclotomic(3).evaluate(q)) == 1
 
 
 def test_primes_upto():

@@ -31,6 +31,14 @@ nonzero_polys = polys.filter(lambda p: not p.is_zero)
 monic_polys = st.lists(st.integers(-9, 9), max_size=8).map(
     lambda cs: IntPoly(tuple(cs) + (1,))
 )
+# large coefficients and a non-unit leading coefficient give remainders
+# with nontrivial content
+wide_polys = st.tuples(
+    st.lists(st.integers(-(10**6), 10**6), max_size=7),
+    st.integers(2, 10**6),
+    st.sampled_from((1, -1)),
+).map(lambda t: IntPoly(tuple(t[0]) + (t[1] * t[2],)))
+bezout_polys = st.one_of(nonzero_polys, wide_polys)
 
 
 def sylvester_resultant(a: IntPoly, b: IntPoly) -> int:
@@ -150,7 +158,16 @@ class TestXgcd:
         with pytest.raises(ValueError):
             xgcd_rational(IntPoly(()), PHI3)
 
-    @given(nonzero_polys, nonzero_polys)
+    def test_non_monic_short_dividend(self):
+        # deg a < deg b - 1, so the first pseudo-division takes no step, and
+        # lc(b) = 3 is not a unit
+        a = IntPoly((3, 0, 2))
+        b = IntPoly((5, 1, 0, 3))
+        u, v = xgcd_rational(a, b)
+        assert u == ScaledPoly(IntPoly((49, -60, -42)), 347)
+        assert v == ScaledPoly(IntPoly((40, 28)), 347)
+
+    @given(bezout_polys, bezout_polys)
     @settings(max_examples=150, deadline=None)
     def test_bezout_identity_and_degree_bounds(self, a, b):
         try:
@@ -223,14 +240,6 @@ class TestScaledPoly:
     def test_normalization_idempotent(self, num, den):
         sp = ScaledPoly(num, den)
         assert ScaledPoly(sp.num, sp.den) == sp
-
-    def test_as_intpoly(self):
-        assert ScaledPoly(PHI3, 1).as_intpoly() == PHI3
-        with pytest.raises(ValueError):
-            ScaledPoly(ONE, 3).as_intpoly()
-
-    def test_evaluate(self):
-        assert ScaledPoly(IntPoly((1, 1)), 5).evaluate(4) == Fraction(1, 1)
 
     def test_scaled(self):
         assert ScaledPoly(ONE, 3).scaled(3) == ScaledPoly(ONE, 1)

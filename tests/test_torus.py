@@ -13,12 +13,10 @@ from cyclokit.torus import (
     TorusMembershipError,
     composite_exponents,
     decompose,
-    decompose_single,
     derive_exponent_polys,
     derive_params,
     kernel_annihilator,
     recombine,
-    recombine_single,
     subfield_embed,
     subfield_extract,
     theta,
@@ -90,8 +88,8 @@ class TestDeriveParams:
 
     def test_evaluations_match_polynomials(self):
         params = derive_params(11, 2, 3)
-        assert params.u_pr_q == params.u_pr.evaluate(11)
-        assert params.v1_q == params.v1.evaluate(11)
+        assert params.u_pr_q == params.exps.u_pr.evaluate(11)
+        assert params.v1_q == params.exps.v1.evaluate(11)
 
 
 class TestRoundTrip:
@@ -143,30 +141,18 @@ class TestRoundTrip:
 
 
 class TestSinglePrime:
+    # theta_reverse recombines T_1 and T_p with x^p = x^{Phi_p(q)} * (x^{q-1})^b
     def test_bezout_arithmetic_p3_q2(self):
         # Phi_3(2) = 7, q - 1 = 1, cofactor -4: 7 - 4 = 3
-        field = make_ext_field(2, 3)
-        x = field.element([0, 1])
-        t1, tp = decompose_single(x)
-        assert t1 == x**7 and tp == x**1
-        assert recombine_single(t1, tp) == x**3
-
-    def test_identity(self):
-        field = make_ext_field(7, 3)
-        t1, tp = decompose_single(field.one)
-        assert recombine_single(t1, tp) == field.one
+        assert torus._single_prime_cofactor(3, 2) == -4
 
     def test_random_roundtrip_f7_3(self):
         field = make_ext_field(7, 3)
+        b = torus._single_prime_cofactor(3, 7)
         rng = random.Random(77)
         for _ in range(200):
             x = random_nonzero(field, rng)
-            assert recombine_single(*decompose_single(x)) == x**3
-
-    def test_rejects_composite_degree(self):
-        field = make_ext_field(5, 6)
-        with pytest.raises(ValueError):
-            decompose_single(field.one)
+            assert x ** cyclotomic(3).evaluate(7) * (x**6) ** b == x**3
 
     def test_broken_identity_raises_arithmetic_error(self, monkeypatch):
         # an explicit raise, not an assert, so the check also runs under -O
