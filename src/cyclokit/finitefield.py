@@ -18,9 +18,9 @@ on polynomials, with mu = floor(X^(2n-2) / f) over F_q, reduces mod the
 modulus f. A power packs its base once and runs the whole
 square-and-multiply ladder on packed integers. Products, powers,
 inversion (Fermat: x^(-1) = x^(q^n - 2)) and the Rabin irreducibility
-test behind the modulus search all run on this kernel; only the test's
-gcd checkpoints and the reduction of over-long input vectors use the
-coefficient-tuple helpers below.
+test behind the modulus search all run on this kernel. The only long
+division is intpoly's: it gives mu, and it reduces over-long input
+vectors mod the modulus.
 """
 
 from __future__ import annotations
@@ -30,51 +30,6 @@ from functools import lru_cache
 
 from .cyclotomic import cyclotomic, factorize, is_prime
 from .intpoly import IntPoly, divrem_exact
-
-
-# -- low-level arithmetic on little-endian coefficient tuples mod q --------
-
-
-def _ptrim(v) -> tuple[int, ...]:
-    out = tuple(v)
-    end = len(out)
-    while end > 0 and out[end - 1] == 0:
-        end -= 1
-    return out[:end]
-
-
-def _pmod(a, f, q) -> tuple[int, ...]:
-    # f monic of degree >= 1
-    r = [c % q for c in a]
-    df = len(f) - 1
-    for k in range(len(r) - 1 - df, -1, -1):
-        c = r[k + df]
-        if c:
-            for i in range(df):
-                r[k + i] = (r[k + i] - c * f[i]) % q
-            r[k + df] = 0
-    return _ptrim(r)
-
-
-def _pgcd(a, b, q) -> tuple[int, ...]:
-    a, b = _ptrim(c % q for c in a), _ptrim(c % q for c in b)
-    while b:
-        inv_lead = pow(b[-1], -1, q)
-        bm = tuple(c * inv_lead % q for c in b)
-        a, b = b, _pmod(a, bm, q)
-    if a:
-        inv_lead = pow(a[-1], -1, q)
-        a = tuple(c * inv_lead % q for c in a)
-    return a
-
-
-def _psub(a, b, q) -> tuple[int, ...]:
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _ptrim(c % q for c in out)
 
 
 # -- the packed kernel ------------------------------------------------------
@@ -116,13 +71,9 @@ def _packed_kernel(q: int, f: tuple[int, ...]):
     def unpack(x: int) -> tuple[int, ...]:
         return tuple((x >> s) & slot for s in shifts)
 
-    # mu = floor(X^(2n-2) / f) over F_q, by long division
-    rem, quo = [0] * (2 * n - 2) + [1], [0] * (n - 1)
-    for i in range(n - 2, -1, -1):
-        c = quo[i] = rem[i + n] % q
-        for j in range(n):
-            rem[i + j] -= c * f[j]
-    mu = pack(quo)
+    # mu = floor(X^(2n-2) / f) over F_q: f is monic, so the quotient over Z
+    # reduced mod q is the quotient over F_q
+    mu = pack([c % q for c in divrem_exact(IntPoly.monomial(2 * n - 2), IntPoly(f))[0].coeffs])
     neg_low = pack([-c % q for c in f[:n]])
     qmask = sum(((1 << (w - k)) - 1) << (w * i) for i in range(2 * n))
     low = (1 << (n * w)) - 1
@@ -148,20 +99,24 @@ def _packed_pow(x: int, e: int, reduce) -> int:
     return acc
 
 
-def _is_irreducible(f: tuple[int, ...], q: int) -> bool:
-    """Rabin test: X^{q^n} = X mod f, and gcd(X^{q^{n/l}} - X, f) = 1 for primes l | n."""
-    n = len(f) - 1
+def _is_irreducible(q: int, n: int, kernel) -> bool:
+    """Rabin test for the degree-n modulus f of a packed kernel over F_q.
+
+    Once X^{q^n} = X mod f, F_q[X]/f is a product of fields F_{q^d}, d | n,
+    and f is irreducible iff P = prod_{l | n prime} (X^{q^{n/l}} - X) is a
+    unit there, i.e. iff P^{q^n - 1} = 1: no gcd is needed.
+    """
     if n == 1:
         return True
-    pack, unpack, reduce = _packed_kernel(q, f)
-    x = pack((0, 1))
+    pack, _, reduce = kernel
+    x, one = pack((0, 1)), pack((1,))
     checkpoints = {n // ell for ell in factorize(n).primes}
-    b = x
+    b, prod = x, one
     for i in range(1, n + 1):
         b = _packed_pow(b, q, reduce)  # X^{q^i}
-        if i in checkpoints and _pgcd(_psub(unpack(b), (0, 1), q), f, q) != (1,):
-            return False
-    return b == x
+        if i in checkpoints:  # reduce takes X^{q^i} + (q-1)X, slots <= 2(q-1), to X^{q^i} - X
+            prod = reduce(prod * reduce(b + (q - 1) * x))
+    return b == x and _packed_pow(prod, q**n - 1, reduce) == one
 
 
 # -- field objects ----------------------------------------------------------
@@ -186,12 +141,13 @@ class ExtField:
         mod = tuple(c % q for c in modulus.coeffs)
         if len(mod) != n + 1 or mod[-1] != 1:
             raise ValueError("modulus must be monic of degree n with reduced coefficients")
-        if not _is_irreducible(mod, q):
+        kernel = _packed_kernel(q, mod)
+        if not _is_irreducible(q, n, kernel):
             raise ValueError("modulus is reducible")
         self.base = base
         self.n = n
         self.modulus = IntPoly(mod)
-        self._pack, self._unpack, self._reduce = _packed_kernel(q, mod)
+        self._pack, self._unpack, self._reduce = kernel
 
     def __reduce__(self):
         # pickle by construction data; the kernel's functions are closures
@@ -209,8 +165,8 @@ class ExtField:
         q, n = self.q, self.n
         vec = [c % q for c in coeffs]
         if len(vec) > n:
-            reduced = _pmod(tuple(vec), tuple(self.modulus.coeffs), q)
-            vec = list(reduced)
+            _, rem = divrem_exact(IntPoly(tuple(vec)), self.modulus)
+            vec = [c % q for c in rem.coeffs]
         vec += [0] * (n - len(vec))
         return ExtFieldElement(self, tuple(vec))
 
@@ -259,7 +215,7 @@ def make_ext_field(q: int, n: int) -> ExtField:
             return ExtField(base, n, IntPoly(coeffs + (1,)))
         except ValueError:  # reducible: every candidate is monic of degree n
             continue
-    raise AssertionError("unreachable: irreducible polynomials exist for every degree")
+    raise ArithmeticError(f"no monic irreducible polynomial of degree {n} over F_{q} found")
 
 
 @dataclass(frozen=True)

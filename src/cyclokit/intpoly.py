@@ -11,9 +11,10 @@ and keeps gcd(content, den) = 1, so every rational-coefficient result
 (Bezout cofactors, modular inverses) has exactly one representation.
 
 Arithmetic over Q never leaves Z[X]: one fraction-free pseudo-division,
-``_pseudo_divrem``, serves both the subresultant ``resultant`` and the
-Bezout pairs of ``xgcd_rational``, which run Euclid on primitive
-remainders and keep one denominator per cofactor in a ScaledPoly.
+``_pseudo_divrem``, is the only long division. It serves ``divrem_exact``
+(a monic divisor, scale 1), the subresultant ``resultant`` and the Bezout
+pairs of ``xgcd_rational``, which run Euclid on primitive remainders and
+keep one denominator per cofactor in a ScaledPoly.
 """
 
 from __future__ import annotations
@@ -162,24 +163,13 @@ def divrem_exact(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     """Euclidean division a = q*b + s by a monic divisor, deg s < deg b.
 
     Monic divisors keep every intermediate coefficient integral, which is
-    all this library ever needs (divisions are by cyclotomic products).
+    all this library ever needs (cyclotomic products and field moduli).
     """
     if b.is_zero:
         raise ValueError("division by the zero polynomial")
     if not b.is_monic:
         raise ValueError("divisor must be monic")
-    db = b.degree
-    r = list(a.coeffs)
-    if len(r) <= db:
-        return IntPoly(()), a
-    q = [0] * (len(r) - db)
-    for k in range(len(r) - 1 - db, -1, -1):
-        c = r[k + db]
-        if c:
-            q[k] = c
-            for i, bc in enumerate(b.coeffs[:-1]):
-                r[k + i] -= c * bc
-        r[k + db] = 0
+    _, q, r = _pseudo_divrem(a.coeffs, b.coeffs)  # scale 1: b is monic
     return IntPoly(tuple(q)), IntPoly(tuple(r))
 
 
@@ -224,7 +214,7 @@ def _pseudo_divrem(a, b) -> tuple[int, list[int], list[int]]:
     db = len(b) - 1
     lc = b[-1]
     steps = max(len(a) - db, 0)
-    low = b[:-1]
+    low = [(i, bc) for i, bc in enumerate(b[:-1]) if bc]  # cyclotomics and moduli are sparse
     r = list(a)
     q = [0] * steps
     for k in range(steps - 1, -1, -1):
@@ -234,7 +224,7 @@ def _pseudo_divrem(a, b) -> tuple[int, list[int], list[int]]:
             r = [x * lc for x in r]
         if c:
             q[k] = c
-            for i, bc in enumerate(low):
+            for i, bc in low:
                 r[k + i] -= c * bc
     if lc == 1:
         return 1, q, r

@@ -171,7 +171,7 @@ def _bound_holds(case_id: str, pair: PrimePair, closed: ScaledPoly) -> bool:
     if case_id == "i-a":
         return closed == ScaledPoly(IntPoly.one(), p)
     if case_id == "i-b":
-        return closed == closed_form_i(p, "reverse")
+        return closed.den == p and all(-(p - 1) <= c <= -1 for c in closed.num.coeffs)
     if case_id == "ii-a":
         return closed == ScaledPoly(IntPoly.one(), 1)
     if case_id == "ii-b":

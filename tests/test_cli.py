@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import cyclokit
-from cyclokit.cli import main
+from cyclokit.cli import INDEX_CEILING, main
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +79,28 @@ class TestBasicCommands:
     def test_inv_non_coprime_is_precondition_failure(self, capsys):
         code, out, err = run_cli(capsys, "inv", "3", "3")
         assert code == 3 and not out and "error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("phi", "{big}"),
+            ("eval", "{big}", "2"),
+            ("res", "{big}", "3"),
+            ("res", "3", "{big}"),
+            ("inv", "{big}", "3"),
+            ("inv", "3", "{big}"),
+        ],
+    )
+    @pytest.mark.parametrize("big", [INDEX_CEILING + 1, 15015])
+    def test_index_above_ceiling_is_precondition_failure(self, capsys, argv, big):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, *(a.format(big=big) for a in argv))
+        assert time.perf_counter() - started < 1.0
+        assert code == 3 and not out and "ceiling" in err
+
+    def test_index_at_ceiling_is_admitted(self, capsys):
+        code, out, _ = run_cli(capsys, "phi", str(INDEX_CEILING))
+        assert code == 0 and last_envelope(out)["params"] == {"n": INDEX_CEILING}
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclokit import finitefield
 from cyclokit.cyclotomic import cyclotomic, divisors, factorize, moebius
 from cyclokit.finitefield import (
     ExtField,
     PrimeField,
     _is_irreducible,
+    _packed_kernel,
+    _packed_pow,
     make_ext_field,
     multiplicative_order,
     norm_exponent,
@@ -52,10 +55,52 @@ class TestConstruction:
         # Gauss: (1/n) sum_{d | n} mu(n/d) q^d monic irreducibles of degree n
         for n in range(1, max_n + 1):
             accepted = sum(
-                _is_irreducible(low + (1,), q) for low in itertools.product(range(q), repeat=n)
+                _is_irreducible(q, n, _packed_kernel(q, low + (1,)))
+                for low in itertools.product(range(q), repeat=n)
             )
             gauss = sum(moebius(n // d) * q**d for d in divisors(n)) // n
             assert accepted == gauss, (q, n)
+
+    @pytest.mark.parametrize(
+        "low, factors, fixes_x",
+        [
+            # X^(2^6) = X mod this f, so only the unit step can reject it
+            ((1, 1, 0, 0, 1, 0), [(1, 1), (1, 1, 1), (1, 1, 0, 1)], True),
+            ((1, 1, 0, 1, 0, 1), [(1, 1, 1)] * 3, False),
+        ],
+    )
+    def test_rabin_rejects_products(self, low, factors, fixes_x):
+        f = low + (1,)
+        prod = IntPoly.one()
+        for g in factors:
+            prod = prod * IntPoly(g)
+        assert tuple(c % 2 for c in prod.coeffs) == f
+        kernel = _packed_kernel(2, f)
+        pack, _, reduce = kernel
+        x = pack((0, 1))
+        assert (_packed_pow(x, 2**6, reduce) == x) == fixes_x
+        assert not _is_irreducible(2, 6, kernel)
+        with pytest.raises(ValueError):
+            ExtField(PrimeField(2), 6, IntPoly(f))
+
+    def test_one_kernel_per_field(self, monkeypatch):
+        calls = []
+
+        def counting_kernel(q, f):
+            calls.append((q, f))
+            return _packed_kernel(q, f)
+
+        monkeypatch.setattr(finitefield, "_packed_kernel", counting_kernel)
+        ExtField(PrimeField(7), 15, make_ext_field(7, 15).modulus)
+        assert len(calls) == 1
+        with pytest.raises(ValueError):
+            ExtField(PrimeField(2), 2, IntPoly((1, 0, 1)))
+        assert len(calls) == 2
+
+    def test_exhausted_search_raises_arithmetic_error(self, monkeypatch):
+        monkeypatch.setattr(finitefield, "_is_irreducible", lambda q, n, kernel: False)
+        with pytest.raises(ArithmeticError):
+            make_ext_field.__wrapped__(3, 2)  # bypass the cache
 
     def test_pickle_round_trip(self):
         f = make_ext_field(7, 15)
@@ -325,6 +370,24 @@ class TestPackedKernel:
             return
         got = f.element(a).inv().coeffs
         assert schoolbook_mulmod(a, got, modulus_of(f), f.q) == f.one.coeffs
+
+    @given(
+        st.sampled_from(KERNEL_FIELDS).flatmap(
+            lambda qn: st.tuples(
+                st.just(qn), st.lists(st.integers(-10**6, 10**6), max_size=3 * qn[1] + 1)
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_element_matches_horner_sum(self, case):
+        (q, n), vec = case
+        f = make_ext_field(q, n)
+        # X itself, or -f_0 when the modulus X + f_0 has degree 1
+        x = f.element((0, 1)) if n > 1 else -f.element(f.modulus.coeffs[:1])
+        acc = f.zero
+        for c in reversed(vec):
+            acc = acc * x + f.element((c,))
+        assert f.element(vec) == acc
 
     def test_equal_fields_from_distinct_objects_multiply(self):
         f = make_ext_field(7, 3)

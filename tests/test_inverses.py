@@ -63,6 +63,15 @@ class TestClosedFormI:
         assert closed_form_i(5, "reverse") == ScaledPoly(IntPoly((-4, -3, -2, -1)), 5)
         assert closed_form_i(5, "reverse") == inverse_mod(1, 5)
 
+    @pytest.mark.parametrize("p", primes_upto(31))
+    def test_reverse_bound(self, p):
+        # den = p and every numerator coefficient in [-(p-1), -1]
+        pair = PrimePair.of(p, 3 if p == 2 else 2)
+        assert inverses._bound_holds("i-b", pair, closed_form_i(p, "reverse"))
+        too_low = ScaledPoly(IntPoly((-p, -1)), p)
+        assert too_low.den == p and not inverses._bound_holds("i-b", pair, too_low)
+        assert not inverses._bound_holds("i-b", pair, ScaledPoly(IntPoly((-1,)), p + 2))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             closed_form_i(4)
