@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import random
 import sys
 import time
@@ -24,6 +25,7 @@ import time
 from .cyclotomic import (
     PrimePair,
     cyclotomic,
+    euler_phi,
     lam_leung_phi_pr,
     primes_upto,
     resultant_apostol,
@@ -108,6 +110,11 @@ def _cmd_inv(args) -> tuple[dict, dict, int]:
 
 def _cmd_eval(args) -> tuple[dict, dict, int]:
     _check_indices(args.n)
+    # |Phi_n(q)| <= (|q| + 1)^phi(n) bounds the digits str() must print
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = math.floor(euler_phi(args.n) * math.log10(abs(args.q) + 1)) + 1
+    if limit and digits > limit:
+        raise PreconditionError(f"value may need {digits} digits, over the str() limit {limit}")
     return (
         {"n": args.n, "q": args.q},
         {"value": str(cyclotomic(args.n).evaluate(args.q))},
@@ -387,6 +394,9 @@ def main(argv=None) -> int:
     except (NotCoprimeError, TorusMembershipError, PreconditionError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except ArithmeticError as exc:  # a load-bearing invariant failed
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -128,7 +128,7 @@ def lam_leung_split(p: int, r: int) -> tuple[int, int]:
 
     Found by scanning s; the scan doubles as a runtime existence proof.
     """
-    _require_prime_pair(p, r)
+    PrimePair.of(p, r)  # validates distinct primes
     phi = (p - 1) * (r - 1)
     for s in range(r - 1):
         rest = phi - s * p
@@ -137,34 +137,20 @@ def lam_leung_split(p: int, r: int) -> tuple[int, int]:
     raise ValueError(f"no Lam-Leung split for ({p}, {r})")
 
 
-def _require_prime_pair(p: int, r: int) -> None:
-    if p == r or not is_prime(p) or not is_prime(r):
-        raise ValueError(f"({p}, {r}) is not a pair of distinct primes")
-
-
 @dataclass(frozen=True)
 class PrimePair:
-    """Ordered pair of distinct primes with its totient and Lam-Leung split."""
+    """Ordered pair of distinct primes."""
 
     p: int
     r: int
-    phi_pr: int
-    s: int
-    t: int
 
     def __post_init__(self):
-        _require_prime_pair(self.p, self.r)
-        if self.phi_pr != (self.p - 1) * (self.r - 1):
-            raise ValueError("phi_pr must equal (p-1)(r-1)")
-        if not (0 <= self.s <= self.r - 2 and 0 <= self.t <= self.p - 2):
-            raise ValueError("split out of range")
-        if self.s * self.p + self.t * self.r != self.phi_pr:
-            raise ValueError("split does not sum to phi_pr")
+        if self.p == self.r or not is_prime(self.p) or not is_prime(self.r):
+            raise ValueError(f"({self.p}, {self.r}) is not a pair of distinct primes")
 
     @classmethod
     def of(cls, p: int, r: int) -> PrimePair:
-        s, t = lam_leung_split(p, r)
-        return cls(p, r, (p - 1) * (r - 1), s, t)
+        return cls(p, r)
 
     @property
     def n(self) -> int:

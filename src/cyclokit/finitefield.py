@@ -252,10 +252,6 @@ class ExtFieldElement:
         q = self.field.q
         return ExtFieldElement(self.field, tuple(-x % q for x in self.coeffs))
 
-    def scale(self, c: int) -> ExtFieldElement:
-        q = self.field.q
-        return ExtFieldElement(self.field, tuple(x * c % q for x in self.coeffs))
-
     def __mul__(self, other: ExtFieldElement) -> ExtFieldElement:
         field = self._same_field(other)
         prod = field._pack(self.coeffs) * field._pack(other.coeffs)
@@ -273,14 +269,6 @@ class ExtFieldElement:
         acc = _packed_pow(field._pack(self.coeffs), abs(e), field._reduce)
         result = ExtFieldElement(field, field._unpack(acc))
         return result.inv() if e < 0 else result
-
-    def to_json_dict(self) -> dict:
-        return {
-            "coeffs": [str(c) for c in self.coeffs],
-            "q": str(self.field.q),
-            "n": self.field.n,
-            "modulus": self.field.modulus.to_decimal_strings(),
-        }
 
 
 # -- subgroup structure -----------------------------------------------------

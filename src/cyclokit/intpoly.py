@@ -59,10 +59,10 @@ class IntPoly:
         return cls((c,))
 
     @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> IntPoly:
+    def monomial(cls, degree: int) -> IntPoly:
         if degree < 0:
             raise ValueError("monomial degree must be nonnegative")
-        return cls((0,) * degree + (coeff,))
+        return cls((0,) * degree + (1,))
 
     @property
     def degree(self) -> int | float:

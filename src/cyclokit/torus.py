@@ -16,6 +16,10 @@ same machinery as a near-bijection
 
 whose kernel is annihilated by a power of p*r; ``kernel_annihilator``
 measures that power from the composite exponents of theta_reverse o theta.
+
+The subfield embeddings theta uses are F_q-linear, so each is stored as its
+matrix and a left inverse, both from one elimination when it is first
+built; embedding and extraction are then one matrix-vector product each.
 """
 
 from __future__ import annotations
@@ -182,9 +186,8 @@ def _single_prime_cofactor(p: int, q: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class _Embedding:
-    small: ExtField
-    big: ExtField
-    powers: tuple[ExtFieldElement, ...]  # images of 1, g, g^2, ..., g^{d-1}
+    matrix: tuple[tuple[int, ...], ...]  # n x d over F_q; column j holds beta^j
+    inverse: tuple[tuple[int, ...], ...]  # d x n left inverse: inverse * matrix = I_d
 
 
 def _rref(rows, q) -> tuple[list[list[int]], list[int]]:
@@ -207,18 +210,17 @@ def _rref(rows, q) -> tuple[list[list[int]], list[int]]:
     return a, pivots
 
 
-def _nullspace(m, q) -> list[list[int]]:
-    """Basis of the right nullspace of the square matrix m over F_q."""
-    n = len(m)
-    a, pivots = _rref(m, q)
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        vec = [0] * n
-        vec[fc] = 1
-        for rr, pc in enumerate(pivots):
-            vec[pc] = (-a[rr][fc]) % q
-        basis.append(vec)
-    return basis
+def _row_transform(a, q) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Rows of an invertible P over F_q with P*a = rref(a), split at rank(a).
+
+    The lower rows span the left nullspace {v : v*a = 0}; when a has full
+    column rank, the upper rows are a left inverse of a.
+    """
+    k, m = len(a[0]), len(a)
+    red, pivots = _rref([list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(a)], q)
+    rank = sum(c < k for c in pivots)
+    p = [tuple(row[k:]) for row in red]
+    return p[:rank], p[rank:]
 
 
 @lru_cache(maxsize=None)
@@ -228,13 +230,14 @@ def _embedding(small: ExtField, big: ExtField) -> _Embedding:
     d, n, q = small.n, big.n, big.q
     if n % d:
         raise ValueError(f"degree {d} does not divide {n}")
-    # column j of the matrix of x -> x^(q^d) is (X^j)^(q^d) = g^j, g = X^(q^d)
+    # column j of the matrix M of x -> x^(q^d) is (X^j)^(q^d) = g^j, g = X^(q^d);
+    # the fixed subspace, ker(M - I), is the left nullspace of (M - I)^T
     g = big.element((0, 1)) ** q**d
     cols = [big.one]
     for _ in range(n - 1):
         cols.append(cols[-1] * g)
-    m_minus_i = [[(cols[j].coeffs[i] - (i == j)) % q for j in range(n)] for i in range(n)]
-    basis = _nullspace(m_minus_i, q)
+    m_minus_i_t = [[c - (i == j) for i, c in enumerate(col.coeffs)] for j, col in enumerate(cols)]
+    _, basis = _row_transform(m_minus_i_t, q)
     if len(basis) != d:
         raise ArithmeticError(f"Frobenius-fixed subspace has dimension {len(basis)}, not {d}")
 
@@ -263,7 +266,11 @@ def _embedding(small: ExtField, big: ExtField) -> _Embedding:
     powers = [big.one]
     for _ in range(d - 1):
         powers.append(powers[-1] * beta)
-    return _Embedding(small=small, big=big, powers=tuple(powers))
+    matrix = tuple(zip(*(pw.coeffs for pw in powers)))
+    inverse, _ = _row_transform(matrix, q)
+    if len(inverse) != d:
+        raise ArithmeticError("embedding powers must be independent")
+    return _Embedding(matrix=matrix, inverse=tuple(inverse))
 
 
 def subfield_embed(x: ExtFieldElement, big: ExtField) -> ExtFieldElement:
@@ -274,30 +281,16 @@ def subfield_embed(x: ExtFieldElement, big: ExtField) -> ExtFieldElement:
     is deterministic and multiplicative.
     """
     emb = _embedding(x.field, big)
-    out = big.zero
-    for c, pw in zip(x.coeffs, emb.powers):
-        if c:
-            out = out + pw.scale(c)
-    return out
+    return big.element([sum(e * c for e, c in zip(row, x.coeffs)) for row in emb.matrix])
 
 
 def subfield_extract(y: ExtFieldElement, small: ExtField) -> ExtFieldElement:
     """Inverse of subfield_embed on its image; raises if y is not in the image."""
     emb = _embedding(small, y.field)
-    q, n, d = y.field.q, y.field.n, small.n
-    # solve sum c_i * powers[i] = y over F_q; a pivot in column d means no solution
-    a, pivots = _rref(
-        [[emb.powers[j].coeffs[i] for j in range(d)] + [y.coeffs[i]] for i in range(n)], q
-    )
-    if pivots[:d] != list(range(d)):
-        raise ArithmeticError("embedding powers must be independent")
-    if len(pivots) > d:
+    x = small.element([sum(e * c for e, c in zip(row, y.coeffs)) for row in emb.inverse])
+    if subfield_embed(x, y.field) != y:  # y is in the image iff matrix * inverse * y = y
         raise ValueError("element is not in the subfield image")
-    sol = [a[i][d] for i in range(d)]
-    check = subfield_embed(small.element(sol), y.field)
-    if check != y:
-        raise ValueError("element is not in the subfield image")
-    return small.element(sol)
+    return x
 
 
 # -- the near-bijective parametrization --------------------------------------

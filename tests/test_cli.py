@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import cyclokit
+from cyclokit import cli
 from cyclokit.cli import INDEX_CEILING, main
 
 
@@ -97,6 +98,29 @@ class TestBasicCommands:
         code, out, err = run_cli(capsys, *(a.format(big=big) for a in argv))
         assert time.perf_counter() - started < 1.0
         assert code == 3 and not out and "ceiling" in err
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="the interpreter has no integer string limit",
+    )
+    @pytest.mark.parametrize("n, q_exponent", [(211, 60), (3001, 4299)])
+    def test_eval_over_string_limit_is_precondition_failure(self, capsys, n, q_exponent):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "eval", str(n), str(10**q_exponent))
+        assert time.perf_counter() - started < 1.0
+        assert code == 3 and not out and "limit" in err
+
+    @pytest.mark.parametrize("exc, expected", [(ArithmeticError, 1), (ZeroDivisionError, 3)])
+    def test_arithmetic_error_exit_code(self, capsys, monkeypatch, exc, expected):
+        # ZeroDivisionError is an ArithmeticError but keeps its precondition exit
+        def broken(params):
+            raise exc("T_pr slot exponent must reduce to p*r")
+
+        monkeypatch.setattr(cli, "composite_exponents", broken)
+        code, out, err = run_cli(capsys, "torus", "theta-demo", "--q", "7", "--p", "2", "--r", "3")
+        assert code == expected and not out
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "Traceback" not in err
+        assert run_cli(capsys, "inv", "3", "3")[0] == 3
 
     def test_index_at_ceiling_is_admitted(self, capsys):
         code, out, _ = run_cli(capsys, "phi", str(INDEX_CEILING))

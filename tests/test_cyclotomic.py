@@ -114,12 +114,10 @@ class TestLamLeung:
             assert all(c in (-1, 0, 1) for c in lam_leung_phi_pr(p, r).coeffs)
 
     def test_prime_pair(self):
-        pair = PrimePair.of(3, 5)
-        assert (pair.phi_pr, pair.s, pair.t, pair.n) == (8, 1, 1, 15)
-        with pytest.raises(ValueError):
-            PrimePair.of(3, 9)
-        with pytest.raises(ValueError):
-            PrimePair(3, 5, 8, 2, 1)
+        assert PrimePair.of(3, 5).n == PrimePair.of(5, 3).n == 15
+        for p, r in [(3, 9), (4, 5), (5, 5), (1, 2)]:
+            with pytest.raises(ValueError):
+                PrimePair.of(p, r)
 
 
 class TestApostol:

@@ -201,12 +201,29 @@ class TestSubfieldEmbedding:
             assert subfield_extract(subfield_embed(x, big), small) == x
 
     def test_extract_dependent_powers_raise_arithmetic_error(self, monkeypatch):
+        # an elimination that finds rank d - 1 for the embedding matrix
+        # stands for dependent powers: the build must refuse the map
         big = make_ext_field(5, 6)
         small = make_ext_field(5, 3)
-        broken = torus._Embedding(small=small, big=big, powers=(big.one,) * 3)
-        monkeypatch.setattr(torus, "_embedding", lambda s, b: broken)
-        with pytest.raises(ArithmeticError):
-            subfield_extract(big.one, small)
+        transform = torus._row_transform
+
+        def rank_deficient(a, q):
+            upper, lower = transform(a, q)
+            return (upper[:-1], lower) if len(a[0]) == small.n else (upper, lower)
+
+        monkeypatch.setattr(torus, "_row_transform", rank_deficient)
+        with pytest.raises(ArithmeticError, match="independent"):
+            torus._embedding.__wrapped__(small, big)
+
+    def test_stored_inverse_is_a_left_inverse(self):
+        big = make_ext_field(5, 6)
+        for d in (1, 2, 3):
+            emb = torus._embedding(make_ext_field(5, d), big)
+            prod = [
+                [sum(a * b for a, b in zip(row, col)) % 5 for col in zip(*emb.matrix)]
+                for row in emb.inverse
+            ]
+            assert prod == [[int(i == j) for j in range(d)] for i in range(d)]
 
     def test_extract_rejects_outsiders(self):
         big = make_ext_field(5, 6)
