@@ -55,6 +55,10 @@ EXIT_PRECONDITION = 3
 VERIFY_CEILING = 31
 INDEX_CEILING = 3003  # phi/res/inv/eval; see _check_indices
 FIELD_ORDER_CEILING = 2**128
+# Measured on a 2-core Xeon VM: the slowest theta-demo op under the field
+# ceiling takes 52 ms (q=2, n=122), so 200 take about 10 s after up to 2.4 s
+# of set-up, near the slowest inv under INDEX_CEILING.
+COUNT_CEILING = 200
 
 
 class UsageError(ValueError):
@@ -323,6 +327,8 @@ def _cmd_torus(args) -> tuple[dict, dict, int]:
         raise UsageError("this action needs a prime q")
     if args.count < 0 or args.vectors < 0:
         raise UsageError("--count and --vectors must be >= 0")
+    if args.count > COUNT_CEILING:
+        raise PreconditionError(f"--count {args.count} exceeds the ceiling {COUNT_CEILING}")
     _torus_guard(args.q, args.p, args.r)
     params_desc.update({"count": args.count, "seed": args.seed})
     if args.action == "roundtrip":

@@ -20,12 +20,15 @@ measures that power from the composite exponents of theta_reverse o theta.
 The subfield embeddings theta uses are F_q-linear, so each is stored as its
 matrix and a left inverse, both from one elimination when it is first
 built; embedding and extraction are then one matrix-vector product each.
+The embedding of F_{q^d} sends X to the coefficient-lex smallest root of
+its modulus, which equal-degree (Cantor-Zassenhaus) splitting finds without
+scanning the q^d subfield elements.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,6 +36,7 @@ from .cyclotomic import PrimePair, cyclotomic, divisors, euler_phi, is_prime, mo
 from .finitefield import (
     ExtField,
     ExtFieldElement,
+    _packed_pow,
     make_ext_field,
     norm_exponent,
     torus_membership,
@@ -223,8 +227,95 @@ def _row_transform(a, q) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     return p[:rank], p[rank:]
 
 
+# A polynomial over F_{q^n} is a list of the big field's packed residues,
+# constant term first, no trailing zeros. Degrees stay at most d <= n, so a
+# coefficient sum below has at most d reduced terms (slots <= d(q-1)): valid
+# input to the kernel's reduce, whose slot bound is n(q-1)^2.
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _padd(a: list[int], b: list[int], big: ExtField) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([big._reduce(x + y) for x, y in zip(a, b)] + a[len(b):])
+
+
+def _pmul(a: list[int], b: list[int], big: ExtField) -> list[int]:
+    """Product of two polynomials of length at most d."""
+    reduce = big._reduce
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += reduce(x * y)
+    return [reduce(c) for c in out]
+
+
+def _pdivmod(a: list[int], b: list[int], big: ExtField) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic b."""
+    reduce, minus_one = big._reduce, big.q - 1  # q - 1 is the packed residue of -1
+    rem, m = list(a), len(b) - 1
+    quo = [0] * max(len(a) - m, 0)
+    for i in reversed(range(len(quo))):
+        c = quo[i] = reduce(rem[i + m])
+        neg_c = reduce(c * minus_one)
+        for j in range(m):
+            rem[i + j] += reduce(neg_c * b[j])
+    return quo, _trim([reduce(c) for c in rem[:m]])
+
+
+def _pgcd(a: list[int], b: list[int], big: ExtField) -> list[int]:
+    """Monic gcd; a leading coefficient is inverted by Fermat, x^(q^n - 2)."""
+    reduce = big._reduce
+    while b:
+        inv = _packed_pow(b[-1], big.order - 2, reduce)
+        b = [reduce(c * inv) for c in b]
+        a, b = b, _pdivmod(a, b, big)[1]
+    return a
+
+
+def _split(g: list[int], delta: int, d: int, big: ExtField) -> list[int]:
+    """The monic factor of g whose roots b, all in the degree-d subfield S, have
+    (b + delta)^((q^d - 1)/2) = 1 for odd q, or Tr_{S/F_2}(delta*b) = 0 for
+    q = 2. A delta in F_q puts all conjugates b^(q^i) on one side, so it is
+    drawn from S.
+    """
+    q = big.q
+    if q == 2:  # sum of (delta*Y)^(2^i), i < d; squaring is Frobenius on each coefficient
+        t = w = [0, delta]
+        for _ in range(d - 1):
+            sq = [0] * (2 * len(t) - 1)
+            sq[::2] = [big._reduce(x * x) for x in t]
+            t = _pdivmod(sq, g, big)[1]
+            w = _padd(w, t, big)
+    else:
+        base = w = [delta, 1]
+        for bit in bin((q**d - 1) // 2)[3:]:
+            w = _pdivmod(_pmul(w, w, big), g, big)[1]
+            if bit == "1":
+                w = _pdivmod(_pmul(w, base, big), g, big)[1]
+        w = _padd(w, [q - 1], big)  # w - 1
+    return _pgcd(g, w, big)
+
+
+_SPLIT_TRIES = 64  # a try separates two given roots with probability about 1/2
+
+
 @lru_cache(maxsize=None)
 def _embedding(small: ExtField, big: ExtField) -> _Embedding:
+    """The map F_{q^d} -> F_{q^n} sending X to the lex-smallest root of small's modulus f_s.
+
+    The d roots of f_s are the conjugates beta^(q^i) in the subfield S fixed
+    by x -> x^(q^d). Equal-degree splitting, with each delta drawn from S by
+    a fixed seed, finds one: it recurses into the smaller factor until that
+    is linear, and raises after _SPLIT_TRIES tries. The lex minimum over the
+    conjugates is the root a lex-order scan of S meets first, so the map
+    does not depend on the draws.
+    """
     if small.q != big.q:
         raise ValueError("fields have different characteristics")
     d, n, q = small.n, big.n, big.q
@@ -241,28 +332,27 @@ def _embedding(small: ExtField, big: ExtField) -> _Embedding:
     if len(basis) != d:
         raise ArithmeticError(f"Frobenius-fixed subspace has dimension {len(basis)}, not {d}")
 
-    # all q^d subfield elements, scanned in canonical (coefficient-lex) order
-    def combo(cs):
-        vec = [0] * n
-        for c, bvec in zip(cs, basis):
-            if c:
-                for i, bv in enumerate(bvec):
-                    vec[i] = (vec[i] + c * bv) % q
-        return tuple(vec)
-
-    candidates = sorted(combo(cs) for cs in itertools.product(range(q), repeat=d))
-    fsmall = small.modulus
-    beta = None
-    for cand in candidates:
-        elem = ExtFieldElement(big, cand)
-        acc = big.zero
-        for c in reversed(fsmall.coeffs):
-            acc = acc * elem + big.element((c,))
-        if acc.is_zero:
-            beta = elem
+    rng = random.Random(0)  # a fixed seed: the same tries on every build
+    f = [big._pack((c,)) for c in small.modulus.coeffs]
+    for _ in range(_SPLIT_TRIES):
+        if len(f) == 2:
             break
-    if beta is None:
-        raise ArithmeticError("the subfield modulus must split in the big field")
+        cs = [rng.randrange(q) for _ in basis]
+        delta = big._pack([sum(c * v for c, v in zip(cs, col)) % q for col in zip(*basis)])
+        factor = _split(f, delta, d, big)
+        if 1 < len(factor) < len(f):
+            f = min(factor, _pdivmod(f, factor, big)[0], key=len)
+    if len(f) != 2:
+        raise ArithmeticError(f"no root split off in {_SPLIT_TRIES} tries (q={q}, d={d}, n={n})")
+    conjugates = [-ExtFieldElement(big, big._unpack(f[0]))]
+    for _ in range(d - 1):
+        conjugates.append(conjugates[-1] ** q)
+    beta = min(conjugates, key=lambda e: e.coeffs)
+    value = big.zero
+    for c in reversed(small.modulus.coeffs):
+        value = value * beta + big.element((c,))
+    if not value.is_zero:
+        raise ArithmeticError(f"the split gave a non-root of the modulus (q={q}, d={d}, n={n})")
     powers = [big.one]
     for _ in range(d - 1):
         powers.append(powers[-1] * beta)

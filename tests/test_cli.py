@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import cyclokit
-from cyclokit import cli
-from cyclokit.cli import INDEX_CEILING, main
+from cyclokit import cli, torus
+from cyclokit.cli import COUNT_CEILING, INDEX_CEILING, main
 
 
 def run_cli(capsys, *argv):
@@ -242,6 +242,48 @@ class TestTorus:
             capsys, "torus", action, "--q", "5", "--p", "2", "--r", "3", "--count", "-1"
         )
         assert code == 2 and not out and "error" in err
+
+    @pytest.mark.parametrize("action", ["roundtrip", "theta-demo"])
+    @pytest.mark.parametrize("count", [COUNT_CEILING + 1, 10**30])
+    def test_count_above_ceiling_is_precondition_failure(self, capsys, monkeypatch, action, count):
+        def no_field(q, n):
+            raise AssertionError("a field was built before the --count check")
+
+        monkeypatch.setattr(cli, "make_ext_field", no_field)
+        started = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "torus", action, "--q", "2", "--p", "2", "--r", "61", "--count", str(count)
+        )
+        assert time.perf_counter() - started < 1.0
+        assert code == 3 and not out and "ceiling" in err
+
+    def test_default_count_is_admitted(self):
+        # the default --count, 100, is also the count of the README examples
+        argv = ["torus", "theta-demo", "--q", "7", "--p", "3", "--r", "5"]
+        assert cli._build_parser().parse_args(argv).count == 100 <= COUNT_CEILING
+
+    # the embedding scan never finished at (7, 2, 13), whose subfield of
+    # degree 13 has 7^13 elements
+    @pytest.mark.parametrize("q, p, r", [(7, 2, 13), (65537, 2, 3)])
+    def test_large_subfield_theta_demo_exits_cleanly(self, capsys, q, p, r):
+        torus._embedding.cache_clear()
+        started = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "torus", "theta-demo", "--q", str(q), "--p", str(p), "--r", str(r),
+            "--count", "1",
+        )
+        assert time.perf_counter() - started < 2.0
+        assert code == 0 and last_envelope(out)["result"]["passes"] == 1
+
+    def test_split_that_never_separates_exits_1(self, capsys, monkeypatch):
+        torus._embedding.cache_clear()
+        monkeypatch.setattr(torus, "_split", lambda g, delta, d, big: g)
+        code, out, err = run_cli(
+            capsys, "torus", "theta-demo", "--q", "5", "--p", "2", "--r", "3", "--count", "1"
+        )
+        assert code == 1 and not out
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "Traceback" not in err
+        assert "q=5" in err and "n=6" in err
 
     def test_negative_vectors_is_usage_error(self, capsys):
         code, out, err = run_cli(

@@ -1,8 +1,13 @@
 """Decomposition/recombination maps, subfield embeddings, and the parametrization."""
 
+import functools
+import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclokit import torus
 from cyclokit.cyclotomic import cyclotomic, primes_upto
@@ -234,6 +239,108 @@ class TestSubfieldEmbedding:
             y = random_nonzero(big, rng)
         with pytest.raises(ValueError):
             subfield_extract(y, small)
+
+
+@functools.lru_cache(maxsize=None)
+def scan_root(small, big):
+    """Reference root: the coefficient-lex smallest root of small's modulus in big, by brute force.
+
+    The subfield is enumerated as the F_q-span of the traces Tr(X^j) from big
+    down to it, so neither the Frobenius-fixed basis nor the split is used;
+    its vectors are then tried in lex order.
+    """
+    q, d = big.q, small.n
+    span = {big.zero.coeffs}
+    for j in range(big.n):
+        if len(span) == q**d:
+            break
+        z = trace = big.element([0] * j + [1])
+        for _ in range(big.n // d - 1):
+            z = z ** (q**d)
+            trace = trace + z
+        if trace.coeffs not in span:
+            span = {
+                tuple((a + c * b) % q for a, b in zip(vec, trace.coeffs))
+                for vec in span
+                for c in range(q)
+            }
+    assert len(span) == q**d
+    for vec in sorted(span):
+        x, acc = big.element(vec), big.zero
+        for c in reversed(small.modulus.coeffs):
+            acc = acc * x + big.element((c,))
+        if acc.is_zero:
+            return x
+    raise AssertionError("the subfield modulus has no root in the subfield")
+
+
+# every (q, p, r) with p < r and q^r <= 3000, so the scan stays small
+SCAN_TRIPLES = [
+    (q, p, r)
+    for q in primes_upto(13)
+    for p in primes_upto(11)
+    for r in primes_upto(11)
+    if p < r and q**r <= 3000
+]
+# the (q, p, r) that the cli_cold benchmark workload builds, and (3, 5, 7)
+DIGEST_TRIPLES = [
+    (5, 2, 3), (3, 2, 5), (2, 3, 7), (3, 2, 7), (13, 2, 3),
+    (23, 2, 3), (29, 2, 3), (7, 3, 5), (3, 5, 7),
+]
+# every (q, p, r) of distinct primes that the CLI's q^(pr) <= 2^128 guard admits
+# for q < 60 and q = 65537
+GUARDED_TRIPLES = [
+    (q, p, r)
+    for q in primes_upto(60) + [65537]
+    for p in primes_upto(61)
+    for r in primes_upto(61)
+    if p != r and q ** (p * r) <= 2**128
+]
+
+
+class TestRootSplitting:
+    @given(st.sampled_from(SCAN_TRIPLES), st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_matrix_matches_brute_force_scan(self, triple, which):
+        q, p, r = triple
+        small, big = make_ext_field(q, (1, p, r)[which]), make_ext_field(q, p * r)
+        beta = scan_root(small, big)
+        columns = [(beta**j).coeffs for j in range(small.n)]
+        assert torus._embedding(small, big).matrix == tuple(zip(*columns))
+
+    def test_matrices_digest(self):
+        # sha256 of the matrices for d in (1, p, r), recorded with the Theta(q^d)
+        # candidate scan that root splitting replaced
+        mats = []
+        for q, p, r in DIGEST_TRIPLES:
+            big = make_ext_field(q, p * r)
+            mats += [torus._embedding(make_ext_field(q, d), big).matrix for d in (1, p, r)]
+        digest = hashlib.sha256(json.dumps(mats).encode()).hexdigest()
+        assert digest == "a5a39fd63e775081b0148dc1aa2782e60c8b0149deda5f9e2ecd14ca76bae492"
+
+    @given(st.sampled_from(GUARDED_TRIPLES), st.booleans(), st.integers(0, 2**32))
+    @settings(max_examples=12, deadline=None)
+    def test_embed_extract_homomorphism(self, triple, use_p, seed):
+        q, p, r = triple
+        big, small = make_ext_field(q, p * r), make_ext_field(q, p if use_p else r)
+        rng = random.Random(seed)
+        x, y = random_nonzero(small, rng), random_nonzero(small, rng)
+        ex, ey = subfield_embed(x, big), subfield_embed(y, big)
+        assert subfield_embed(x + y, big) == ex + ey
+        assert subfield_embed(x * y, big) == ex * ey
+        assert subfield_extract(ex, small) == x
+
+    def test_split_that_never_separates_raises(self, monkeypatch):
+        monkeypatch.setattr(torus, "_split", lambda g, delta, d, big: g)
+        with pytest.raises(ArithmeticError, match=r"q=5, d=3, n=6"):
+            torus._embedding.__wrapped__(make_ext_field(5, 3), make_ext_field(5, 6))
+
+    def test_non_root_is_refused(self, monkeypatch):
+        # a split that returns Y + 1 hands over beta = -1, which no irreducible
+        # cubic over F_5 has as a root: the exact check must refuse it
+        monkeypatch.setattr(torus, "_split", lambda g, delta, d, big: [1, 1])
+        with pytest.raises(ArithmeticError, match="non-root"):
+            torus._embedding.__wrapped__(make_ext_field(5, 3), make_ext_field(5, 6))
 
 
 @pytest.fixture(scope="module")
