@@ -21,8 +21,8 @@ The subfield embeddings theta uses are F_q-linear, so each is stored as its
 matrix and a left inverse, both from one elimination when it is first
 built; embedding and extraction are then one matrix-vector product each.
 The embedding of F_{q^d} sends X to the coefficient-lex smallest root of
-its modulus, which equal-degree (Cantor-Zassenhaus) splitting finds without
-scanning the q^d subfield elements.
+its modulus, which equal-degree (Cantor-Zassenhaus) splitting with random
+norms down to F_{q^d} finds without scanning or spanning the subfield.
 """
 
 from __future__ import annotations
@@ -39,9 +39,11 @@ from .finitefield import (
     _packed_pow,
     make_ext_field,
     norm_exponent,
+    random_nonzero,
     torus_membership,
 )
 from .intpoly import IntPoly, divrem_exact, xgcd_rational
+from .inverses import closed_form_i
 
 
 class TorusMembershipError(ValueError):
@@ -178,8 +180,8 @@ def recombine(c: TorusComponents, params: TorusParams) -> ExtFieldElement:
 
 
 def _single_prime_cofactor(p: int, q: int) -> int:
-    """Integer b with Phi_p(q)*1 + (q-1)*b = p (the scaled degree-one Bezout pair)."""
-    b = -sum((p - 1 - k) * q**k for k in range(p - 1))
+    """Integer b with Phi_p(q)*1 + (q-1)*b = p: closed form i-b's numerator at q."""
+    b = closed_form_i(p, "reverse").num.evaluate(q)
     if cyclotomic(p).evaluate(q) + (q - 1) * b != p:
         raise ArithmeticError(f"Phi_{p}(q) + (q-1)*b != {p} for q = {q}")
     return b
@@ -212,19 +214,6 @@ def _rref(rows, q) -> tuple[list[list[int]], list[int]]:
                 a[i] = [(c - f * d) % q for c, d in zip(a[i], a[row])]
         pivots.append(col)
     return a, pivots
-
-
-def _row_transform(a, q) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Rows of an invertible P over F_q with P*a = rref(a), split at rank(a).
-
-    The lower rows span the left nullspace {v : v*a = 0}; when a has full
-    column rank, the upper rows are a left inverse of a.
-    """
-    k, m = len(a[0]), len(a)
-    red, pivots = _rref([list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(a)], q)
-    rank = sum(c < k for c in pivots)
-    p = [tuple(row[k:]) for row in red]
-    return p[:rank], p[rank:]
 
 
 # A polynomial over F_{q^n} is a list of the big field's packed residues,
@@ -309,36 +298,25 @@ _SPLIT_TRIES = 64  # a try separates two given roots with probability about 1/2
 def _embedding(small: ExtField, big: ExtField) -> _Embedding:
     """The map F_{q^d} -> F_{q^n} sending X to the lex-smallest root of small's modulus f_s.
 
-    The d roots of f_s are the conjugates beta^(q^i) in the subfield S fixed
-    by x -> x^(q^d). Equal-degree splitting, with each delta drawn from S by
-    a fixed seed, finds one: it recurses into the smaller factor until that
-    is linear, and raises after _SPLIT_TRIES tries. The lex minimum over the
-    conjugates is the root a lex-order scan of S meets first, so the map
-    does not depend on the draws.
+    The d roots of f_s are the conjugates beta^(q^i) in the degree-d subfield
+    S. Equal-degree splitting finds one; each delta is the norm
+    y^((q^n - 1)/(q^d - 1)) of a nonzero y from a fixed seed, uniform in S^x.
+    It recurses into the smaller factor until that is linear, and raises
+    after _SPLIT_TRIES tries. The lex minimum over the conjugates is the root
+    a lex-order scan of S meets first, so the map does not depend on the draws.
     """
     if small.q != big.q:
         raise ValueError("fields have different characteristics")
     d, n, q = small.n, big.n, big.q
     if n % d:
         raise ValueError(f"degree {d} does not divide {n}")
-    # column j of the matrix M of x -> x^(q^d) is (X^j)^(q^d) = g^j, g = X^(q^d);
-    # the fixed subspace, ker(M - I), is the left nullspace of (M - I)^T
-    g = big.element((0, 1)) ** q**d
-    cols = [big.one]
-    for _ in range(n - 1):
-        cols.append(cols[-1] * g)
-    m_minus_i_t = [[c - (i == j) for i, c in enumerate(col.coeffs)] for j, col in enumerate(cols)]
-    _, basis = _row_transform(m_minus_i_t, q)
-    if len(basis) != d:
-        raise ArithmeticError(f"Frobenius-fixed subspace has dimension {len(basis)}, not {d}")
-
     rng = random.Random(0)  # a fixed seed: the same tries on every build
+    norm = (q**n - 1) // (q**d - 1)  # y -> y^norm maps F_{q^n}^x onto S^x, each fiber one size
     f = [big._pack((c,)) for c in small.modulus.coeffs]
     for _ in range(_SPLIT_TRIES):
         if len(f) == 2:
             break
-        cs = [rng.randrange(q) for _ in basis]
-        delta = big._pack([sum(c * v for c, v in zip(cs, col)) % q for col in zip(*basis)])
+        delta = big._pack((random_nonzero(big, rng) ** norm).coeffs)
         factor = _split(f, delta, d, big)
         if 1 < len(factor) < len(f):
             f = min(factor, _pdivmod(f, factor, big)[0], key=len)
@@ -357,10 +335,11 @@ def _embedding(small: ExtField, big: ExtField) -> _Embedding:
     for _ in range(d - 1):
         powers.append(powers[-1] * beta)
     matrix = tuple(zip(*(pw.coeffs for pw in powers)))
-    inverse, _ = _row_transform(matrix, q)
-    if len(inverse) != d:
+    # rref([matrix | I]) = [rref(matrix) | P]; at full rank P's upper d rows are a left inverse
+    red, pivots = _rref([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(matrix)], q)
+    if sum(c < d for c in pivots) != d:
         raise ArithmeticError("embedding powers must be independent")
-    return _Embedding(matrix=matrix, inverse=tuple(inverse))
+    return _Embedding(matrix=matrix, inverse=tuple(tuple(row[d:]) for row in red[:d]))
 
 
 def subfield_embed(x: ExtFieldElement, big: ExtField) -> ExtFieldElement:

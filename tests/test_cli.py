@@ -350,6 +350,12 @@ class TestDeterminism:
                 ("res", "899", "29"),
                 "b172e44f4c0cd0adabc4a7b69876328e66b83018040bfc40fc6a21d1085fc578",
             ),
+            # the whole theorem1 sweep at VERIFY_CEILING = 31: these 770 lines
+            # must stay byte-identical when the ceiling is raised
+            (
+                ("verify", "--mode", "theorem1", "--max", "31"),
+                "c8b6111538125656a9f1d11f5e4705036f252b397a94a2b7339d943bbdbe5d21",
+            ),
         ],
     )
     def test_seeded_oracle_output_golden(self, capsys, argv, digest):

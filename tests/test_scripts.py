@@ -1,9 +1,11 @@
 """Smoke tests for the tooling around the package.
 
 Each script in scripts/ runs on small arguments and prints its summary,
-and every name the benchmark's traced run wraps still exists in src/.
+every name the benchmark's traced run wraps still exists in src/, and no
+module in src/ relies on a bare assert.
 """
 
+import ast
 import importlib.util
 import os
 import pathlib
@@ -58,3 +60,14 @@ def test_benchmark_trace_targets_exist():
         ("cyclokit.torus", "_embedding"),
     ]:
         assert callable(getattr(importlib.import_module(module), attr).cache_info)
+
+
+def test_no_bare_assert_in_src():
+    # invariants raise explicitly, so they still hold under python -O
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "cyclokit").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cyclokit import torus
 from cyclokit.cyclotomic import cyclotomic, primes_upto
-from cyclokit.finitefield import make_ext_field, random_nonzero
+from cyclokit.finitefield import ExtFieldElement, make_ext_field, random_nonzero
 from cyclokit.intpoly import IntPoly
 from cyclokit.torus import (
     TorusComponents,
@@ -206,17 +206,17 @@ class TestSubfieldEmbedding:
             assert subfield_extract(subfield_embed(x, big), small) == x
 
     def test_extract_dependent_powers_raise_arithmetic_error(self, monkeypatch):
-        # an elimination that finds rank d - 1 for the embedding matrix
-        # stands for dependent powers: the build must refuse the map
+        # an elimination that drops the last pivot of the embedding matrix finds
+        # rank d - 1, which stands for dependent powers: the build must refuse the map
         big = make_ext_field(5, 6)
         small = make_ext_field(5, 3)
-        transform = torus._row_transform
+        rref = torus._rref
 
-        def rank_deficient(a, q):
-            upper, lower = transform(a, q)
-            return (upper[:-1], lower) if len(a[0]) == small.n else (upper, lower)
+        def rank_deficient(rows, q):
+            red, pivots = rref(rows, q)
+            return red, [c for c in pivots if c != small.n - 1]
 
-        monkeypatch.setattr(torus, "_row_transform", rank_deficient)
+        monkeypatch.setattr(torus, "_rref", rank_deficient)
         with pytest.raises(ArithmeticError, match="independent"):
             torus._embedding.__wrapped__(small, big)
 
@@ -246,8 +246,8 @@ def scan_root(small, big):
     """Reference root: the coefficient-lex smallest root of small's modulus in big, by brute force.
 
     The subfield is enumerated as the F_q-span of the traces Tr(X^j) from big
-    down to it, so neither the Frobenius-fixed basis nor the split is used;
-    its vectors are then tried in lex order.
+    down to it, so neither the norms nor the split are used; its vectors are
+    then tried in lex order.
     """
     q, d = big.q, small.n
     span = {big.zero.coeffs}
@@ -329,6 +329,24 @@ class TestRootSplitting:
         assert subfield_embed(x + y, big) == ex + ey
         assert subfield_embed(x * y, big) == ex * ey
         assert subfield_extract(ex, small) == x
+
+    # odd q; q = 2; and d = n/2
+    @pytest.mark.parametrize("q, d, n", [(7, 5, 15), (2, 5, 15), (3, 3, 6)])
+    def test_split_constants_lie_in_the_subfield(self, monkeypatch, q, d, n):
+        # every delta the split receives is a nonzero element of the degree-d
+        # subfield, the elements fixed by x -> x^(q^d)
+        big, deltas, split = make_ext_field(q, n), [], torus._split
+
+        def recording(g, delta, d_, big_):
+            deltas.append(ExtFieldElement(big_, big_._unpack(delta)))
+            return split(g, delta, d_, big_)
+
+        monkeypatch.setattr(torus, "_split", recording)
+        torus._embedding.__wrapped__(make_ext_field(q, d), big)
+        assert deltas
+        for delta in deltas:
+            assert not delta.is_zero
+            assert delta ** (q**d) == delta
 
     def test_split_that_never_separates_raises(self, monkeypatch):
         monkeypatch.setattr(torus, "_split", lambda g, delta, d, big: g)
