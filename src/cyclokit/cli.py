@@ -86,9 +86,9 @@ def _emit(command: str, params: dict, result, started: float) -> None:
 
 
 def _check_indices(*indices: int) -> None:
-    # Measured on a 2-core Xeon VM: under INDEX_CEILING the slowest inv found
-    # takes 13.8 s (3003, 2431), res 4.8 s and phi/eval 0.45 s; at 2002 inv
-    # took 3.7 s. 3003 is the largest index the goldens and benchmark use.
+    # Measured cold on a 2-core Xeon VM, the slowest under INDEX_CEILING: inv
+    # (3003, 2431) 9.4-11.5 s, res 4.0-4.4 s, phi/eval 0.10-0.13 s (start-up);
+    # inv at 2002 took 3.7 s. 3003 is the largest index the goldens and benchmark use.
     if min(indices) < 1:
         raise UsageError("indices must be >= 1")
     if max(indices) > INDEX_CEILING:

@@ -1,7 +1,7 @@
 """Cyclotomic polynomials and the number theory around their resultants.
 
-The n-th cyclotomic polynomial is built by exact division of X^n - 1 by
-the lower-index factors, so everything stays in integer polynomials.
+The n-th cyclotomic polynomial is the product of the binomials
+(X^d - 1)^mu(n/d) over d | n, so everything stays in integer polynomials.
 Resultants of two cyclotomics admit a divisor-product closed form
 (Apostol's theorem); ``resultant_apostol`` implements it and
 ``nontrivial_resultant`` the resulting prime-power-ratio criterion.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .intpoly import IntPoly, divrem_exact
+from .intpoly import IntPoly, _pseudo_divrem
 
 
 def is_prime(n: int) -> bool:
@@ -108,19 +108,25 @@ def moebius(n: int) -> int:
 def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial: monic, degree phi(n), integer coefficients.
 
-    Computed as (X^n - 1) / prod of cyclotomic(d) over proper divisors d | n.
-    The lru_cache gives single-writer-consistent memoization.
+    Computed as the product of (X^d - 1)^mu(n/d) over d | n: the mu = +1
+    binomials multiply in by shift-and-subtract, then each mu = -1 binomial
+    divides out exactly; it is a sparse monic divisor, so each division
+    costs O(deg). The lru_cache gives single-writer-consistent memoization.
     """
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    num = IntPoly.monomial(n) - IntPoly.one()
+    num = [1]
     for d in divisors(n):
-        if d == n:
-            continue
-        num, rem = divrem_exact(num, cyclotomic(d))
-        if not rem.is_zero:
-            raise ArithmeticError(f"Phi_{d} does not divide X^{n} - 1 exactly")
-    return num
+        if moebius(n // d) == 1:
+            num = [0] * d + num
+            for i in range(len(num) - d):
+                num[i] -= num[i + d]
+    for d in divisors(n):
+        if moebius(n // d) == -1:
+            _, num, rem = _pseudo_divrem(num, [-1] + [0] * (d - 1) + [1])
+            if any(rem):
+                raise ArithmeticError(f"X^{d} - 1 does not divide the product for Phi_{n}")
+    return IntPoly(tuple(num))
 
 
 def lam_leung_split(p: int, r: int) -> tuple[int, int]:

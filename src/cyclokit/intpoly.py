@@ -13,20 +13,54 @@ and keeps gcd(content, den) = 1, so every rational-coefficient result
 Arithmetic over Q never leaves Z[X]: one fraction-free pseudo-division,
 ``_pseudo_divrem``, is the only long division. It serves ``divrem_exact``
 (a monic divisor, scale 1), the subresultant ``resultant`` and the Bezout
-pairs of ``xgcd_rational``, which run Euclid on primitive remainders and
-keep one denominator per cofactor in a ScaledPoly.
+pairs of ``xgcd_rational``, which run Euclid on primitive int-list
+remainders with one denominator per cofactor. ``_mul``, one packed bigint
+product (Kronecker substitution), is the only multiply in Z[X].
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import zip_longest
 
 NEG_INF = float("-inf")
 
 
 class NotCoprimeError(ValueError):
     """A Bezout inverse was requested for inputs sharing a factor."""
+
+
+_SLOT_TYPES = {array(t).itemsize: t for t in "BHILQ"}  # unsigned, by size: 1, 2, 4, 8 bytes
+
+
+def _mul(a, b) -> list[int]:
+    """Product of little-endian int lists by Kronecker substitution.
+
+    Each list becomes one integer of byte-aligned w-bit slots, wide enough
+    for any product coefficient and its sign. Every slot carries the bias
+    2^(w-1), so coefficients pack and unpack as unsigned bytes in linear
+    time around one bigint product. Slots of 1, 2, 4 or 8 bytes go through
+    an array, wider ones through int.to_bytes and int.from_bytes.
+    """
+    if not a or not b:
+        return []
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    size = min((s for s in _SLOT_TYPES if 8 * s > bound.bit_length()), default=bound.bit_length() // 8 + 1)
+    bias, order, typecode = 1 << (8 * size - 1), sys.byteorder, _SLOT_TYPES.get(size)
+    pad = bias.to_bytes(size, order)
+
+    def pack(xs) -> int:
+        xs = [x + bias for x in xs]
+        raw = array(typecode, xs).tobytes() if typecode else b"".join(x.to_bytes(size, order) for x in xs)
+        return int.from_bytes(raw, order) - int.from_bytes(pad * len(xs), order)
+
+    n = len(a) + len(b) - 1
+    raw = (pack(a) * pack(b) + int.from_bytes(pad * n, order)).to_bytes(size * n, order)
+    wide = (int.from_bytes(raw[i : i + size], order) for i in range(0, len(raw), size))
+    return [x - bias for x in (array(typecode, raw) if typecode else wide)]
 
 
 def _trimmed(coeffs) -> tuple[int, ...]:
@@ -45,10 +79,6 @@ class IntPoly:
         if not all(isinstance(c, int) for c in self.coeffs):
             raise TypeError("IntPoly coefficients must be integers")
         object.__setattr__(self, "coeffs", _trimmed(self.coeffs))
-
-    @classmethod
-    def zero(cls) -> IntPoly:
-        return cls(())
 
     @classmethod
     def one(cls) -> IntPoly:
@@ -85,10 +115,7 @@ class IntPoly:
     @property
     def content(self) -> int:
         """gcd of all coefficients; 0 for the zero polynomial."""
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, c)
-        return g
+        return math.gcd(*self.coeffs)
 
     def evaluate(self, q: int) -> int:
         acc = 0
@@ -128,15 +155,7 @@ class IntPoly:
             return IntPoly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, IntPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return IntPoly(tuple(out))
+        return IntPoly(tuple(_mul(self.coeffs, other.coeffs)))
 
     __rmul__ = __mul__
 
@@ -243,29 +262,30 @@ def xgcd_rational(a: IntPoly, b: IntPoly) -> tuple[ScaledPoly, ScaledPoly]:
     it uniquely; inputs must be nonzero and coprime over Q.
 
     Fraction-free: Euclid runs on primitive integer remainders r_i, each
-    pseudo-remainder divided by its content, and carries cofactors s_i with
-    s_i*a = r_i (mod b).
+    pseudo-remainder divided by its content, and carries cofactors
+    s_i = num_i/den_i with s_i*a = r_i (mod b), all as int lists; the
+    cofactor is kept reduced by gcd(content, den) at every step.
     """
     if a.is_zero or b.is_zero:
         raise ValueError("xgcd_rational requires nonzero inputs")
-    r0, r1 = a, b
-    s0, s1 = ScaledPoly(IntPoly.one()), ScaledPoly(IntPoly.zero())
+    r0, r1 = a.coeffs, b.coeffs
+    s0, d0, s1, d1 = [1], 1, [], 1
     while r1:
-        scale, q, rem = _pseudo_divrem(r0.coeffs, r1.coeffs)
-        rem = IntPoly(rem)
-        g = rem.content or 1
-        s2 = ScaledPoly(
-            s0.num * (scale * s1.den) - IntPoly(q) * s1.num * s0.den,
-            s0.den * s1.den * g,
-        )
-        r0, r1 = r1, rem.scalar_div_exact(g)
-        s0, s1 = s1, s2
-    if r0.degree != 0:
+        scale, q, rem = _pseudo_divrem(r0, r1)
+        g = math.gcd(*rem) or 1
+        # s2 = (scale*s0 - q*s1) / g over the common denominator d0*d1
+        k, d2 = scale * d1, d0 * d1 * g
+        s2 = [k * x - d0 * y for x, y in zip_longest(s0, _mul(q, s1), fillvalue=0)]
+        h = math.gcd(d2, *s2)
+        r0, r1 = r1, _trimmed(c // g for c in rem)
+        s0, d0, s1, d1 = s1, d1, [c // h for c in s2], d2 // h
+    if len(r0) != 1:
         raise NotCoprimeError("inputs share a factor of positive degree")
     # deg s0 = deg b - deg r_{k-1} < deg b for the last remainder r_k = c,
-    # so U = s0/c needs no reduction; b*V = 1 - a*U must divide exactly
-    u = ScaledPoly(s0.num, s0.den * r0.coeffs[0])
-    scale, q, rem = _pseudo_divrem((IntPoly.constant(u.den) - a * u.num).coeffs, b.coeffs)
+    # so U = s0/c needs no reduction; b*V = den - a*U must divide exactly
+    u = ScaledPoly(IntPoly(s0), d0 * r0[0])
+    residual = [c - x for c, x in zip_longest([u.den], _mul(a.coeffs, u.num.coeffs), fillvalue=0)]
+    scale, q, rem = _pseudo_divrem(residual, b.coeffs)
     if any(rem):
         raise ArithmeticError("Bezout residual does not divide exactly")
     return u, ScaledPoly(IntPoly(q), scale * u.den)

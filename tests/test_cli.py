@@ -356,6 +356,12 @@ class TestDeterminism:
                 ("verify", "--mode", "theorem1", "--max", "31"),
                 "c8b6111538125656a9f1d11f5e4705036f252b397a94a2b7339d943bbdbe5d21",
             ),
+            # the largest admitted cyclotomic, recorded with the construction
+            # by exact division by every lower-index cyclotomic
+            (
+                ("phi", "3003"),
+                "52167ed6ec3d309beafaef270e57107125bf08488e585eecc4f8a940c716ccb6",
+            ),
         ],
     )
     def test_seeded_oracle_output_golden(self, capsys, argv, digest):

@@ -1,5 +1,6 @@
 """Cyclotomic construction, totients, Moebius sums, closed-form resultants."""
 
+import importlib
 import math
 
 import pytest
@@ -20,6 +21,8 @@ from cyclokit.cyclotomic import (
     resultant_apostol,
 )
 from cyclokit.intpoly import IntPoly, resultant
+
+cyclotomic_module = importlib.import_module("cyclokit.cyclotomic")
 
 PHI15 = IntPoly((1, -1, 0, 1, -1, 1, 0, -1, 1))
 
@@ -82,6 +85,24 @@ class TestCyclotomic:
     def test_degree_is_totient_up_to_200(self):
         for n in range(1, 201):
             assert cyclotomic(n).degree == euler_phi(n)
+
+    # squarefree (3003 = 3*7*11*13) and not (4620, 9009, 864 = 2^5*3^3); the
+    # binomial construction never reads a lower-index cyclotomic, so the
+    # divisor product is an independent check
+    @pytest.mark.parametrize("n", [3003, 4620, 9009, 864])
+    def test_large_composite_indices(self, n):
+        prod = IntPoly.one()
+        for d in divisors(n):
+            prod = prod * cyclotomic(d)
+        assert prod == IntPoly.monomial(n) - IntPoly.one()
+        assert cyclotomic(n).degree == euler_phi(n)
+
+    def test_binomial_that_does_not_divide_raises(self, monkeypatch):
+        # mu(6) = +1 read as -1: X - 1 is divided out where it should multiply
+        # in, and X^2 - 1 then leaves a remainder
+        monkeypatch.setattr(cyclotomic_module, "moebius", lambda k: -1 if k == 6 else moebius(k))
+        with pytest.raises(ArithmeticError, match=r"X\^2 - 1 .* Phi_6"):
+            cyclotomic.__wrapped__(6)
 
     def test_phi105_landmark(self):
         c = cyclotomic(105).coeffs

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclokit.intpoly import (
@@ -39,6 +39,23 @@ wide_polys = st.tuples(
     st.sampled_from((1, -1)),
 ).map(lambda t: IntPoly(tuple(t[0]) + (t[1] * t[2],)))
 bezout_polys = st.one_of(nonzero_polys, wide_polys)
+# magnitudes at the edges of the packed product's 1-, 2-, 4- and 8-byte
+# slots, and past them into the wide path
+mul_magnitudes = st.sampled_from((1, 9, 2**7, 2**15, 2**31, 2**63, 10**40))
+mul_operands = mul_magnitudes.flatmap(
+    lambda m: st.lists(st.one_of(st.just(0), st.integers(-m, m)), min_size=1, max_size=300)
+)
+
+
+def schoolbook_product(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Reference product: the quadratic double loop over the coefficients."""
+    if a.is_zero or b.is_zero:
+        return IntPoly(())
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return IntPoly(tuple(out))
 
 
 def sylvester_resultant(a: IntPoly, b: IntPoly) -> int:
@@ -91,6 +108,18 @@ class TestIntPoly:
         assert PHI1 * PHI3 == IntPoly((-1, 0, 0, 1))
         full = PHI3 * PHI5 * PHI15 * PHI1
         assert full == IntPoly.monomial(15) - ONE
+
+    @given(mul_operands, mul_operands)
+    @settings(max_examples=200, deadline=None)
+    # one factor of a coefficient exactly at each slot's signed limit, 2^(8s-1)
+    @example([2**7], [1])
+    @example([2**15], [-1])
+    @example([2**31], [1])
+    @example([2**63], [-1])
+    @example([-(2**63)], [1])
+    def test_mul_matches_schoolbook(self, a, b):
+        a, b = IntPoly(tuple(a)), IntPoly(tuple(b))
+        assert a * b == schoolbook_product(a, b)
 
     def test_eval(self):
         assert PHI3.evaluate(2) == 7
