@@ -284,10 +284,10 @@ def norm_exponent(q: int, pr: int, k: int) -> int:
         raise ValueError(f"{q} is not prime")
     if pr < 2 or k < 1 or pr % k:
         raise ValueError(f"{k} does not divide {pr}")
-    u_k, rem = divrem_exact(IntPoly.monomial(pr) - IntPoly.one(), cyclotomic(k))
-    if not rem.is_zero:
-        raise ArithmeticError(f"Phi_{k} does not divide X^{pr} - 1")
-    return u_k.evaluate(q)
+    e, rem = divmod(q**pr - 1, cyclotomic(k).evaluate(q))  # evaluation at q is a ring map
+    if rem:
+        raise ArithmeticError(f"Phi_{k}({q}) does not divide {q}^{pr} - 1")
+    return e
 
 
 def torus_membership(x: ExtFieldElement, k: int) -> bool:

@@ -43,7 +43,7 @@ from .finitefield import (
     torus_membership,
 )
 from .intpoly import IntPoly, divrem_exact, xgcd_rational
-from .inverses import closed_form_i
+from .inverses import closed_form_i, closed_form_ii, closed_form_iv
 
 
 class TorusMembershipError(ValueError):
@@ -65,26 +65,22 @@ class BezoutExponents:
 def derive_exponent_polys(p: int, r: int) -> BezoutExponents:
     """All Bezout exponent polynomials for the pair (p, r), exactly.
 
-    u1, u_pr solve Phi_pr*u1 + Phi_1*u_pr = 1; u_p, u_r solve
-    Phi_r*u_p + Phi_p*u_r = 1; v1, v2 are the p*r-scaled canonical pair
-    for (Phi_p*Phi_r, Phi_1*Phi_pr) and must come out integral, which is
-    enforced. All three identities are checked as exact polynomial
-    equations before returning.
+    u1, u_pr (Phi_pr*u1 + Phi_1*u_pr = 1) are the closed forms of case ii,
+    u_p, u_r (Phi_r*u_p + Phi_p*u_r = 1) those of case iv. v1, v2 have no
+    closed form: they are the oracle's p*r-scaled canonical pair for
+    (Phi_p*Phi_r, Phi_1*Phi_pr) and must come out integral. All three
+    identities are checked as exact polynomial equations before returning.
     """
     pair = PrimePair.of(p, r)
     n = pair.n
     phi1, phip, phir, phipr = cyclotomic(1), cyclotomic(p), cyclotomic(r), cyclotomic(n)
-    u1_s, u_pr_s = xgcd_rational(phipr, phi1)
-    u_p_s, u_r_s = xgcd_rational(phir, phip)
-    for s in (u1_s, u_pr_s, u_p_s, u_r_s):
-        if not s.is_integral:
-            raise ValueError("unit-resultant Bezout cofactors must be integral")
+    u1, u_pr = closed_form_ii(pair)
     a, b = xgcd_rational(phip * phir, phi1 * phipr)
     v1_s, v2_s = a.scaled(n), b.scaled(n)
     if not (v1_s.is_integral and v2_s.is_integral):
         raise ValueError(f"p*r-scaled cofactors are not integral for ({p}, {r})")
     exps = BezoutExponents(
-        u1=u1_s.num, u_pr=u_pr_s.num, u_p=u_p_s.num, u_r=u_r_s.num,
+        u1=u1.num, u_pr=u_pr.num, u_p=closed_form_iv(r, p), u_r=closed_form_iv(p, r),
         v1=v1_s.num, v2=v2_s.num,
     )
     one, pr_const = IntPoly.one(), IntPoly.constant(n)

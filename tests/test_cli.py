@@ -1,6 +1,8 @@
 """CLI envelopes, golden vectors, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cyclokit
 from cyclokit import cli, torus
@@ -330,6 +334,24 @@ class TestDeterminism:
                 ("torus", "params", "--q", "7", "--p", "3", "--r", "5"),
                 "69ab321dcd22c2bdb86d146ff44aaa961fb2ff8117428fc1a05bc9057fb37999",
             ),
+            # recorded while u1, u_pr, u_p, u_r still came from the oracle,
+            # not from the closed forms of cases ii and iv
+            (
+                ("torus", "params", "--q", "0", "--p", "2", "--r", "3"),
+                "228c5de456fd8fac0bf5dd14110277e13918cfbc69846e6b033f2308e112130c",
+            ),
+            (
+                ("torus", "params", "--q", "0", "--p", "13", "--r", "2"),
+                "55474476c27188429809435c5af3b852f899c863b1247f5a6247da12b721efe8",
+            ),
+            (
+                ("torus", "params", "--q", "0", "--p", "11", "--r", "13"),
+                "e5f07599ba762240442a645b4900dfe51f4dc443c7185819c872b5454ce54fd1",
+            ),
+            (
+                ("torus", "params", "--q", "0", "--p", "29", "--r", "31"),
+                "bb1730258402c5249e3e108f24178bd25e3c9b12d0b6494cf10a666d40a2d03b",
+            ),
         ],
     )
     def test_seeded_torus_output_golden(self, capsys, argv, digest):
@@ -375,6 +397,47 @@ class TestDeterminism:
             return out.strip().splitlines()[:-1]
 
         assert lines() == lines()
+
+
+# negative, 0, 1, small primes, composites and one huge value; as an index
+# each is either small or over INDEX_CEILING, so no slow in-ceiling inv runs
+FUZZ_VALUES = st.sampled_from((-7, -1, 0, 1, 2, 3, 5, 7, 4, 6, 15, 10**30)).map(str)
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(["phi", "res", "inv", "eval", "verify", "torus"]))
+    if command == "phi":
+        argv = [command, draw(FUZZ_VALUES)]
+    elif command in ("res", "inv", "eval"):
+        argv = [command, draw(FUZZ_VALUES), draw(FUZZ_VALUES)]
+    elif command == "verify":
+        mode = draw(st.sampled_from(["theorem1", "resultants", "lamleung", "alternation", "x"]))
+        argv = [command, "--mode", mode, "--max", draw(FUZZ_VALUES)]
+    else:
+        argv = [command, draw(st.sampled_from(["params", "roundtrip", "theta-demo"]))]
+        for flag in ("--q", "--p", "--r"):  # lean to primes so more calls build a field
+            argv += [flag, draw(st.one_of(st.sampled_from("2357"), FUZZ_VALUES))]
+        for flag in ("--count", "--vectors", "--seed"):
+            argv += [flag, draw(FUZZ_VALUES)]
+    if draw(st.booleans()) and draw(st.booleans()):
+        argv = argv[:-1]  # a missing operand or option value
+    return argv
+
+
+@given(fuzz_argv())
+@settings(max_examples=150, deadline=None)
+def test_argv_fuzz_reaches_a_documented_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert time.perf_counter() - started < 2.0, argv
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_module_entry_point():

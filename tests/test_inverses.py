@@ -1,8 +1,10 @@
 """Closed-form inverses against the extended-GCD oracle, plus coefficient bounds."""
 
+import builtins
+
 import pytest
 
-from cyclokit import inverses
+from cyclokit import cli, inverses
 from cyclokit.cyclotomic import PrimePair, cyclotomic, euler_phi, primes_upto
 from cyclokit.intpoly import IntPoly, NotCoprimeError, ScaledPoly, divrem_exact
 from cyclokit.inverses import (
@@ -69,10 +71,19 @@ class TestClosedFormI:
     def test_reverse_bound(self, p):
         # den = p and every numerator coefficient in [-(p-1), -1]
         pair = PrimePair.of(p, 3 if p == 2 else 2)
+        r = pair.r
         assert inverses._bound_holds("i-b", pair, closed_form_i(p, "reverse"))
         too_low = ScaledPoly(IntPoly((-p, -1)), p)
         assert too_low.den == p and not inverses._bound_holds("i-b", pair, too_low)
         assert not inverses._bound_holds("i-b", pair, ScaledPoly(IntPoly((-1,)), p + 2))
+        # ii-b and iv: integral, coefficients in {-1, 0, 1}
+        assert inverses._bound_holds("ii-b", pair, closed_form_ii(pair)[1])
+        assert not inverses._bound_holds("ii-b", pair, ScaledPoly(IntPoly((0, -1, 2)), 1))
+        assert inverses._bound_holds("iv", pair, ScaledPoly(closed_form_iv(p, r), 1))
+        assert not inverses._bound_holds("iv", pair, ScaledPoly(IntPoly((1,)), 2))
+        # iii-b: written over the denominator r, every numerator coefficient < r
+        assert inverses._bound_holds("iii-b", pair, closed_form_iii_reverse(pair))
+        assert not inverses._bound_holds("iii-b", pair, ScaledPoly(IntPoly((r, -1)), r))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -187,3 +198,53 @@ class TestVerifyClosedForms:
         reports = {rep.case_id: rep for rep in verify_closed_forms(PrimePair.of(3, 5))}
         assert reports["i-b"].observed_min == -2  # -(1/3)(X + 2)
         assert reports["iii-b"].observed_max < 5
+
+    # an out-of-bound closed form for each bounded case at (3, 5), its
+    # expected (num, den) and extrema (iii-b's scaled to denominator r = 5)
+    OUT_OF_BOUND = {
+        "i-b": (ScaledPoly(IntPoly((-3, -1)), 3), -3, -1),
+        "ii-b": (ScaledPoly(IntPoly((0, -1, 2)), 1), -1, 2),
+        "iii-b": (ScaledPoly(IntPoly((5, -1)), 5), -1, 5),
+        "iv": (ScaledPoly(IntPoly((1, 0, 0, 2)), 1), 0, 2),
+    }
+
+    @pytest.mark.parametrize("case_id", sorted(OUT_OF_BOUND))
+    def test_bound_miss_reports_its_own_closed_form(self, monkeypatch, case_id):
+        bad, lo, hi = self.OUT_OF_BOUND[case_id]
+        real_i, real_ii = closed_form_i, closed_form_ii
+        builders = {
+            "i-b": ("closed_form_i", lambda p, d="forward": bad if d == "reverse" else real_i(p, d)),
+            "ii-b": ("closed_form_ii", lambda pair: (real_ii(pair)[0], bad)),
+            "iii-b": ("closed_form_iii_reverse", lambda pair: bad),
+            "iv": ("closed_form_iv", lambda p, r: bad.num),
+        }
+        monkeypatch.setattr(inverses, *builders[case_id])
+        reports = {rep.case_id: rep for rep in verify_closed_forms(PrimePair.of(3, 5))}
+        missed = reports.pop(case_id)
+        assert not missed.bound_satisfied
+        line = missed.to_json_dict()
+        assert line["num"] == bad.num.to_decimal_strings() and line["den"] == str(bad.den)
+        assert (missed.observed_min, missed.observed_max) == (lo, hi)
+        assert len(reports) == 6 and all(rep.bound_satisfied for rep in reports.values())
+
+    @staticmethod
+    def _wrong_k(monkeypatch):
+        # case iv's k = p^-1 mod r, off by one: the sum then misses the
+        # inverse, so Phi_p * U = 1 mod Phi_r fails
+        monkeypatch.setattr(
+            inverses, "pow", lambda b, e, m: builtins.pow(b, e, m) + 1, raising=False
+        )
+
+    def test_identity_failure_raises(self, monkeypatch):
+        self._wrong_k(monkeypatch)
+        with pytest.raises(ArithmeticError, match=r"\(3, 5\)") as exc:
+            verify_closed_forms(PrimePair.of(3, 5))
+        assert type(exc.value) is ArithmeticError
+
+    def test_identity_failure_exits_1(self, monkeypatch, capsys):
+        self._wrong_k(monkeypatch)
+        code = cli.main(["verify", "--mode", "theorem1", "--max", "5"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "(2, 3)" in err
+        assert "Traceback" not in err

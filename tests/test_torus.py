@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from cyclokit import torus
 from cyclokit.cyclotomic import cyclotomic, primes_upto
 from cyclokit.finitefield import ExtFieldElement, make_ext_field, random_nonzero
-from cyclokit.intpoly import IntPoly
+from cyclokit.intpoly import IntPoly, xgcd_rational
 from cyclokit.torus import (
+    BezoutExponents,
     TorusComponents,
     TorusMembershipError,
     composite_exponents,
@@ -72,6 +73,18 @@ class TestExponentPolys:
             for r in primes_upto(13):
                 if p != r:
                     derive_exponent_polys(p, r)  # raises if v1, v2 were fractional
+
+    def test_only_v1_v2_come_from_the_oracle(self, monkeypatch):
+        # u1, u_pr and u_p, u_r are the closed forms of cases ii and iv
+        calls = []
+
+        def recording(a, b):
+            calls.append((a, b))
+            return xgcd_rational(a, b)
+
+        monkeypatch.setattr(torus, "xgcd_rational", recording)
+        assert derive_exponent_polys(3, 5) == BezoutExponents(**GOLDEN_N15)
+        assert calls == [(cyclotomic(3) * cyclotomic(5), cyclotomic(1) * cyclotomic(15))]
 
     def test_degree_bounds(self):
         for p, r in [(3, 5), (5, 7), (2, 13)]:
