@@ -9,7 +9,8 @@ instance before the summary envelope. Polynomials always serialize as
 little-endian decimal-string arrays with an explicit denominator field.
 
 Exit codes: 0 success; 1 a mathematical check failed; 2 usage error;
-3 a mathematical precondition or resource ceiling was violated.
+3 a mathematical precondition or resource ceiling was violated, such as
+the torus ceiling p*r <= 16000, which alone bounds `torus params --q 0`.
 """
 
 from __future__ import annotations
@@ -55,9 +56,12 @@ EXIT_PRECONDITION = 3
 VERIFY_CEILING = 31
 INDEX_CEILING = 3003  # phi/res/inv/eval; see _check_indices
 FIELD_ORDER_CEILING = 2**128
-# Measured on a 2-core Xeon VM: the slowest theta-demo op under the field
-# ceiling takes 52 ms (q=2, n=122), so 200 take about 10 s after up to 2.4 s
-# of set-up, near the slowest inv under INDEX_CEILING.
+# Measured cold on a 2-core Xeon VM: torus params --q 0 is slowest at p = 3, 9.2-9.7 s
+# at (3, 5333), near inv 3003 2431 (8.6-11.9 s); q >= 2 has p*r <= 128 by the field ceiling.
+PR_CEILING = 16000
+# Measured cold on a 2-core Xeon VM: the slowest theta-demo op under the field
+# ceiling takes 22-27 ms (q=2, n=122), so 200 take 6.4-7.5 s with about 2 s of
+# set-up, below the slowest inv under INDEX_CEILING.
 COUNT_CEILING = 200
 
 
@@ -206,6 +210,8 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
 
 
 def _torus_guard(q: int, p: int, r: int) -> None:
+    if p * r > PR_CEILING:  # before Phi_pr is built and before p, r are tested for primality
+        raise PreconditionError(f"p*r = {p * r} exceeds the ceiling {PR_CEILING}")
     if q < 2:
         return
     # bit-length pretest keeps the guard cheap for absurd inputs
@@ -320,8 +326,7 @@ def _cmd_torus(args) -> tuple[dict, dict, int]:
         raise UsageError("q, p, r must be positive (q may be 0 for symbolic params)")
     params_desc = {"action": args.action, "q": args.q, "p": args.p, "r": args.r}
     if args.action == "params":
-        if args.q != 0:
-            _torus_guard(args.q, args.p, args.r)
+        _torus_guard(args.q, args.p, args.r)
         return params_desc, _torus_params_payload(args), EXIT_OK
     if args.q == 0:
         raise UsageError("this action needs a prime q")

@@ -16,7 +16,8 @@ once. Reduction stays packed too: a Barrett step on the integers (one
 multiply, a shift and a mask) takes every slot mod q, and a Barrett step
 on polynomials, with mu = floor(X^(2n-2) / f) over F_q, reduces mod the
 modulus f. A power packs its base once and runs the whole
-square-and-multiply ladder on packed integers. Products, powers,
+square-and-multiply ladder on packed integers; a negative exponent is
+first reduced mod q^n - 1, so x^(-e) is one ladder too. Products, powers,
 inversion (Fermat: x^(-1) = x^(q^n - 2)) and the Rabin irreducibility
 test behind the modulus search all run on this kernel. The only long
 division is intpoly's: it gives mu, and it reduces over-long input
@@ -264,11 +265,14 @@ class ExtFieldElement:
 
     def __pow__(self, e: int) -> ExtFieldElement:
         field = self.field
+        if e < 0:  # x^e = x^(e mod (q^n - 1)) on nonzero x: one ladder, no inversion
+            if self.is_zero:
+                raise ZeroDivisionError("negative power of zero")
+            e %= field.order - 1
         if e == 0:
             return field.one
-        acc = _packed_pow(field._pack(self.coeffs), abs(e), field._reduce)
-        result = ExtFieldElement(field, field._unpack(acc))
-        return result.inv() if e < 0 else result
+        acc = _packed_pow(field._pack(self.coeffs), e, field._reduce)
+        return ExtFieldElement(field, field._unpack(acc))
 
 
 # -- subgroup structure -----------------------------------------------------

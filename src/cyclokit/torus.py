@@ -2,14 +2,15 @@
 
 For distinct primes p, r the multiplicative group of F_{q^{pr}} maps onto
 the four subgroups T_k of order Phi_k(q), k in {1, p, r, pr}, via the
-cofactor powers U_k(q). The reverse direction recombines the components
-in two steps driven by Bezout identities:
+cofactor powers U_k(q) = prod_{j != k} Phi_j(q). The reverse direction
+recombines the components in two steps driven by Bezout identities:
 
     Phi_pr * u1 + Phi_1 * u_pr = 1        (pairs T_1 with T_pr)
     Phi_r  * u_p + Phi_p * u_r = 1        (pairs T_p with T_r)
     Phi_p Phi_r * v1 + Phi_1 Phi_pr * v2 = p*r   (joins the two halves)
 
-so that recombine(decompose(x)) = x^{pr} exactly. ``theta`` packages the
+so that recombine(decompose(x)) = x^{pr} exactly; each component's two-step
+exponent is stored mod its subgroup order Phi_k(q). ``theta`` packages the
 same machinery as a near-bijection
 
     T_pr x F_{q^p}^x x F_{q^r}^x  ->  F_q^x x F_{q^{pr}}^x
@@ -95,7 +96,7 @@ def derive_exponent_polys(p: int, r: int) -> BezoutExponents:
 
 @dataclass(frozen=True, eq=False)
 class TorusParams:
-    """Exponent data for one (q, p, r): polynomials, their values at q, U_k(q)."""
+    """Exponent data for one (q, p, r): polynomials, values at q, U_k(q), Phi_k(q)."""
 
     q: int
     pair: PrimePair
@@ -107,6 +108,8 @@ class TorusParams:
     v1_q: int
     v2_q: int
     norm_exponents: dict[int, int]
+    orders: dict[int, int]
+    recombine_exponents: dict[int, int]
 
 
 def derive_params(q: int, p: int, r: int) -> TorusParams:
@@ -115,17 +118,17 @@ def derive_params(q: int, p: int, r: int) -> TorusParams:
     pair = PrimePair.of(p, r)
     exps = derive_exponent_polys(p, r)
     n = pair.n
+    u1, u_pr, u_p, u_r, v1, v2 = (
+        f.evaluate(q) for f in (exps.u1, exps.u_pr, exps.u_p, exps.u_r, exps.v1, exps.v2)
+    )
+    orders = {k: cyclotomic(k).evaluate(q) for k in (1, p, r, n)}
+    two_step = {1: u1 * v1, p: u_p * v2, r: u_r * v2, n: u_pr * v1}
     return TorusParams(
-        q=q,
-        pair=pair,
-        exps=exps,
-        u1_q=exps.u1.evaluate(q),
-        u_pr_q=exps.u_pr.evaluate(q),
-        u_p_q=exps.u_p.evaluate(q),
-        u_r_q=exps.u_r.evaluate(q),
-        v1_q=exps.v1.evaluate(q),
-        v2_q=exps.v2.evaluate(q),
-        norm_exponents={k: norm_exponent(q, n, k) for k in (1, p, r, n)},
+        q=q, pair=pair, exps=exps,
+        u1_q=u1, u_pr_q=u_pr, u_p_q=u_p, u_r_q=u_r, v1_q=v1, v2_q=v2,
+        norm_exponents={k: norm_exponent(q, n, k) for k in orders},
+        orders=orders,
+        recombine_exponents={k: e % orders[k] for k, e in two_step.items()},
     )
 
 
@@ -145,31 +148,36 @@ def _check_big_field(x: ExtFieldElement, params: TorusParams) -> ExtField:
 
 
 def decompose(x: ExtFieldElement, params: TorusParams) -> TorusComponents:
-    """Project x onto (T_1, T_p, T_r, T_pr) via the four norm powers U_k(q)."""
+    """Project x onto (T_1, T_p, T_r, T_pr) via the four norm powers U_k(q).
+
+    They share factors: with A = x^{Phi_1 Phi_p} and B = x^{Phi_r Phi_pr},
+    t_pr = A^{Phi_r}, t_r = A^{Phi_pr}, t_p = B^{Phi_1} and t_1 = B^{Phi_p}.
+    """
     if x.is_zero:
         raise ValueError("cannot decompose zero")
     _check_big_field(x, params)
     p, r, n = params.pair.p, params.pair.r, params.pair.n
-    e = params.norm_exponents
-    return TorusComponents(
-        t1=x ** e[1], tp=x ** e[p], tr=x ** e[r], tpr=x ** e[n]
-    )
+    o = params.orders
+    a, b = x ** (o[1] * o[p]), x ** (o[r] * o[n])
+    return TorusComponents(t1=b ** o[p], tp=b ** o[1], tr=a ** o[n], tpr=a ** o[r])
 
 
 def recombine(c: TorusComponents, params: TorusParams) -> ExtFieldElement:
     """Two-step reconstruction; recombine(decompose(x)) = x^{pr}.
 
+    Each T_k component is raised to its two-step exponent mod Phi_k(q).
     Components must satisfy their subgroup memberships; violations raise
     TorusMembershipError.
     """
     p, r, n = params.pair.p, params.pair.r, params.pair.n
+    # load-bearing: the reduced exponents act as the two-step ones only on
+    # members, so a non-member must be rejected here, not mapped to a wrong value
     for comp, k in ((c.t1, 1), (c.tp, p), (c.tr, r), (c.tpr, n)):
         _check_big_field(comp, params)
         if not torus_membership(comp, k):
             raise TorusMembershipError(f"component is outside the order-Phi_{k}(q) subgroup")
-    y1 = c.t1**params.u1_q * c.tpr**params.u_pr_q
-    y2 = c.tp**params.u_p_q * c.tr**params.u_r_q
-    return y1**params.v1_q * y2**params.v2_q
+    a = params.recombine_exponents
+    return c.t1 ** a[1] * c.tp ** a[p] * c.tr ** a[r] * c.tpr ** a[n]
 
 
 # -- single-prime analogue ---------------------------------------------------
@@ -385,9 +393,9 @@ def theta(
         raise ValueError("third argument must live in a degree-r extension")
     ep = subfield_embed(xp, big)
     er = subfield_embed(xr, big)
-    x1_big = ep ** cyclotomic(p).evaluate(q)
+    x1_big = ep ** params.orders[p]
     comps = TorusComponents(
-        t1=er ** cyclotomic(r).evaluate(q),
+        t1=er ** params.orders[r],
         tp=ep ** (q - 1),
         tr=er ** (q - 1),
         tpr=x,
@@ -455,13 +463,10 @@ def composite_exponents(params: TorusParams) -> tuple[int, int, int]:
     if not sym_rem.is_zero:
         raise ArithmeticError("T_pr slot exponent must reduce to p*r")
     d_x = n
-    phi1_q = q - 1
-    a_q = (
-        cyclotomic(r).evaluate(q) * params.u1_q * params.v1_q
-        + phi1_q * params.u_r_q * params.v2_q
-    )
+    phi1_q = params.orders[1]
+    a_q = params.orders[r] * params.u1_q * params.v1_q + phi1_q * params.u_r_q * params.v2_q
     b_q = phi1_q * params.u_p_q * params.v2_q
-    d_p = cyclotomic(p).evaluate(q) + _single_prime_cofactor(p, q) * params.norm_exponents[p] * b_q
+    d_p = params.orders[p] + _single_prime_cofactor(p, q) * params.norm_exponents[p] * b_q
     d_r = (params.norm_exponents[1] + _single_prime_cofactor(r, q) * params.norm_exponents[r]) * a_q
     return d_x, d_p, d_r
 
@@ -481,7 +486,7 @@ def kernel_annihilator(params: TorusParams) -> KernelReport:
     q, p, r, n = params.q, params.pair.p, params.pair.r, params.pair.n
     d_x, d_p, d_r = composite_exponents(params)
     e = math.lcm(
-        math.gcd(d_x, cyclotomic(n).evaluate(q)),
+        math.gcd(d_x, params.orders[n]),
         math.gcd(abs(d_p), q**p - 1),
         math.gcd(abs(d_r), q**r - 1),
     )

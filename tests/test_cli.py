@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import cyclokit
 from cyclokit import cli, torus
-from cyclokit.cli import COUNT_CEILING, INDEX_CEILING, main
+from cyclokit.cli import COUNT_CEILING, INDEX_CEILING, PR_CEILING, main
 
 
 def run_cli(capsys, *argv):
@@ -260,6 +260,37 @@ class TestTorus:
         )
         assert time.perf_counter() - started < 1.0
         assert code == 3 and not out and "ceiling" in err
+
+    @pytest.mark.parametrize("q", ["0", "2"])
+    @pytest.mark.parametrize("p, r", [(3, 5347), (5347, 3), (127, 131), (10**30, 3)])
+    def test_pr_above_ceiling_is_precondition_failure(self, capsys, monkeypatch, q, p, r):
+        assert p * r > PR_CEILING
+
+        def no_exponents(p, r):
+            raise AssertionError("the Bezout exponents were derived before the p*r check")
+
+        monkeypatch.setattr(cli, "derive_exponent_polys", no_exponents)
+        monkeypatch.setattr(torus, "derive_exponent_polys", no_exponents)
+        started = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "torus", "params", "--q", q, "--p", str(p), "--r", str(r)
+        )
+        assert time.perf_counter() - started < 1.0
+        assert code == 3 and not out and "ceiling" in err
+
+    @pytest.mark.parametrize("p, r", [(3, 5333), (5333, 3), (2, 7993)])
+    def test_pr_at_ceiling_is_admitted(self, capsys, monkeypatch, p, r):
+        # the slowest shapes under the ceiling (about 10 s cold) get past the guard
+        assert p * r <= PR_CEILING
+
+        def reached(p, r):
+            raise ArithmeticError("derive_exponent_polys reached")
+
+        monkeypatch.setattr(cli, "derive_exponent_polys", reached)
+        code, out, err = run_cli(
+            capsys, "torus", "params", "--q", "0", "--p", str(p), "--r", str(r)
+        )
+        assert code == 1 and not out and "reached" in err
 
     def test_default_count_is_admitted(self):
         # the default --count, 100, is also the count of the README examples

@@ -362,6 +362,23 @@ class TestPackedKernel:
         assert x ** (-e) == inverse**e
         assert (x ** (-e) * x**e) == f.one
 
+    @given(field_and_vectors(1), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_negative_power_reduces_mod_group_order(self, case, data):
+        # x^(-e) is x^(-e mod (q^n - 1)) on one ladder; inv() stays Fermat's x^(q^n - 2)
+        f, (a,) = case
+        x = f.element(a)
+        if x.is_zero:
+            return
+        e = data.draw(st.integers(1, 3 * f.order))
+        assert x ** (-e) == (x**e).inv()
+        assert x ** (-(f.order - 1)) == f.one
+
+    def test_negative_power_of_zero_raises(self):
+        for q, n in ((2, 1), (7, 3), (3, 35)):
+            with pytest.raises(ZeroDivisionError):
+                make_ext_field(q, n).zero ** (-1)
+
     @given(field_and_vectors(1))
     @settings(max_examples=200, deadline=None)
     def test_inverse_matches_schoolbook(self, case):

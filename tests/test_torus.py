@@ -1,5 +1,6 @@
 """Decomposition/recombination maps, subfield embeddings, and the parametrization."""
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -372,6 +373,68 @@ class TestRootSplitting:
         monkeypatch.setattr(torus, "_split", lambda g, delta, d, big: [1, 1])
         with pytest.raises(ArithmeticError, match="non-root"):
             torus._embedding.__wrapped__(make_ext_field(5, 3), make_ext_field(5, 6))
+
+
+def two_step_recombine(c, params):
+    """The two-step Bezout recombination with unreduced, signed exponents."""
+    y1 = c.t1**params.u1_q * c.tpr**params.u_pr_q
+    y2 = c.tp**params.u_p_q * c.tr**params.u_r_q
+    return y1**params.v1_q * y2**params.v2_q
+
+
+class _Untouchable(dict):
+    def __getitem__(self, k):
+        raise AssertionError("a reduced recombination exponent was read")
+
+
+# q = 2 included, where Phi_1(2) = 1 and the T_1 exponent reduces to 0
+SMALL_GUARDED_TRIPLES = [(q, p, r) for q, p, r in GUARDED_TRIPLES if q < 30 and p < r <= 7]
+
+
+class TestReducedExponents:
+    def test_triples_cover_q2(self):
+        assert (2, 2, 3) in SMALL_GUARDED_TRIPLES and (2, 5, 7) in SMALL_GUARDED_TRIPLES
+
+    @pytest.mark.parametrize("q, p, r", SMALL_GUARDED_TRIPLES)
+    def test_reduced_exponents_against_two_step_formula(self, q, p, r):
+        params, n = derive_params(q, p, r), p * r
+        orders, a = params.orders, params.recombine_exponents
+        assert orders == {k: cyclotomic(k).evaluate(q) for k in (1, p, r, n)}
+        two_step = {
+            1: params.u1_q * params.v1_q,
+            p: params.u_p_q * params.v2_q,
+            r: params.u_r_q * params.v2_q,
+            n: params.u_pr_q * params.v1_q,
+        }
+        for k, e in two_step.items():
+            assert 0 <= a[k] < orders[k]
+            assert (a[k] - e) % orders[k] == 0
+        if q == 2:
+            assert a[1] == 0
+        field, rng = make_ext_field(q, n), random.Random(q * n)
+        for _ in range(3):
+            x = random_nonzero(field, rng)
+            comps = decompose(x, params)
+            for k, comp in zip((1, p, r, n), (comps.t1, comps.tp, comps.tr, comps.tpr)):
+                assert comp == x ** params.norm_exponents[k]
+            back = recombine(comps, params)
+            assert back == x**n
+            assert back == two_step_recombine(comps, params)
+
+    def test_non_member_rejected_before_any_reduced_power(self):
+        params = derive_params(7, 3, 5)
+        field = make_ext_field(7, 15)
+        rng = random.Random(21)
+        g = random_nonzero(field, rng)
+        while g ** params.orders[15] == field.one:
+            g = random_nonzero(field, rng)
+        comps = decompose(random_nonzero(field, rng), params)
+        guarded = dataclasses.replace(params, recombine_exponents=_Untouchable())
+        broken = dataclasses.replace(comps, tpr=g)
+        with pytest.raises(TorusMembershipError, match="Phi_15"):
+            recombine(broken, guarded)
+        with pytest.raises(AssertionError, match="reduced"):  # members do reach the powers
+            recombine(comps, guarded)
 
 
 @pytest.fixture(scope="module")
