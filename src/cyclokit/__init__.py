@@ -19,9 +19,7 @@ from .cyclotomic import (
 from .finitefield import (
     ExtField,
     ExtFieldElement,
-    PrimeField,
     make_ext_field,
-    multiplicative_order,
     norm_exponent,
     random_nonzero,
     torus_membership,

@@ -11,6 +11,8 @@ little-endian decimal-string arrays with an explicit denominator field.
 Exit codes: 0 success; 1 a mathematical check failed; 2 usage error;
 3 a mathematical precondition or resource ceiling was violated, such as
 the torus ceiling p*r <= 16000, which alone bounds `torus params --q 0`.
+The sweep ceiling is the exception: `verify --max` outside [2, 31] is a
+usage error and exits 2.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .torus import (
     theta,
     theta_dimensions,
     theta_reverse,
-    composite_exponents,
 )
 
 EXIT_OK = 0
@@ -295,7 +296,7 @@ def _torus_theta_payload(args) -> tuple[dict, int]:
     field_p = make_ext_field(q, p)
     field_r = make_ext_field(q, r)
     rng = random.Random(args.seed)
-    d_x, d_p, d_r = composite_exponents(params)
+    kern = kernel_annihilator(params)
     passes = 0
     for _ in range(args.count):
         x = random_nonzero(big, rng) ** params.norm_exponents[n]
@@ -303,10 +304,9 @@ def _torus_theta_payload(args) -> tuple[dict, int]:
         xr = random_nonzero(field_r, rng)
         x1, xpr = theta(x, xp, xr, params)
         back = theta_reverse(x1, xpr, params)
-        if back == (x**d_x, xp**d_p, xr**d_r):
+        if back == (x**kern.d_x, xp**kern.d_p, xr**kern.d_r):
             passes += 1
     ins, outs = theta_dimensions(p, r)
-    kern = kernel_annihilator(params)
     payload = {
         "count": args.count,
         "passes": passes,

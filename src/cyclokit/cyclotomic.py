@@ -3,15 +3,15 @@
 The n-th cyclotomic polynomial is the product of the binomials
 (X^d - 1)^mu(n/d) over d | n, so everything stays in integer polynomials.
 Resultants of two cyclotomics admit a divisor-product closed form
-(Apostol's theorem); ``resultant_apostol`` implements it and
-``nontrivial_resultant`` the resulting prime-power-ratio criterion.
+(Apostol's theorem); ``resultant_apostol`` implements it in integer
+exponents, with no rational arithmetic, and ``nontrivial_resultant`` the
+resulting prime-power-ratio criterion.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .intpoly import IntPoly, _pseudo_divrem
@@ -49,13 +49,6 @@ class Factorization:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             last = p
-
-    @property
-    def value(self) -> int:
-        out = 1
-        for p, e in self.pairs:
-            out *= p**e
-        return out
 
     @property
     def primes(self) -> tuple[int, ...]:
@@ -196,9 +189,9 @@ def resultant_apostol(m: int, n: int) -> int:
 
     For n = 1 this is p when m is a power of the prime p and 1 otherwise.
     For m > n > 1 it is the product of p^(mu(n/d) * phi(m)/phi(p^a)) over
-    divisors d | n with m/gcd(m, d) = p^a a prime power. Exponents are
-    accumulated per prime as exact rationals and must total a nonnegative
-    integer, which is checked.
+    divisors d | n with m/gcd(m, d) = p^a a prime power. Each term is an
+    integer, since p^a | m gives phi(p^a) | phi(m); a remainder raises, and
+    the exponents accumulated per prime must total a nonnegative integer.
     """
     if m <= n or n < 1:
         raise ValueError("requires m > n >= 1")
@@ -206,20 +199,22 @@ def resultant_apostol(m: int, n: int) -> int:
         f = factorize(m)
         return f.pairs[0][0] if len(f.pairs) == 1 else 1
     phim = euler_phi(m)
-    exponents: dict[int, Fraction] = {}
+    exponents: dict[int, int] = {}
     for d in divisors(n):
         md = m // math.gcd(m, d)
         f = factorize(md)
         if len(f.pairs) != 1:
             continue
         p, a = f.pairs[0]
-        term = Fraction(moebius(n // d) * phim, euler_phi(p**a))
-        exponents[p] = exponents.get(p, Fraction(0)) + term
+        term, rem = divmod(phim, euler_phi(p**a))
+        if rem:
+            raise ArithmeticError(f"phi({p}^{a}) does not divide phi({m})")
+        exponents[p] = exponents.get(p, 0) + moebius(n // d) * term
     out = 1
     for p, e in exponents.items():
-        if e.denominator != 1 or e < 0:
-            raise ArithmeticError(f"exponent {e} of {p} in Res(Phi_{m}, Phi_{n}) is not a nonnegative integer")
-        out *= p ** int(e)
+        if e < 0:
+            raise ArithmeticError(f"exponent {e} of {p} in Res(Phi_{m}, Phi_{n}) is negative")
+        out *= p**e
     return out
 
 

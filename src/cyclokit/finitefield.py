@@ -1,4 +1,4 @@
-"""Prime fields and extension fields with deterministic canonical moduli.
+"""Extension fields F_{q^n}, q prime, with deterministic canonical moduli.
 
 Extensions use plain polynomial-basis arithmetic modulo the
 lexicographically smallest monic irreducible polynomial of the requested
@@ -123,40 +123,28 @@ def _is_irreducible(q: int, n: int, kernel) -> bool:
 # -- field objects ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    q: int
-
-    def __post_init__(self):
-        if not is_prime(self.q):
-            raise ValueError(f"{self.q} is not prime")
-
-
 class ExtField:
     """F_{q^n} in polynomial basis modulo a fixed monic irreducible polynomial."""
 
-    def __init__(self, base: PrimeField, n: int, modulus: IntPoly):
+    def __init__(self, q: int, n: int, modulus: IntPoly):
+        if not is_prime(q):
+            raise ValueError(f"{q} is not prime")
         if n < 1:
             raise ValueError("extension degree must be >= 1")
-        q = base.q
         mod = tuple(c % q for c in modulus.coeffs)
         if len(mod) != n + 1 or mod[-1] != 1:
             raise ValueError("modulus must be monic of degree n with reduced coefficients")
         kernel = _packed_kernel(q, mod)
         if not _is_irreducible(q, n, kernel):
             raise ValueError("modulus is reducible")
-        self.base = base
+        self.q = q
         self.n = n
         self.modulus = IntPoly(mod)
         self._pack, self._unpack, self._reduce = kernel
 
     def __reduce__(self):
         # pickle by construction data; the kernel's functions are closures
-        return ExtField, (self.base, self.n, self.modulus)
-
-    @property
-    def q(self) -> int:
-        return self.base.q
+        return ExtField, (self.q, self.n, self.modulus)
 
     @property
     def order(self) -> int:
@@ -201,9 +189,11 @@ def make_ext_field(q: int, n: int) -> ExtField:
     Candidate vectors (c_0, ..., c_{n-1}) are compared from the constant
     term up; being pure in (q, n), repeated construction is bit-identical.
     """
-    base = PrimeField(q)
+    # before the scan, whose except would read a composite q as reducibility
+    if not is_prime(q):
+        raise ValueError(f"{q} is not prime")
     if n == 1:
-        return ExtField(base, 1, IntPoly.monomial(1))
+        return ExtField(q, 1, IntPoly.monomial(1))
     # c_0 = 0 would make X a factor, so start at the first candidate with c_0 = 1
     for k in range(q ** (n - 1), q**n):
         digits = []
@@ -213,7 +203,7 @@ def make_ext_field(q: int, n: int) -> ExtField:
             kk //= q
         coeffs = tuple(reversed(digits))  # (c_0, ..., c_{n-1})
         try:
-            return ExtField(base, n, IntPoly(coeffs + (1,)))
+            return ExtField(q, n, IntPoly(coeffs + (1,)))
         except ValueError:  # reducible: every candidate is monic of degree n
             continue
     raise ArithmeticError(f"no monic irreducible polynomial of degree {n} over F_{q} found")
@@ -301,20 +291,6 @@ def torus_membership(x: ExtFieldElement, k: int) -> bool:
     if k < 1 or x.field.n % k:
         raise ValueError(f"{k} does not divide the extension degree {x.field.n}")
     return x ** cyclotomic(k).evaluate(x.field.q) == x.field.one
-
-
-def multiplicative_order(x: ExtFieldElement) -> int:
-    if x.is_zero:
-        raise ValueError("zero has no multiplicative order")
-    field = x.field
-    order = field.order - 1
-    primes = set()
-    for d in factorize(field.n).divisors():
-        primes.update(factorize(cyclotomic(d).evaluate(field.q)).primes)
-    for ell in primes:
-        while order % ell == 0 and x ** (order // ell) == field.one:
-            order //= ell
-    return order
 
 
 def random_nonzero(field: ExtField, rng) -> ExtFieldElement:

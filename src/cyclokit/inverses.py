@@ -184,18 +184,18 @@ def verify_closed_forms(pair: PrimePair) -> list[InverseReport]:
     harness.
     """
     p, r, n = pair.p, pair.r, pair.n
+    ii_forward, ii_reverse = closed_form_ii(pair)
     cases = (
-        ("i-a", lambda: closed_form_i(p, "forward"), p, 1),
-        ("i-b", lambda: closed_form_i(p, "reverse"), 1, p),
-        ("ii-a", lambda: closed_form_ii(pair)[0], n, 1),
-        ("ii-b", lambda: closed_form_ii(pair)[1], 1, n),
-        ("iii-a", lambda: closed_form_iii_forward(pair), n, p),
-        ("iii-b", lambda: closed_form_iii_reverse(pair), p, n),
-        ("iv", lambda: ScaledPoly(closed_form_iv(p, r), 1), p, r),
+        ("i-a", closed_form_i(p, "forward"), p, 1),
+        ("i-b", closed_form_i(p, "reverse"), 1, p),
+        ("ii-a", ii_forward, n, 1),
+        ("ii-b", ii_reverse, 1, n),
+        ("iii-a", closed_form_iii_forward(pair), n, p),
+        ("iii-b", closed_form_iii_reverse(pair), p, n),
+        ("iv", ScaledPoly(closed_form_iv(p, r), 1), p, r),
     )
     reports = []
-    for case_id, build, m_idx, n_idx in cases:
-        closed = build()
+    for case_id, closed, m_idx, n_idx in cases:
         ok = (
             closed == inverse_mod(m_idx, n_idx)
             and closed.num.degree < euler_phi(n_idx)

@@ -96,17 +96,12 @@ def derive_exponent_polys(p: int, r: int) -> BezoutExponents:
 
 @dataclass(frozen=True, eq=False)
 class TorusParams:
-    """Exponent data for one (q, p, r): polynomials, values at q, U_k(q), Phi_k(q)."""
+    """Exponent data for one (q, p, r): the polynomials (a reader evaluates them at q),
+    U_k(q), Phi_k(q) and each component's two-step exponent mod Phi_k(q)."""
 
     q: int
     pair: PrimePair
     exps: BezoutExponents
-    u1_q: int
-    u_pr_q: int
-    u_p_q: int
-    u_r_q: int
-    v1_q: int
-    v2_q: int
     norm_exponents: dict[int, int]
     orders: dict[int, int]
     recombine_exponents: dict[int, int]
@@ -125,7 +120,6 @@ def derive_params(q: int, p: int, r: int) -> TorusParams:
     two_step = {1: u1 * v1, p: u_p * v2, r: u_r * v2, n: u_pr * v1}
     return TorusParams(
         q=q, pair=pair, exps=exps,
-        u1_q=u1, u_pr_q=u_pr, u_p_q=u_p, u_r_q=u_r, v1_q=v1, v2_q=v2,
         norm_exponents={k: norm_exponent(q, n, k) for k in orders},
         orders=orders,
         recombine_exponents={k: e % orders[k] for k, e in two_step.items()},
@@ -378,13 +372,11 @@ def theta(
     """Map (x in T_pr, xp in F_{q^p}^x, xr in F_{q^r}^x) to (x1 in F_q^x, x_pr).
 
     xp's norm to T_1 becomes the standalone first output; the tuple
-    (xr^{Phi_r(q)}, xp^{q-1}, xr^{q-1}, x) is recombined into the second.
-    Coordinate counts balance: phi(pr) + p + r = 1 + pr.
+    (xr^{Phi_r(q)}, xp^{q-1}, xr^{q-1}, x) is recombined into the second,
+    whose checks reject x outside T_pr. Counts balance: phi(pr) + p + r = 1 + pr.
     """
-    q, p, r, n = params.q, params.pair.p, params.pair.r, params.pair.n
+    q, p, r = params.q, params.pair.p, params.pair.r
     big = _check_big_field(x, params)
-    if not torus_membership(x, n):
-        raise TorusMembershipError("first argument is outside T_pr")
     if xp.is_zero or xr.is_zero:
         raise ValueError("subfield inputs must be nonzero")
     if xp.field.q != q or xp.field.n != p:
@@ -455,17 +447,18 @@ def composite_exponents(params: TorusParams) -> tuple[int, int, int]:
     up the integer exponents computed here.
     """
     q, p, r, n = params.q, params.pair.p, params.pair.r, params.pair.n
+    exps = params.exps
     u_pr_poly, rem = divrem_exact(IntPoly.monomial(n) - IntPoly.one(), cyclotomic(n))
     if not rem.is_zero:
         raise ArithmeticError(f"Phi_{n} does not divide X^{n} - 1")
-    witness = u_pr_poly * params.exps.u_pr * params.exps.v1 - IntPoly.constant(n)
+    witness = u_pr_poly * exps.u_pr * exps.v1 - IntPoly.constant(n)
     _, sym_rem = divrem_exact(witness, cyclotomic(n))
     if not sym_rem.is_zero:
         raise ArithmeticError("T_pr slot exponent must reduce to p*r")
     d_x = n
-    phi1_q = params.orders[1]
-    a_q = params.orders[r] * params.u1_q * params.v1_q + phi1_q * params.u_r_q * params.v2_q
-    b_q = phi1_q * params.u_p_q * params.v2_q
+    u1, u_p, u_r, v1, v2 = (f.evaluate(q) for f in (exps.u1, exps.u_p, exps.u_r, exps.v1, exps.v2))
+    a_q = params.orders[r] * u1 * v1 + params.orders[1] * u_r * v2
+    b_q = params.orders[1] * u_p * v2
     d_p = params.orders[p] + _single_prime_cofactor(p, q) * params.norm_exponents[p] * b_q
     d_r = (params.norm_exponents[1] + _single_prime_cofactor(r, q) * params.norm_exponents[r]) * a_q
     return d_x, d_p, d_r

@@ -37,17 +37,22 @@ def without_elapsed(out: str) -> str:
     return "\n".join(lines + [json.dumps(env)]) + "\n"
 
 
-def run_module(*args, python_flags=()):
+def run_python(*args):
+    """A fresh interpreter with this checkout's package on its path."""
     src = str(Path(cyclokit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *python_flags, "-m", "cyclokit", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=120,
         env=env,
     )
+
+
+def run_module(*args, python_flags=()):
+    return run_python(*python_flags, "-m", "cyclokit", *args)
 
 
 class TestBasicCommands:
@@ -120,7 +125,7 @@ class TestBasicCommands:
         def broken(params):
             raise exc("T_pr slot exponent must reduce to p*r")
 
-        monkeypatch.setattr(cli, "composite_exponents", broken)
+        monkeypatch.setattr(torus, "composite_exponents", broken)
         code, out, err = run_cli(capsys, "torus", "theta-demo", "--q", "7", "--p", "2", "--r", "3")
         assert code == expected and not out
         assert len(err.splitlines()) == 1 and err.startswith("error:") and "Traceback" not in err
@@ -430,9 +435,13 @@ class TestDeterminism:
         assert lines() == lines()
 
 
-# negative, 0, 1, small primes, composites and one huge value; as an index
-# each is either small or over INDEX_CEILING, so no slow in-ceiling inv runs
-FUZZ_VALUES = st.sampled_from((-7, -1, 0, 1, 2, 3, 5, 7, 4, 6, 15, 10**30)).map(str)
+# negative, 0, 1, small primes, composites, INDEX_CEILING and one past it, and
+# one huge value. inv and res are slow only between two distinct large indices,
+# and INDEX_CEILING is the only large one here: the slowest inv/res/eval pair of
+# these values takes milliseconds in-process
+FUZZ_VALUES = st.sampled_from(
+    (-7, -1, 0, 1, 2, 3, 5, 7, 4, 6, 15, INDEX_CEILING, INDEX_CEILING + 1, 10**30)
+).map(str)
 
 
 @st.composite
@@ -469,6 +478,34 @@ def test_argv_fuzz_reaches_a_documented_exit(argv):
     assert time.perf_counter() - started < 2.0, argv
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # q^(p*r) = 2^123, the widest field with q = 2 under the 2^128 ceiling
+        ("torus", "params", "--q", "2", "--p", "3", "--r", "41"),
+        ("torus", "roundtrip", "--q", "2", "--p", "3", "--r", "41", "--count", "1"),
+        # the largest prime q with q^6 <= 2^128
+        ("torus", "params", "--q", "2642239", "--p", "2", "--r", "3"),
+        ("torus", "roundtrip", "--q", "2642239", "--p", "2", "--r", "3", "--count", "1"),
+        ("torus", "roundtrip", "--q", "7", "--p", "3", "--r", "5", "--count", str(COUNT_CEILING)),
+    ],
+    ids=["params-2^123", "roundtrip-2^123", "params-q^6", "roundtrip-q^6", "roundtrip-count-ceiling"],
+)
+def test_in_ceiling_edges_exit_0_quickly(capsys, argv):
+    started = time.perf_counter()
+    code, out, _ = run_cli(capsys, *argv)
+    assert time.perf_counter() - started < 2.0
+    assert code == 0 and last_envelope(out)["command"] == "torus"
+
+
+def test_cli_import_loads_no_rational_arithmetic():
+    # every cold command pays for what `import cyclokit.cli` loads
+    probe = "import sys, cyclokit.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    proc = run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point():

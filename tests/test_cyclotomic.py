@@ -34,7 +34,7 @@ class TestNumberTheory:
 
     def test_factorize_roundtrip(self):
         for n in range(1, 300):
-            assert factorize(n).value == n
+            assert math.prod(p**e for p, e in factorize(n).pairs) == n
 
     def test_factorization_validation(self):
         with pytest.raises(ValueError):

@@ -12,12 +12,10 @@ from cyclokit import finitefield
 from cyclokit.cyclotomic import cyclotomic, divisors, factorize, moebius
 from cyclokit.finitefield import (
     ExtField,
-    PrimeField,
     _is_irreducible,
     _packed_kernel,
     _packed_pow,
     make_ext_field,
-    multiplicative_order,
     norm_exponent,
     random_nonzero,
     torus_membership,
@@ -25,11 +23,26 @@ from cyclokit.finitefield import (
 from cyclokit.intpoly import IntPoly
 
 
+def multiplicative_order(x):
+    """Order of a nonzero x, from the primes of each Phi_d(q), d | n, by trial division."""
+    if x.is_zero:
+        raise ValueError("zero has no multiplicative order")
+    field = x.field
+    order = field.order - 1
+    primes = set()
+    for d in factorize(field.n).divisors():
+        primes.update(factorize(cyclotomic(d).evaluate(field.q)).primes)
+    for ell in primes:
+        while order % ell == 0 and x ** (order // ell) == field.one:
+            order //= ell
+    return order
+
+
 class TestConstruction:
     def test_prime_field_validation(self):
-        PrimeField(97)
+        assert ExtField(97, 1, IntPoly.monomial(1)).q == 97
         with pytest.raises(ValueError):
-            PrimeField(91)
+            ExtField(91, 1, IntPoly.monomial(1))
 
     def test_degree_one_modulus_is_x(self):
         assert make_ext_field(7, 1).modulus == IntPoly.monomial(1)
@@ -46,9 +59,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_ext_field(6, 2)
 
+    def test_composite_q_rejected_before_the_modulus_scan(self, monkeypatch):
+        # the scan reads a ValueError from ExtField as "reducible": a composite
+        # q must be refused first, not after q^n candidates and an exit 1
+        def never(q, n, kernel):
+            raise AssertionError("the modulus scan ran")
+
+        monkeypatch.setattr(finitefield, "_is_irreducible", never)
+        with pytest.raises(ValueError, match="not prime"):
+            make_ext_field.__wrapped__(91, 2)
+        with pytest.raises(ValueError, match="not prime"):
+            ExtField(91, 1, IntPoly.monomial(1))
+
     def test_rejects_reducible_modulus(self):
         with pytest.raises(ValueError):
-            ExtField(PrimeField(2), 2, IntPoly((1, 0, 1)))  # (X + 1)^2 over F_2
+            ExtField(2, 2, IntPoly((1, 0, 1)))  # (X + 1)^2 over F_2
 
     @pytest.mark.parametrize("q, max_n", [(2, 10), (3, 6), (5, 4), (7, 3)])
     def test_irreducible_count_matches_gauss(self, q, max_n):
@@ -81,7 +106,7 @@ class TestConstruction:
         assert (_packed_pow(x, 2**6, reduce) == x) == fixes_x
         assert not _is_irreducible(2, 6, kernel)
         with pytest.raises(ValueError):
-            ExtField(PrimeField(2), 6, IntPoly(f))
+            ExtField(2, 6, IntPoly(f))
 
     def test_one_kernel_per_field(self, monkeypatch):
         calls = []
@@ -91,10 +116,10 @@ class TestConstruction:
             return _packed_kernel(q, f)
 
         monkeypatch.setattr(finitefield, "_packed_kernel", counting_kernel)
-        ExtField(PrimeField(7), 15, make_ext_field(7, 15).modulus)
+        ExtField(7, 15, make_ext_field(7, 15).modulus)
         assert len(calls) == 1
         with pytest.raises(ValueError):
-            ExtField(PrimeField(2), 2, IntPoly((1, 0, 1)))
+            ExtField(2, 2, IntPoly((1, 0, 1)))
         assert len(calls) == 2
 
     def test_exhausted_search_raises_arithmetic_error(self, monkeypatch):
@@ -408,7 +433,7 @@ class TestPackedKernel:
 
     def test_equal_fields_from_distinct_objects_multiply(self):
         f = make_ext_field(7, 3)
-        twin = ExtField(PrimeField(7), 3, f.modulus)
+        twin = ExtField(7, 3, f.modulus)
         assert twin is not f
         x, y = f.element([1, 2, 3]), twin.element([4, 5, 6])
         assert (x * y).coeffs == schoolbook_mulmod((1, 2, 3), (4, 5, 6), modulus_of(f), 7)

@@ -248,3 +248,35 @@ class TestVerifyClosedForms:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error:") and "(2, 3)" in err
         assert "Traceback" not in err
+
+
+# All 306 ordered pairs of distinct primes <= 61. These pin envelopes that
+# the closed forms show on this range: observations, sharper than the bounds
+# _bound_holds states, which tighten only on the paper's own statements.
+OBSERVED_PAIRS = [PrimePair.of(p, r) for p in primes_upto(61) for r in primes_upto(61) if p != r]
+
+
+class TestObservedEnvelopes:
+    def test_pair_count(self):
+        assert len(OBSERVED_PAIRS) == 306
+
+    def test_iii_b_extrema(self):
+        # observed: max r - 1; min -(r - 2) exactly when r = 1 mod p, else -(r - 1)
+        for pair in OBSERVED_PAIRS:
+            p, r = pair.p, pair.r
+            closed = closed_form_iii_reverse(pair)
+            scaled = [c * (r // closed.den) for c in closed.num.coeffs]
+            low = -(r - 2) if r % p == 1 else -(r - 1)
+            assert (min(scaled), max(scaled)) == (low, r - 1), (p, r)
+
+    def test_ii_b_coefficients_are_minus_one_or_zero(self):
+        # observed: +1 never occurs and -1 always does
+        for pair in OBSERVED_PAIRS:
+            coeffs = set(closed_form_ii(pair)[1].num.coeffs)
+            assert coeffs <= {-1, 0} and -1 in coeffs, (pair.p, pair.r)
+
+    def test_iv_coefficients_are_sign_uniform(self):
+        # observed: all in {-1, 0} or all in {0, 1}
+        for pair in OBSERVED_PAIRS:
+            coeffs = set(closed_form_iv(pair.p, pair.r).coeffs)
+            assert coeffs <= {-1, 0} or coeffs <= {0, 1}, (pair.p, pair.r)

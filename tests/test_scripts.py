@@ -1,8 +1,9 @@
 """Smoke tests for the tooling around the package.
 
 Each script in scripts/ runs on small arguments and prints its summary,
-every name the benchmark's traced run wraps still exists in src/, and no
-module in src/ relies on a bare assert.
+every name the benchmark's traced run wraps still exists in src/, no
+module in src/ relies on a bare assert, and every name the package exports
+has a reader outside the tests.
 """
 
 import ast
@@ -71,3 +72,48 @@ def test_no_bare_assert_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+# acceptance criterion 03 checks the ratio criterion against the resultant;
+# no code path in the package needs the criterion itself
+API_READER_EXEMPT = {"nontrivial_resultant"}
+
+
+def _readers(path: pathlib.Path) -> set[str]:
+    """Names a module reads by Name or Attribute, outside the definition of the same name."""
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name) and node.id not in enclosing:
+            found.add(node.id)
+        if isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), frozenset())
+    return found
+
+
+def test_public_api_has_a_reader_outside_tests():
+    # no public API that only the tests use: every name the package exports
+    # is read in src/, scripts/ or perfbench/, or imported by the README example
+    init = ROOT / "src" / "cyclokit" / "__init__.py"
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    sources = [p for p in (ROOT / "src" / "cyclokit").rglob("*.py") if p != init]
+    sources += [*(ROOT / "scripts").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+    read = set().union(*map(_readers, sources))
+    readme = (ROOT / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    for node in ast.walk(ast.parse(example)):
+        if isinstance(node, ast.ImportFrom) and node.module == "cyclokit":
+            read.update(alias.name for alias in node.names)
+    assert exported, "no names found in cyclokit/__init__.py"
+    assert sorted(exported - read - API_READER_EXEMPT) == []

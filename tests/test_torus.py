@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cyclokit import torus
 from cyclokit.cyclotomic import cyclotomic, primes_upto
-from cyclokit.finitefield import ExtFieldElement, make_ext_field, random_nonzero
+from cyclokit.finitefield import ExtFieldElement, make_ext_field, random_nonzero, torus_membership
 from cyclokit.intpoly import IntPoly, xgcd_rational
 from cyclokit.torus import (
     BezoutExponents,
@@ -104,11 +104,6 @@ class TestDeriveParams:
         params = derive_params(7, 3, 5)
         for k, e in params.norm_exponents.items():
             assert cyclotomic(k).evaluate(7) * e == 7**15 - 1
-
-    def test_evaluations_match_polynomials(self):
-        params = derive_params(11, 2, 3)
-        assert params.u_pr_q == params.exps.u_pr.evaluate(11)
-        assert params.v1_q == params.exps.v1.evaluate(11)
 
 
 class TestRoundTrip:
@@ -377,9 +372,16 @@ class TestRootSplitting:
 
 def two_step_recombine(c, params):
     """The two-step Bezout recombination with unreduced, signed exponents."""
-    y1 = c.t1**params.u1_q * c.tpr**params.u_pr_q
-    y2 = c.tp**params.u_p_q * c.tr**params.u_r_q
-    return y1**params.v1_q * y2**params.v2_q
+    u1, u_pr, u_p, u_r, v1, v2 = evaluated_exponents(params)
+    y1 = c.t1**u1 * c.tpr**u_pr
+    y2 = c.tp**u_p * c.tr**u_r
+    return y1**v1 * y2**v2
+
+
+def evaluated_exponents(params):
+    """(u1, u_pr, u_p, u_r, v1, v2), each exponent polynomial evaluated at q."""
+    exps = params.exps
+    return tuple(getattr(exps, f.name).evaluate(params.q) for f in dataclasses.fields(exps))
 
 
 class _Untouchable(dict):
@@ -400,12 +402,8 @@ class TestReducedExponents:
         params, n = derive_params(q, p, r), p * r
         orders, a = params.orders, params.recombine_exponents
         assert orders == {k: cyclotomic(k).evaluate(q) for k in (1, p, r, n)}
-        two_step = {
-            1: params.u1_q * params.v1_q,
-            p: params.u_p_q * params.v2_q,
-            r: params.u_r_q * params.v2_q,
-            n: params.u_pr_q * params.v1_q,
-        }
+        u1, u_pr, u_p, u_r, v1, v2 = evaluated_exponents(params)
+        two_step = {1: u1 * v1, p: u_p * v2, r: u_r * v2, n: u_pr * v1}
         for k, e in two_step.items():
             assert 0 <= a[k] < orders[k]
             assert (a[k] - e) % orders[k] == 0
@@ -466,6 +464,19 @@ class TestTheta:
             x = random_nonzero(big, rng)
         with pytest.raises(TorusMembershipError):
             theta(x, fp.one, fr.one, params)
+
+    def test_one_membership_check_per_component(self, setup_7_3_5, monkeypatch):
+        # recombine's T_pr check covers theta's first argument: no second one
+        params, big, fp, fr = setup_7_3_5
+        checked = []
+
+        def recording(x, k):
+            checked.append(k)
+            return torus_membership(x, k)
+
+        monkeypatch.setattr(torus, "torus_membership", recording)
+        theta(big.one, fp.one, fr.one, params)
+        assert checked == [1, 3, 5, 15]
 
     def test_rejects_zero_subfield_input(self, setup_7_3_5):
         params, big, fp, fr = setup_7_3_5
