@@ -18,7 +18,6 @@ usage error and exits 2.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import random
@@ -91,8 +90,8 @@ def _emit(command: str, params: dict, result, started: float) -> None:
 
 
 def _check_indices(*indices: int) -> None:
-    # Measured cold on a 2-core Xeon VM, the slowest under INDEX_CEILING: inv
-    # (3003, 2431) 9.4-11.5 s, res 4.0-4.4 s, phi/eval 0.10-0.13 s (start-up);
+    # Measured cold on a 2-core Xeon VM, the slowest under INDEX_CEILING: inv (3003, 2431)
+    # 9.4-11.5 s, res 4.0-4.4 s, phi/eval 0.08-0.11 s (0.05-0.07 s bare interpreter start-up);
     # inv at 2002 took 3.7 s. 3003 is the largest index the goldens and benchmark use.
     if min(indices) < 1:
         raise UsageError("indices must be >= 1")
@@ -140,6 +139,8 @@ def _verify_theorem1(bound: int):
             for report in verify_closed_forms(PrimePair.of(p, r)):
                 line = report.to_json_dict()
                 line["ok"] = report.bound_satisfied
+                if not line["ok"]:  # passing lines keep their bytes
+                    line["failed_check"] = report.failed_check
                 yield line
 
 
@@ -231,10 +232,10 @@ def _torus_params_payload(args) -> dict:
         params = derive_params(q, args.p, args.r)
         exps = params.exps
     payload, evaluations = {"symbolic": q == 0}, {}
-    for f in dataclasses.fields(BezoutExponents):
-        poly = getattr(exps, f.name)
-        payload[f.name] = _poly_payload(poly)
-        evaluations[f.name] = str(poly.evaluate(q))
+    for name in BezoutExponents._fields:
+        poly = getattr(exps, name)
+        payload[name] = _poly_payload(poly)
+        evaluations[name] = str(poly.evaluate(q))
     if q == 0:
         return payload
     payload["evaluations"] = evaluations

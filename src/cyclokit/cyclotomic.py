@@ -11,10 +11,9 @@ resulting prime-power-ratio criterion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .intpoly import IntPoly, _pseudo_divrem
+from .intpoly import IntPoly, _Record, _pseudo_divrem
 
 
 def is_prime(n: int) -> bool:
@@ -35,20 +34,20 @@ def primes_upto(bound: int) -> list[int]:
     return [n for n in range(2, bound + 1) if is_prime(n)]
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(_Record):
     """Prime factorization as (prime, exponent) pairs with increasing primes."""
 
-    pairs: tuple[tuple[int, int], ...]
+    _fields = ("pairs",)
 
-    def __post_init__(self):
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
         last = 1
-        for p, e in self.pairs:
+        for p, e in pairs:
             if p <= last or e < 1:
                 raise ValueError("factor pairs must have increasing primes and exponents >= 1")
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             last = p
+        self._assign(pairs)
 
     @property
     def primes(self) -> tuple[int, ...]:
@@ -136,16 +135,15 @@ def lam_leung_split(p: int, r: int) -> tuple[int, int]:
     raise ValueError(f"no Lam-Leung split for ({p}, {r})")
 
 
-@dataclass(frozen=True)
-class PrimePair:
+class PrimePair(_Record):
     """Ordered pair of distinct primes."""
 
-    p: int
-    r: int
+    _fields = ("p", "r")
 
-    def __post_init__(self):
-        if self.p == self.r or not is_prime(self.p) or not is_prime(self.r):
-            raise ValueError(f"({self.p}, {self.r}) is not a pair of distinct primes")
+    def __init__(self, p: int, r: int):
+        if p == r or not is_prime(p) or not is_prime(r):
+            raise ValueError(f"({p}, {r}) is not a pair of distinct primes")
+        self._assign(p, r)
 
     @classmethod
     def of(cls, p: int, r: int) -> PrimePair:

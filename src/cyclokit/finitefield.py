@@ -26,11 +26,10 @@ vectors mod the modulus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclotomic import cyclotomic, factorize, is_prime
-from .intpoly import IntPoly, divrem_exact
+from .intpoly import IntPoly, _Record, divrem_exact
 
 
 # -- the packed kernel ------------------------------------------------------
@@ -209,10 +208,20 @@ def make_ext_field(q: int, n: int) -> ExtField:
     raise ArithmeticError(f"no monic irreducible polynomial of degree {n} over F_{q} found")
 
 
-@dataclass(frozen=True)
-class ExtFieldElement:
-    field: ExtField
-    coeffs: tuple[int, ...]
+class ExtFieldElement(_Record):
+    _fields = ("field", "coeffs")
+
+    def __init__(self, field: ExtField, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):  # _Record's, unrolled: this one is on the hot path
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.coeffs) == (other.field, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs))
 
     @property
     def is_zero(self) -> bool:

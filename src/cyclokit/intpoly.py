@@ -23,14 +23,43 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 
 NEG_INF = float("-inf")
 
 
 class NotCoprimeError(ValueError):
     """A Bezout inverse was requested for inputs sharing a factor."""
+
+
+class _Record:
+    """Immutable record: the fields named in ``_fields``, set once by __init__, compared
+    and hashed field-wise within one class; repr ``Name(field=value, ...)``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _assign(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"record field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 _SLOT_TYPES = {array(t).itemsize: t for t in "BHILQ"}  # unsigned, by size: 1, 2, 4, 8 bytes
@@ -71,14 +100,19 @@ def _trimmed(coeffs) -> tuple[int, ...]:
     return out[:end]
 
 
-@dataclass(frozen=True)
-class IntPoly:
-    coeffs: tuple[int, ...] = ()
+class IntPoly(_Record):
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        if not all(isinstance(c, int) for c in self.coeffs):
+    def __init__(self, coeffs: tuple[int, ...] = ()):
+        if not all(map(isinstance, coeffs, repeat(int))):
             raise TypeError("IntPoly coefficients must be integers")
-        object.__setattr__(self, "coeffs", _trimmed(self.coeffs))
+        object.__setattr__(self, "coeffs", _trimmed(coeffs))
+
+    def __eq__(self, other):  # _Record's, unrolled: this one is on the hot path
+        return self.coeffs == other.coeffs if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs,))
 
     @classmethod
     def one(cls) -> IntPoly:
@@ -192,15 +226,12 @@ def divrem_exact(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     return IntPoly(tuple(q)), IntPoly(tuple(r))
 
 
-@dataclass(frozen=True)
-class ScaledPoly:
+class ScaledPoly(_Record):
     """An integer polynomial divided by a positive integer denominator."""
 
-    num: IntPoly
-    den: int = 1
+    _fields = ("num", "den")
 
-    def __post_init__(self):
-        num, den = self.num, self.den
+    def __init__(self, num: IntPoly, den: int = 1):
         if not isinstance(den, int) or den == 0:
             raise ValueError("denominator must be a nonzero integer")
         if den < 0:
@@ -209,8 +240,7 @@ class ScaledPoly:
         if g > 1:
             num = num.scalar_div_exact(g)
             den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self._assign(num, den)
 
     @property
     def is_integral(self) -> bool:

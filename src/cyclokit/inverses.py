@@ -21,10 +21,8 @@ Case ids (m index vs modulus index):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cyclotomic import PrimePair, cyclotomic, euler_phi, is_prime
-from .intpoly import IntPoly, ScaledPoly, divrem_exact, xgcd_rational
+from .intpoly import IntPoly, ScaledPoly, _Record, divrem_exact, xgcd_rational
 
 CASE_IDS = ("i-a", "i-b", "ii-a", "ii-b", "iii-a", "iii-b", "iv")
 
@@ -135,16 +133,16 @@ def _signs_alternate(poly: IntPoly) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class InverseReport:
-    """Outcome of one closed-form case: the inverse, bound verdict, extrema."""
+class InverseReport(_Record):
+    """Outcome of one closed-form case: the inverse, verdict, extrema and, on a
+    failure, the first check that failed ("oracle", "degree" or "bound")."""
 
-    pair: PrimePair
-    case_id: str
-    inverse: ScaledPoly
-    bound_satisfied: bool
-    observed_min: int
-    observed_max: int
+    _fields = ("pair", "case_id", "inverse", "bound_satisfied", "observed_min", "observed_max",
+               "failed_check")
+
+    def __init__(self, pair: PrimePair, case_id: str, inverse: ScaledPoly, bound_satisfied: bool,
+                 observed_min: int, observed_max: int, failed_check: str | None = None):
+        self._assign(pair, case_id, inverse, bound_satisfied, observed_min, observed_max, failed_check)
 
     def to_json_dict(self) -> dict:
         return {
@@ -179,9 +177,9 @@ def verify_closed_forms(pair: PrimePair) -> list[InverseReport]:
 
     Every closed form is compared, as a canonical ScaledPoly, against the
     extended-GCD inverse of the same indices, and its coefficient bound is
-    checked. A violation is reported (bound_satisfied = False) with the
-    case's own closed form and extrema: a sweep is also a falsification
-    harness.
+    checked. A violation is reported (bound_satisfied = False, and
+    failed_check the first check that failed) with the case's own closed
+    form and extrema: a sweep is also a falsification harness.
     """
     p, r, n = pair.p, pair.r, pair.n
     ii_forward, ii_reverse = closed_form_ii(pair)
@@ -196,20 +194,22 @@ def verify_closed_forms(pair: PrimePair) -> list[InverseReport]:
     )
     reports = []
     for case_id, closed, m_idx, n_idx in cases:
-        ok = (
-            closed == inverse_mod(m_idx, n_idx)
-            and closed.num.degree < euler_phi(n_idx)
-            and _bound_holds(case_id, pair, closed)
-        )
+        if closed != inverse_mod(m_idx, n_idx):
+            failed = "oracle"
+        elif closed.num.degree >= euler_phi(n_idx):
+            failed = "degree"
+        else:
+            failed = None if _bound_holds(case_id, pair, closed) else "bound"
         observed = closed.num * (r // closed.den) if case_id == "iii-b" else closed.num
         reports.append(
             InverseReport(
                 pair=pair,
                 case_id=case_id,
                 inverse=closed,
-                bound_satisfied=ok,
+                bound_satisfied=failed is None,
                 observed_min=min(observed.coeffs),
                 observed_max=max(observed.coeffs),
+                failed_check=failed,
             )
         )
     return reports

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclotomic import PrimePair, cyclotomic, divisors, euler_phi, is_prime, moebius
@@ -43,7 +42,7 @@ from .finitefield import (
     random_nonzero,
     torus_membership,
 )
-from .intpoly import IntPoly, divrem_exact, xgcd_rational
+from .intpoly import IntPoly, _Record, divrem_exact, xgcd_rational
 from .inverses import closed_form_i, closed_form_ii, closed_form_iv
 
 
@@ -51,16 +50,14 @@ class TorusMembershipError(ValueError):
     """A component failed its subgroup-order membership check."""
 
 
-@dataclass(frozen=True)
-class BezoutExponents:
+class BezoutExponents(_Record):
     """The six exponent polynomials of the two-step recombination."""
 
-    u1: IntPoly
-    u_pr: IntPoly
-    u_p: IntPoly
-    u_r: IntPoly
-    v1: IntPoly
-    v2: IntPoly
+    _fields = ("u1", "u_pr", "u_p", "u_r", "v1", "v2")
+
+    def __init__(self, u1: IntPoly, u_pr: IntPoly, u_p: IntPoly, u_r: IntPoly, v1: IntPoly,
+                 v2: IntPoly):
+        self._assign(u1, u_pr, u_p, u_r, v1, v2)
 
 
 def derive_exponent_polys(p: int, r: int) -> BezoutExponents:
@@ -94,17 +91,16 @@ def derive_exponent_polys(p: int, r: int) -> BezoutExponents:
     return exps
 
 
-@dataclass(frozen=True, eq=False)
-class TorusParams:
+class TorusParams(_Record):
     """Exponent data for one (q, p, r): the polynomials (a reader evaluates them at q),
     U_k(q), Phi_k(q) and each component's two-step exponent mod Phi_k(q)."""
 
-    q: int
-    pair: PrimePair
-    exps: BezoutExponents
-    norm_exponents: dict[int, int]
-    orders: dict[int, int]
-    recombine_exponents: dict[int, int]
+    _fields = ("q", "pair", "exps", "norm_exponents", "orders", "recombine_exponents")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # compared and hashed by identity
+
+    def __init__(self, q: int, pair: PrimePair, exps: BezoutExponents, norm_exponents: dict[int, int],
+                 orders: dict[int, int], recombine_exponents: dict[int, int]):
+        self._assign(q, pair, exps, norm_exponents, orders, recombine_exponents)
 
 
 def derive_params(q: int, p: int, r: int) -> TorusParams:
@@ -126,12 +122,12 @@ def derive_params(q: int, p: int, r: int) -> TorusParams:
     )
 
 
-@dataclass(frozen=True)
-class TorusComponents:
-    t1: ExtFieldElement
-    tp: ExtFieldElement
-    tr: ExtFieldElement
-    tpr: ExtFieldElement
+class TorusComponents(_Record):
+    _fields = ("t1", "tp", "tr", "tpr")
+
+    def __init__(self, t1: ExtFieldElement, tp: ExtFieldElement, tr: ExtFieldElement,
+                 tpr: ExtFieldElement):
+        self._assign(t1, tp, tr, tpr)
 
 
 def _check_big_field(x: ExtFieldElement, params: TorusParams) -> ExtField:
@@ -188,10 +184,12 @@ def _single_prime_cofactor(p: int, q: int) -> int:
 # -- subfield embeddings -----------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class _Embedding:
-    matrix: tuple[tuple[int, ...], ...]  # n x d over F_q; column j holds beta^j
-    inverse: tuple[tuple[int, ...], ...]  # d x n left inverse: inverse * matrix = I_d
+class _Embedding(_Record):
+    _fields = ("matrix", "inverse")  # n x d over F_q, column j holds beta^j; inverse * matrix = I_d
+    __eq__, __hash__ = object.__eq__, object.__hash__  # compared and hashed by identity
+
+    def __init__(self, matrix: tuple[tuple[int, ...], ...], inverse: tuple[tuple[int, ...], ...]):
+        self._assign(matrix, inverse)
 
 
 def _rref(rows, q) -> tuple[list[list[int]], list[int]]:
@@ -464,15 +462,14 @@ def composite_exponents(params: TorusParams) -> tuple[int, int, int]:
     return d_x, d_p, d_r
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(_Record):
     """Measured annihilator of the kernel of theta_reverse o theta."""
 
-    d_x: int
-    d_p: int
-    d_r: int
-    exponent: int  # group exponent of the composite map's kernel
-    power: int  # least k with exponent | (p*r)^k
+    _fields = ("d_x", "d_p", "d_r", "exponent", "power")
+
+    def __init__(self, d_x: int, d_p: int, d_r: int, exponent: int, power: int):
+        # exponent: group exponent of the composite map's kernel; power: least k with exponent | (p*r)^k
+        self._assign(d_x, d_p, d_r, exponent, power)
 
 
 def kernel_annihilator(params: TorusParams) -> KernelReport:

@@ -130,6 +130,13 @@ class TestIntPoly:
         assert "X" in repr(PHI15)
         assert repr(IntPoly(())) == "IntPoly('0')"
 
+    @pytest.mark.parametrize("bad", [(1, 2.0), (1, "2"), (1.5,), (None,), (1, 2, Fraction(3))])
+    def test_non_int_coefficient_rejected(self, bad):
+        with pytest.raises(TypeError, match="integers"):
+            IntPoly(bad)
+        with pytest.raises(TypeError, match="integers"):
+            IntPoly(coeffs=list(bad))
+
 
 class TestDivRem:
     def test_quotient_is_phi15(self):

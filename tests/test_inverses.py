@@ -1,6 +1,7 @@
 """Closed-form inverses against the extended-GCD oracle, plus coefficient bounds."""
 
 import builtins
+import json
 
 import pytest
 
@@ -221,11 +222,45 @@ class TestVerifyClosedForms:
         monkeypatch.setattr(inverses, *builders[case_id])
         reports = {rep.case_id: rep for rep in verify_closed_forms(PrimePair.of(3, 5))}
         missed = reports.pop(case_id)
-        assert not missed.bound_satisfied
+        # the fake is not the oracle's inverse, so that check fails first
+        assert not missed.bound_satisfied and missed.failed_check == "oracle"
         line = missed.to_json_dict()
         assert line["num"] == bad.num.to_decimal_strings() and line["den"] == str(bad.den)
         assert (missed.observed_min, missed.observed_max) == (lo, hi)
         assert len(reports) == 6 and all(rep.bound_satisfied for rep in reports.values())
+        assert all(rep.failed_check is None for rep in reports.values())
+
+    # a closed form at (3, 5) that fails each check first: its builder, the
+    # fake it returns, its case, and the indices at which the oracle is made
+    # to return the same fake (so that the later checks decide), if any
+    FIRST_FAILED = {
+        "oracle": ("closed_form_iii_forward", ScaledPoly(IntPoly((1,)), 7), "iii-a", None),
+        "degree": ("closed_form_iii_forward", ScaledPoly(IntPoly((0, 0, 1)), 5), "iii-a", (15, 3)),
+        "bound": ("closed_form_iv", IntPoly((2,)), "iv", (3, 5)),
+    }
+
+    @pytest.mark.parametrize("check", sorted(FIRST_FAILED))
+    def test_failed_check_is_named(self, monkeypatch, capsys, check):
+        builder, fake, case_id, agree_at = self.FIRST_FAILED[check]
+        monkeypatch.setattr(inverses, builder, lambda *args: fake)
+        if agree_at:
+            real, scaled = inverse_mod, fake if isinstance(fake, ScaledPoly) else ScaledPoly(fake)
+            monkeypatch.setattr(
+                inverses, "inverse_mod", lambda m, n: scaled if (m, n) == agree_at else real(m, n)
+            )
+        reports = {rep.case_id: rep for rep in verify_closed_forms(PrimePair.of(3, 5))}
+        failed = reports.pop(case_id)
+        assert (failed.bound_satisfied, failed.failed_check) == (False, check)
+        assert all(rep.failed_check is None for rep in reports.values())
+        # the JSON line carries the key only when ok is false
+        assert cli.main(["verify", "--mode", "theorem1", "--max", "5"]) == 1
+        lines = [json.loads(s) for s in capsys.readouterr().out.splitlines()[:-1]]
+        assert len(lines) == 6 * 7
+        assert all(("failed_check" in line) == (not line["ok"]) for line in lines)
+        (line,) = [ln for ln in lines if (ln["p"], ln["r"], ln["case"]) == (3, 5, case_id)]
+        assert line["failed_check"] == check and line["bound_satisfied"] is False
+        assert list(line)[-2:] == ["ok", "failed_check"]
+        assert sum(not ln["ok"] for ln in lines) >= 1
 
     @staticmethod
     def _wrong_k(monkeypatch):

@@ -1,6 +1,5 @@
 """Decomposition/recombination maps, subfield embeddings, and the parametrization."""
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -18,6 +17,7 @@ from cyclokit.torus import (
     BezoutExponents,
     TorusComponents,
     TorusMembershipError,
+    TorusParams,
     composite_exponents,
     decompose,
     derive_exponent_polys,
@@ -381,7 +381,7 @@ def two_step_recombine(c, params):
 def evaluated_exponents(params):
     """(u1, u_pr, u_p, u_r, v1, v2), each exponent polynomial evaluated at q."""
     exps = params.exps
-    return tuple(getattr(exps, f.name).evaluate(params.q) for f in dataclasses.fields(exps))
+    return tuple(getattr(exps, name).evaluate(params.q) for name in exps._fields)
 
 
 class _Untouchable(dict):
@@ -427,8 +427,10 @@ class TestReducedExponents:
         while g ** params.orders[15] == field.one:
             g = random_nonzero(field, rng)
         comps = decompose(random_nonzero(field, rng), params)
-        guarded = dataclasses.replace(params, recombine_exponents=_Untouchable())
-        broken = dataclasses.replace(comps, tpr=g)
+        guarded = TorusParams(
+            params.q, params.pair, params.exps, params.norm_exponents, params.orders, _Untouchable()
+        )
+        broken = TorusComponents(comps.t1, comps.tp, comps.tr, tpr=g)
         with pytest.raises(TorusMembershipError, match="Phi_15"):
             recombine(broken, guarded)
         with pytest.raises(AssertionError, match="reduced"):  # members do reach the powers
