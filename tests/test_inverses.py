@@ -260,7 +260,6 @@ class TestVerifyClosedForms:
         (line,) = [ln for ln in lines if (ln["p"], ln["r"], ln["case"]) == (3, 5, case_id)]
         assert line["failed_check"] == check and line["bound_satisfied"] is False
         assert list(line)[-2:] == ["ok", "failed_check"]
-        assert sum(not ln["ok"] for ln in lines) >= 1
 
     @staticmethod
     def _wrong_k(monkeypatch):
