@@ -212,16 +212,7 @@ class ExtFieldElement(_Record):
     _fields = ("field", "coeffs")
 
     def __init__(self, field: ExtField, coeffs: tuple[int, ...]):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __eq__(self, other):  # _Record's, unrolled: this one is on the hot path
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.coeffs) == (other.field, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
+        self._assign(field, coeffs)
 
     @property
     def is_zero(self) -> bool:

@@ -106,13 +106,7 @@ class IntPoly(_Record):
     def __init__(self, coeffs: tuple[int, ...] = ()):
         if not all(map(isinstance, coeffs, repeat(int))):
             raise TypeError("IntPoly coefficients must be integers")
-        object.__setattr__(self, "coeffs", _trimmed(coeffs))
-
-    def __eq__(self, other):  # _Record's, unrolled: this one is on the hot path
-        return self.coeffs == other.coeffs if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash((self.coeffs,))
+        self._assign(_trimmed(coeffs))
 
     @classmethod
     def one(cls) -> IntPoly:

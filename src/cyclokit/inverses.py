@@ -134,15 +134,18 @@ def _signs_alternate(poly: IntPoly) -> bool:
 
 
 class InverseReport(_Record):
-    """Outcome of one closed-form case: the inverse, verdict, extrema and, on a
-    failure, the first check that failed ("oracle", "degree" or "bound")."""
+    """Outcome of one closed-form case: the inverse, extrema and the first check
+    that failed ("oracle", "degree" or "bound"), None when all of them pass."""
 
-    _fields = ("pair", "case_id", "inverse", "bound_satisfied", "observed_min", "observed_max",
-               "failed_check")
+    _fields = ("pair", "case_id", "inverse", "failed_check", "observed_min", "observed_max")
 
-    def __init__(self, pair: PrimePair, case_id: str, inverse: ScaledPoly, bound_satisfied: bool,
-                 observed_min: int, observed_max: int, failed_check: str | None = None):
-        self._assign(pair, case_id, inverse, bound_satisfied, observed_min, observed_max, failed_check)
+    def __init__(self, pair: PrimePair, case_id: str, inverse: ScaledPoly, failed_check: str | None,
+                 observed_min: int, observed_max: int):
+        self._assign(pair, case_id, inverse, failed_check, observed_min, observed_max)
+
+    @property
+    def bound_satisfied(self) -> bool:
+        return self.failed_check is None
 
     def to_json_dict(self) -> dict:
         return {
@@ -177,8 +180,8 @@ def verify_closed_forms(pair: PrimePair) -> list[InverseReport]:
 
     Every closed form is compared, as a canonical ScaledPoly, against the
     extended-GCD inverse of the same indices, and its coefficient bound is
-    checked. A violation is reported (bound_satisfied = False, and
-    failed_check the first check that failed) with the case's own closed
+    checked. A violation is reported (failed_check names the first check
+    that failed, so bound_satisfied is False) with the case's own closed
     form and extrema: a sweep is also a falsification harness.
     """
     p, r, n = pair.p, pair.r, pair.n
@@ -206,10 +209,9 @@ def verify_closed_forms(pair: PrimePair) -> list[InverseReport]:
                 pair=pair,
                 case_id=case_id,
                 inverse=closed,
-                bound_satisfied=failed is None,
+                failed_check=failed,
                 observed_min=min(observed.coeffs),
                 observed_max=max(observed.coeffs),
-                failed_check=failed,
             )
         )
     return reports
