@@ -34,7 +34,11 @@ class NotCoprimeError(ValueError):
 
 class _Record:
     """Immutable record: the fields named in ``_fields``, set once by __init__, compared
-    and hashed field-wise within one class; repr ``Name(field=value, ...)``."""
+    and hashed field-wise within one class; repr ``Name(field=value, ...)``.
+
+    ``_assign`` is the only writer, so the instance ``__dict__`` holds exactly the
+    fields, in order, and equality and hash read it at C speed.
+    """
 
     _fields: tuple[str, ...] = ()
 
@@ -46,16 +50,13 @@ class _Record:
 
     __delattr__ = __setattr__
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self.__dict__ == other.__dict__
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(tuple(self.__dict__.values()))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
