@@ -37,13 +37,16 @@ class _Record:
     and hashed field-wise within one class; repr ``Name(field=value, ...)``.
 
     ``_assign`` is the only writer, so the instance ``__dict__`` holds exactly the
-    fields, in order, and equality and hash read it at C speed.
+    fields, in order, and equality and hash read it at C speed. It writes through
+    ``object.__setattr__``, which keeps the fields in the instance's inline values:
+    a write through ``__dict__`` would build the dict at every construction.
     """
 
     _fields: tuple[str, ...] = ()
 
     def _assign(self, *values) -> None:
-        self.__dict__.update(zip(self._fields, values))
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"record field {name!r} is read-only")
