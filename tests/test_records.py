@@ -35,7 +35,7 @@ RECORDS = {
     "ScaledPoly": (lambda: ScaledPoly(IntPoly((1, 2)), 3), "den"),
     "Factorization": (lambda: factorize(12), "pairs"),
     "PrimePair": (lambda: PrimePair.of(3, 5), "p"),
-    "InverseReport": (lambda: verify_closed_forms(PrimePair.of(2, 3))[0], "failed_check"),
+    "InverseReport": (lambda: verify_closed_forms(PrimePair.of(2, 3))[0], "case_id"),
     "ExtFieldElement": (lambda: make_ext_field(5, 2).one, "coeffs"),
     "BezoutExponents": (lambda: torus.derive_exponent_polys(2, 3), "v1"),
     "TorusParams": (_params, "orders"),
