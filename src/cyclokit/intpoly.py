@@ -14,7 +14,9 @@ Arithmetic over Q never leaves Z[X]: one fraction-free pseudo-division,
 ``_pseudo_divrem``, is the only long division. It serves ``divrem_exact``
 (a monic divisor, scale 1), the subresultant ``resultant`` and the Bezout
 pairs of ``xgcd_rational``, which run Euclid on primitive int-list
-remainders with one denominator per cofactor. ``_mul``, one packed bigint
+remainders with one denominator per cofactor. Euclid carries only the
+cofactor of the higher-degree input, whose degree stays below the lower
+one; one exact division of the residual gives the other half. ``_mul``, one packed bigint
 product (Kronecker substitution), is the only multiply in Z[X].
 """
 
@@ -292,10 +294,16 @@ def xgcd_rational(a: IntPoly, b: IntPoly) -> tuple[ScaledPoly, ScaledPoly]:
     Fraction-free: Euclid runs on primitive integer remainders r_i, each
     pseudo-remainder divided by its content, and carries cofactors
     s_i = num_i/den_i with s_i*a = r_i (mod b), all as int lists; the
-    cofactor is kept reduced by gcd(content, den) at every step.
+    cofactor is kept reduced by gcd(content, den) at every step. The
+    inputs are swapped first when deg a < deg b, so the carried cofactor
+    is the short one, of degree below min(deg a, deg b); the other half is
+    the exact division of the residual den - a*U by the other input.
     """
     if a.is_zero or b.is_zero:
         raise ValueError("xgcd_rational requires nonzero inputs")
+    swapped = a.degree < b.degree
+    if swapped:
+        a, b = b, a
     r0, r1 = a.coeffs, b.coeffs
     s0, d0, s1, d1 = [1], 1, [], 1
     while r1:
@@ -316,7 +324,8 @@ def xgcd_rational(a: IntPoly, b: IntPoly) -> tuple[ScaledPoly, ScaledPoly]:
     scale, q, rem = _pseudo_divrem(residual, b.coeffs)
     if any(rem):
         raise ArithmeticError("Bezout residual does not divide exactly")
-    return u, ScaledPoly(IntPoly(q), scale * u.den)
+    v = ScaledPoly(IntPoly(q), scale * u.den)
+    return (v, u) if swapped else (u, v)
 
 
 def resultant(a: IntPoly, b: IntPoly) -> int:

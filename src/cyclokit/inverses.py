@@ -27,15 +27,21 @@ from .intpoly import IntPoly, ScaledPoly, _Record, divrem_exact, xgcd_rational
 CASE_IDS = ("i-a", "i-b", "ii-a", "ii-b", "iii-a", "iii-b", "iv")
 
 
-def inverse_mod(m: int, n: int) -> ScaledPoly:
-    """Canonical inverse U of the m-th cyclotomic modulo the n-th, deg U < phi(n).
+def inverse_pair(m: int, n: int) -> tuple[ScaledPoly, ScaledPoly]:
+    """Canonical inverses (U, V) of the m-th cyclotomic mod the n-th and of the n-th
+    mod the m-th: the two halves of Phi_m*U + Phi_n*V = 1, deg U < phi(n), deg V < phi(m).
 
     Distinct cyclotomic polynomials are coprime over the rationals, so this
     only fails (NotCoprimeError) when m == n.
     """
     if m < 1 or n < 1:
         raise ValueError("indices must be >= 1")
-    return xgcd_rational(cyclotomic(m), cyclotomic(n))[0]
+    return xgcd_rational(cyclotomic(m), cyclotomic(n))
+
+
+def inverse_mod(m: int, n: int) -> ScaledPoly:
+    """Canonical inverse U of the m-th cyclotomic modulo the n-th, deg U < phi(n)."""
+    return inverse_pair(m, n)[0]
 
 
 def closed_form_i(p: int, direction: str = "forward") -> ScaledPoly:
@@ -180,7 +186,8 @@ def verify_closed_forms(pair: PrimePair) -> list[InverseReport]:
 
     Every closed form is compared, as a canonical ScaledPoly, against the
     extended-GCD inverse of the same indices, and its coefficient bound is
-    checked. A violation is reported (failed_check names the first check
+    checked. Four oracle calls, at (p, 1), (pr, 1), (pr, p) and (p, r), give
+    the seven inverses: both halves of one verified Bezout identity each. A violation is reported (failed_check names the first check
     that failed, so bound_satisfied is False) with the case's own closed
     form and extrema: a sweep is also a falsification harness.
     """
@@ -195,9 +202,12 @@ def verify_closed_forms(pair: PrimePair) -> list[InverseReport]:
         ("iii-b", closed_form_iii_reverse(pair), p, n),
         ("iv", ScaledPoly(closed_form_iv(p, r), 1), p, r),
     )
+    oracle = {}
+    for m_idx, n_idx in ((p, 1), (n, 1), (n, p), (p, r)):
+        oracle[m_idx, n_idx], oracle[n_idx, m_idx] = inverse_pair(m_idx, n_idx)
     reports = []
     for case_id, closed, m_idx, n_idx in cases:
-        if closed != inverse_mod(m_idx, n_idx):
+        if closed != oracle[m_idx, n_idx]:
             failed = "oracle"
         elif closed.num.degree >= euler_phi(n_idx):
             failed = "degree"

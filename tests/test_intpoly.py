@@ -218,6 +218,26 @@ class TestXgcd:
             assert v.num.degree < a.degree
 
 
+    @given(bezout_polys, bezout_polys)
+    @settings(max_examples=150, deadline=None)
+    def test_swapped_inputs_swap_the_pair(self, a, b):
+        # two nonzero constants have no pair with both degree bounds, so no canonical one
+        if a.degree == b.degree == 0:
+            return
+        try:
+            u, v = xgcd_rational(a, b)
+        except NotCoprimeError:
+            with pytest.raises(NotCoprimeError):
+                xgcd_rational(b, a)
+            return
+        assert xgcd_rational(b, a) == (v, u)
+
+    @pytest.mark.parametrize("a, b", [(PHI3, PHI5), (PHI5, PHI3), (PHI3, PHI6), (PHI15, PHI2), (PHI1, PHI15)])
+    def test_swapped_cyclotomics_swap_the_pair(self, a, b):
+        u, v = xgcd_rational(a, b)
+        assert xgcd_rational(b, a) == (v, u)
+
+
 class TestResultant:
     def test_known_values(self):
         assert resultant(PHI1, PHI2) == 2

@@ -7,7 +7,7 @@ import pytest
 
 from cyclokit import cli, inverses
 from cyclokit.cyclotomic import PrimePair, cyclotomic, euler_phi, primes_upto
-from cyclokit.intpoly import IntPoly, NotCoprimeError, ScaledPoly, divrem_exact
+from cyclokit.intpoly import IntPoly, NotCoprimeError, ScaledPoly, divrem_exact, xgcd_rational
 from cyclokit.inverses import (
     CASE_IDS,
     closed_form_i,
@@ -17,6 +17,7 @@ from cyclokit.inverses import (
     closed_form_iv,
     difference_inverse,
     inverse_mod,
+    inverse_pair,
     verify_closed_forms,
 )
 
@@ -54,6 +55,19 @@ class TestInverseMod:
     def test_bad_index_rejected(self):
         with pytest.raises(ValueError):
             inverse_mod(0, 3)
+
+    @pytest.mark.parametrize("p, r", [(3, 5), (2, 7)])
+    def test_pair_halves_are_one_bezout_identity(self, p, r):
+        divisors = (1, p, r, p * r)
+        for m in divisors:
+            for n in divisors:
+                if m == n:
+                    continue
+                u, v = inverse_pair(m, n)
+                lhs = cyclotomic(m) * u.num * v.den + cyclotomic(n) * v.num * u.den
+                assert lhs == IntPoly.constant(u.den * v.den), (m, n)
+                assert u.num.degree < euler_phi(n) and v.num.degree < euler_phi(m), (m, n)
+                assert (u, v) == (inverse_mod(m, n), inverse_mod(n, m)), (m, n)
 
 
 class TestClosedFormI:
@@ -158,6 +172,7 @@ class TestClosedFormIV:
             raise RuntimeError("the extended-GCD oracle must not be called")
 
         monkeypatch.setattr(inverses, "inverse_mod", no_oracle)
+        monkeypatch.setattr(inverses, "inverse_pair", no_oracle)
         assert closed_form_iv(3, 5) == IntPoly((1, 0, 0, 1))
         assert difference_inverse(3, 5) == IntPoly((-1, 1, 0, -1, 1))
 
@@ -182,6 +197,17 @@ class TestVerifyClosedForms:
         reports = verify_closed_forms(PrimePair.of(3, 5))
         assert [rep.case_id for rep in reports] == list(CASE_IDS)
         assert all(rep.bound_satisfied for rep in reports)
+
+    def test_one_oracle_call_per_index_pair(self, monkeypatch):
+        calls = []
+
+        def recording(a, b):
+            calls.append((a.degree, b.degree))
+            return xgcd_rational(a, b)
+
+        monkeypatch.setattr(inverses, "xgcd_rational", recording)
+        assert all(rep.bound_satisfied for rep in verify_closed_forms(PrimePair.of(3, 5)))
+        assert len(calls) == 4
 
     def test_smallest_pair(self):
         assert all(rep.bound_satisfied for rep in verify_closed_forms(PrimePair.of(2, 3)))
@@ -244,10 +270,13 @@ class TestVerifyClosedForms:
         builder, fake, case_id, agree_at = self.FIRST_FAILED[check]
         monkeypatch.setattr(inverses, builder, lambda *args: fake)
         if agree_at:
-            real, scaled = inverse_mod, fake if isinstance(fake, ScaledPoly) else ScaledPoly(fake)
-            monkeypatch.setattr(
-                inverses, "inverse_mod", lambda m, n: scaled if (m, n) == agree_at else real(m, n)
-            )
+            real, scaled = inverse_pair, fake if isinstance(fake, ScaledPoly) else ScaledPoly(fake)
+
+            def agreeing_pair(m, n):
+                u, v = real(m, n)
+                return (scaled if (m, n) == agree_at else u, scaled if (n, m) == agree_at else v)
+
+            monkeypatch.setattr(inverses, "inverse_pair", agreeing_pair)
         reports = {rep.case_id: rep for rep in verify_closed_forms(PrimePair.of(3, 5))}
         failed = reports.pop(case_id)
         assert (failed.bound_satisfied, failed.failed_check) == (False, check)
