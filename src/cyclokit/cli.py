@@ -56,8 +56,8 @@ EXIT_PRECONDITION = 3
 VERIFY_CEILING = 31
 INDEX_CEILING = 3003  # phi/res/inv/eval; see _check_indices
 FIELD_ORDER_CEILING = 2**128
-# Measured cold on a 2-core Xeon VM: torus params --q 0 is slowest at p = 3, 9.2-9.7 s
-# at (3, 5333), near inv 3003 2431 (8.6-11.9 s); q >= 2 has p*r <= 128 by the field ceiling.
+# Measured cold on a 2-core Xeon VM: torus params --q 0 is slowest at p = 3, 9.3-9.8 s
+# at (3, 5333), within the slowest inv's 8.5-12.0 s; q >= 2 has p*r <= 128 by the field ceiling.
 PR_CEILING = 16000
 # Measured cold on a 2-core Xeon VM: the slowest theta-demo op under the field
 # ceiling takes 22-27 ms (q=2, n=122), so 200 take 6.4-7.5 s with about 2 s of
@@ -90,9 +90,9 @@ def _emit(command: str, params: dict, result, started: float) -> None:
 
 
 def _check_indices(*indices: int) -> None:
-    # Measured cold on a 2-core Xeon VM, the slowest under INDEX_CEILING: inv (3003, 2431)
-    # 9.4-11.5 s, res 4.0-4.4 s, phi/eval 0.08-0.11 s (0.05-0.07 s bare interpreter start-up);
-    # inv at 2002 took 3.7 s. 3003 is the largest index the goldens and benchmark use.
+    # Measured cold on a 2-core Xeon VM, the slowest under INDEX_CEILING: inv (3003, 2261)
+    # 10.8-12.0 s, (3003, 2431) 8.5-8.8 s, res 4.0-4.4 s, phi/eval 0.08-0.11 s (0.05-0.07 s
+    # start-up); inv (2002, 3003) 1.0 s. 3003 is the largest index the goldens and benchmark use.
     if min(indices) < 1:
         raise UsageError("indices must be >= 1")
     if max(indices) > INDEX_CEILING:

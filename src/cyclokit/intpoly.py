@@ -13,11 +13,10 @@ and keeps gcd(content, den) = 1, so every rational-coefficient result
 Arithmetic over Q never leaves Z[X]: one fraction-free pseudo-division,
 ``_pseudo_divrem``, is the only long division. It serves ``divrem_exact``
 (a monic divisor, scale 1), the subresultant ``resultant`` and the Bezout
-pairs of ``xgcd_rational``, which run Euclid on primitive int-list
-remainders with one denominator per cofactor. Euclid carries only the
-cofactor of the higher-degree input, whose degree stays below the lower
-one; one exact division of the residual gives the other half. ``_mul``, one packed bigint
-product (Kronecker substitution), is the only multiply in Z[X].
+pairs of ``xgcd_rational``: Euclid on primitive int-list remainders, with
+one denominator per cofactor, carries only the short cofactor, and an exact
+residual division gives the other. ``_mul``, one packed bigint product
+(Kronecker substitution), is the only multiply in Z[X].
 """
 
 from __future__ import annotations
@@ -294,10 +293,9 @@ def xgcd_rational(a: IntPoly, b: IntPoly) -> tuple[ScaledPoly, ScaledPoly]:
     Fraction-free: Euclid runs on primitive integer remainders r_i, each
     pseudo-remainder divided by its content, and carries cofactors
     s_i = num_i/den_i with s_i*a = r_i (mod b), all as int lists; the
-    cofactor is kept reduced by gcd(content, den) at every step. The
-    inputs are swapped first when deg a < deg b, so the carried cofactor
-    is the short one, of degree below min(deg a, deg b); the other half is
-    the exact division of the residual den - a*U by the other input.
+    cofactor is kept reduced by gcd(content, den) at every step. Inputs with
+    deg a < deg b are swapped first, so s_i is the short cofactor, of degree
+    below the smaller input degree; the residual division gives the other.
     """
     if a.is_zero or b.is_zero:
         raise ValueError("xgcd_rational requires nonzero inputs")

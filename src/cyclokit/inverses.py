@@ -28,8 +28,7 @@ CASE_IDS = ("i-a", "i-b", "ii-a", "ii-b", "iii-a", "iii-b", "iv")
 
 
 def inverse_pair(m: int, n: int) -> tuple[ScaledPoly, ScaledPoly]:
-    """Canonical inverses (U, V) of the m-th cyclotomic mod the n-th and of the n-th
-    mod the m-th: the two halves of Phi_m*U + Phi_n*V = 1, deg U < phi(n), deg V < phi(m).
+    """Canonical (U, V) with Phi_m*U + Phi_n*V = 1: U inverts Phi_m mod Phi_n, V the converse.
 
     Distinct cyclotomic polynomials are coprime over the rationals, so this
     only fails (NotCoprimeError) when m == n.
@@ -187,9 +186,10 @@ def verify_closed_forms(pair: PrimePair) -> list[InverseReport]:
     Every closed form is compared, as a canonical ScaledPoly, against the
     extended-GCD inverse of the same indices, and its coefficient bound is
     checked. Four oracle calls, at (p, 1), (pr, 1), (pr, p) and (p, r), give
-    the seven inverses: both halves of one verified Bezout identity each. A violation is reported (failed_check names the first check
-    that failed, so bound_satisfied is False) with the case's own closed
-    form and extrema: a sweep is also a falsification harness.
+    all seven inverses, each call both halves of one verified Bezout identity.
+    A violation is reported (failed_check names the first check that failed,
+    so bound_satisfied is False) with the case's own closed form and
+    extrema: a sweep is also a falsification harness.
     """
     p, r, n = pair.p, pair.r, pair.n
     ii_forward, ii_reverse = closed_form_ii(pair)
