@@ -11,12 +11,15 @@ and keeps gcd(content, den) = 1, so every rational-coefficient result
 (Bezout cofactors, modular inverses) has exactly one representation.
 
 Arithmetic over Q never leaves Z[X]: one fraction-free pseudo-division,
-``_pseudo_divrem``, is the only long division. It serves ``divrem_exact``
-(a monic divisor, scale 1), the subresultant ``resultant`` and the Bezout
-pairs of ``xgcd_rational``: Euclid on primitive int-list remainders, with
-one denominator per cofactor, carries only the short cofactor, and an exact
-residual division gives the other. ``_mul``, one packed bigint product
-(Kronecker substitution), is the only multiply in Z[X].
+``_pseudo_divrem``, is the only long division. It has two evaluation orders,
+selected by cost from the inputs: a loop over the divisor's nonzero terms, and
+one packed bigint division, kept only under an exact certificate. It serves
+``divrem_exact`` (a monic divisor, scale 1), the subresultant ``resultant`` and
+the Bezout pairs of ``xgcd_rational``: Euclid on primitive int-list remainders,
+with one denominator per cofactor, carries only the short cofactor, and an
+exact residual division gives the other. ``_mul``, one packed bigint product
+(Kronecker substitution), is the only multiply in Z[X]; ``_pack`` and
+``_unpack`` are the one slot format of both.
 """
 
 from __future__ import annotations
@@ -70,31 +73,34 @@ class _Record:
 _SLOT_TYPES = {array(t).itemsize: t for t in "BHILQ"}  # unsigned, by size: 1, 2, 4, 8 bytes
 
 
-def _mul(a, b) -> list[int]:
-    """Product of little-endian int lists by Kronecker substitution.
+def _pack(xs, size: int) -> int:
+    """sum(x * 2^(8*size*i)) for |x| < 2^(8*size-1): each slot, biased by 2^(8*size-1), packs as
+    unsigned bytes in linear time, through an array for 1, 2, 4 or 8 bytes, else int.to_bytes."""
+    bias, order, typecode = 1 << (8 * size - 1), sys.byteorder, _SLOT_TYPES.get(size)
+    xs = [x + bias for x in xs]
+    raw = array(typecode, xs).tobytes() if typecode else b"".join(x.to_bytes(size, order) for x in xs)
+    return int.from_bytes(raw, order) - int.from_bytes(bias.to_bytes(size, order) * len(xs), order)
 
-    Each list becomes one integer of byte-aligned w-bit slots, wide enough
-    for any product coefficient and its sign. Every slot carries the bias
-    2^(w-1), so coefficients pack and unpack as unsigned bytes in linear
-    time around one bigint product. Slots of 1, 2, 4 or 8 bytes go through
-    an array, wider ones through int.to_bytes and int.from_bytes.
-    """
+
+def _unpack(x: int, size: int, count: int) -> list[int] | None:
+    """The count digits of x in base 2^(8*size), balanced as in ``_pack``; None if there are none."""
+    bias, order, typecode = 1 << (8 * size - 1), sys.byteorder, _SLOT_TYPES.get(size)
+    try:
+        raw = (x + int.from_bytes(bias.to_bytes(size, order) * count, order)).to_bytes(size * count, order)
+    except OverflowError:
+        return None
+    wide = (int.from_bytes(raw[i : i + size], order) for i in range(0, len(raw), size))
+    return [d - bias for d in (array(typecode, raw) if typecode else wide)]
+
+
+def _mul(a, b) -> list[int]:
+    """Product of little-endian int lists by Kronecker substitution: one bigint
+    product of slots wide enough for any product coefficient and its sign."""
     if not a or not b:
         return []
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     size = min((s for s in _SLOT_TYPES if 8 * s > bound.bit_length()), default=bound.bit_length() // 8 + 1)
-    bias, order, typecode = 1 << (8 * size - 1), sys.byteorder, _SLOT_TYPES.get(size)
-    pad = bias.to_bytes(size, order)
-
-    def pack(xs) -> int:
-        xs = [x + bias for x in xs]
-        raw = array(typecode, xs).tobytes() if typecode else b"".join(x.to_bytes(size, order) for x in xs)
-        return int.from_bytes(raw, order) - int.from_bytes(pad * len(xs), order)
-
-    n = len(a) + len(b) - 1
-    raw = (pack(a) * pack(b) + int.from_bytes(pad * n, order)).to_bytes(size * n, order)
-    wide = (int.from_bytes(raw[i : i + size], order) for i in range(0, len(raw), size))
-    return [x - bias for x in (array(typecode, raw) if typecode else wide)]
+    return _unpack(_pack(a, size) * _pack(b, size), size, len(a) + len(b) - 1)
 
 
 def _trimmed(coeffs) -> tuple[int, ...]:
@@ -252,17 +258,47 @@ class ScaledPoly(_Record):
         return {"num": self.num.to_decimal_strings(), "den": str(self.den)}
 
 
+# Measured crossover: from 12 loop updates per dividend slot the packed division
+# won at every slot width; below, as for X^d - 1 or the short, wide steps of
+# Euclid over Q, its conversions and bigint division cost more.
+_PACKED_DIVISION_MIN_WORK = 12
+
+
 def _pseudo_divrem(a, b) -> tuple[int, list[int], list[int]]:
     """Pseudo-division of little-endian int lists: (scale, Q, R).
 
     scale*a = Q*b + R with deg R < deg b and
-    scale = lc(b)^max(deg a - deg b + 1, 0), so every step stays integral.
-    b must be nonzero with a nonzero last entry; a monic b skips the scaling.
+    scale = lc(b)^max(deg a - deg b + 1, 0), so every step stays integral;
+    Q has one entry per step. b must be nonzero with a nonzero last entry; a
+    monic b skips the scaling.
+
+    The loop makes steps*len(low) updates, one per step and nonzero low term
+    of b. From ``_PACKED_DIVISION_MIN_WORK`` updates per dividend slot, if
+    scale*a fits 8-byte slots, one packed division is tried at w = 8, 16, 32
+    and 64 bits first: Q and R are the balanced w-bit digits of Qi = round(A/B)
+    and A - Qi*B, for A, B the packed scale*a and b. It is kept only if
+    max|Q|*sum|b| + max|R| + max|scale*a| < 2^(w-1): then Q*b + R - scale*a,
+    zero at 2^w, has no coefficient that can carry, so it is zero in Z[X] and
+    Q, R are the unique pseudo-quotient and remainder.
     """
     db = len(b) - 1
     lc = b[-1]
     steps = max(len(a) - db, 0)
+    if lc == -1:  # a = Q'*(-b) + R', so no step rescales the remainder
+        sign = (-1) ** steps
+        _, q, r = _pseudo_divrem(a, [-x for x in b])
+        return sign, [-sign * x for x in q], [sign * x for x in r]
     low = [(i, bc) for i, bc in enumerate(b[:-1]) if bc]  # cyclotomics and moduli are sparse
+    if steps and steps * len(low) >= _PACKED_DIVISION_MIN_WORK * len(a):
+        scale = lc**steps
+        top, norm = abs(scale) * max(map(abs, a)), sum(map(abs, b))
+        for size in (s for s in _SLOT_TYPES if (top + norm).bit_length() < 8 * s):
+            B = _pack(b, size)
+            half = B >> 1  # round(A/B) = floor((A + half)/B)
+            qi, ri = divmod(_pack(a if scale == 1 else [scale * x for x in a], size) + half, B)
+            q, r = _unpack(qi, size, steps), _unpack(ri - half, size, db)
+            if None not in (q, r) and max(map(abs, q)) * norm + max(map(abs, r)) + top < 1 << (8 * size - 1):
+                return scale, q, r
     r = list(a)
     q = [0] * steps
     for k in range(steps - 1, -1, -1):

@@ -285,7 +285,7 @@ class TestTorus:
 
     @pytest.mark.parametrize("p, r", [(3, 5333), (5333, 3), (2, 7993)])
     def test_pr_at_ceiling_is_admitted(self, capsys, monkeypatch, p, r):
-        # the slowest shapes under the ceiling (about 10 s cold) get past the guard
+        # the slowest shapes under the ceiling (0.4-0.5 s cold) get past the guard
         assert p * r <= PR_CEILING
 
         def reached(p, r):
@@ -490,8 +490,14 @@ def test_argv_fuzz_reaches_a_documented_exit(argv):
         ("torus", "params", "--q", "2642239", "--p", "2", "--r", "3"),
         ("torus", "roundtrip", "--q", "2642239", "--p", "2", "--r", "3", "--count", "1"),
         ("torus", "roundtrip", "--q", "7", "--p", "3", "--r", "5", "--count", str(COUNT_CEILING)),
+        # the slowest v1/v2 shapes under PR_CEILING: small p, large r
+        ("torus", "params", "--q", "0", "--p", "3", "--r", "5333"),
+        ("torus", "params", "--q", "0", "--p", "2", "--r", "7993"),
     ],
-    ids=["params-2^123", "roundtrip-2^123", "params-q^6", "roundtrip-q^6", "roundtrip-count-ceiling"],
+    ids=[
+        "params-2^123", "roundtrip-2^123", "params-q^6", "roundtrip-q^6", "roundtrip-count-ceiling",
+        "params-q0-3x5333", "params-q0-2x7993",
+    ],
 )
 def test_in_ceiling_edges_exit_0_quickly(capsys, argv):
     started = time.perf_counter()

@@ -2,15 +2,20 @@
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cyclokit import intpoly
+from cyclokit.cyclotomic import cyclotomic
 from cyclokit.intpoly import (
     IntPoly,
     NotCoprimeError,
     ScaledPoly,
+    _mul,
+    _pseudo_divrem,
     divrem_exact,
     resultant,
     xgcd_rational,
@@ -45,6 +50,29 @@ mul_magnitudes = st.sampled_from((1, 9, 2**7, 2**15, 2**31, 2**63, 10**40))
 mul_operands = mul_magnitudes.flatmap(
     lambda m: st.lists(st.one_of(st.just(0), st.integers(-m, m)), min_size=1, max_size=300)
 )
+
+# dividends of 64 or more terms by divisors with 12 or more nonzero low terms reach the
+# packed division. Half are a = Q*b + R, with Q and R at the edges of its 1-, 2-, 4- and
+# 8-byte slots and past them, where the loop takes over; the other half are arbitrary,
+# and their quotients mostly outgrow every slot.
+slot_edges = st.sampled_from((1, 2**6, 2**7, 2**14, 2**15, 2**30, 2**31, 2**62, 2**63, 10**25))
+dense_divisors = st.tuples(
+    st.lists(st.integers(-2, 2).filter(bool), min_size=12, max_size=64),
+    st.sampled_from((1, -1, 2, -3)),
+).map(lambda t: t[0] + [t[1]])
+
+
+@st.composite
+def long_dividends(draw, b):
+    m = draw(slot_edges)
+    terms = st.lists(st.integers(-m, m), min_size=max(64 - len(b) + 1, 16), max_size=200)
+    if draw(st.booleans()):
+        return draw(terms.filter(lambda a: len(a) >= 64))
+    q, r = draw(terms), draw(st.lists(st.integers(-m, m), max_size=len(b) - 1))
+    return [x + y for x, y in zip_longest(_mul(q, b), r, fillvalue=0)]
+
+
+long_divisions = dense_divisors.flatmap(lambda b: st.tuples(long_dividends(b), st.just(b)))
 
 
 def schoolbook_product(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -167,6 +195,49 @@ class TestDivRem:
         q, s = divrem_exact(a, b)
         assert q * b + s == a
         assert s.degree < b.degree
+
+
+class TestPseudoDivrem:
+    @given(long_divisions)
+    @settings(max_examples=200, deadline=None)
+    @example(([], [1] * 13))  # an empty dividend takes no step
+    @example(([5] * 12, [1] * 13))  # deg a < deg b
+    @example(([3] * 80, [-1] * 13 + [2]))  # non-monic: scale 2^67 outgrows the 8-byte slots
+    def test_identity_and_degree(self, case):
+        a, b = case
+        scale, q, r = _pseudo_divrem(a, b)
+        assert scale == b[-1] ** max(len(a) - len(b) + 1, 0)
+        assert IntPoly(tuple(scale * x for x in a)) == IntPoly(tuple(_mul(q, b))) + IntPoly(tuple(r))
+        assert IntPoly(tuple(r)).degree < len(b) - 1
+
+    @pytest.mark.parametrize(
+        "a, b, packed",
+        [
+            (cyclotomic(899).coeffs, cyclotomic(29).coeffs, True),  # the oracle's first Euclid step
+            (cyclotomic(899).coeffs, [-1] * 20 + [1], True),  # lc -1: the monic -b
+            ([1] * 60, [1] * 40 + [2], True),  # non-monic, scale 2^21 fits
+            ((-1,) + (0,) * 898 + (1,), (-1, 1), False),  # X - 1 is sparse
+            (cyclotomic(899).coeffs, (-1,) + (0,) * 28 + (1,), False),  # so is X^29 - 1
+            ([], cyclotomic(29).coeffs, False),  # no step
+            ([1] * 28, cyclotomic(29).coeffs, False),
+        ],
+    )
+    def test_dense_divisors_take_the_packed_division(self, monkeypatch, a, b, packed):
+        unpacked = []
+        unpack = intpoly._unpack
+        monkeypatch.setattr(intpoly, "_unpack", lambda *args: unpacked.append(args) or unpack(*args))
+        scale, q, r = _pseudo_divrem(a, b)
+        assert bool(unpacked) == packed
+        monkeypatch.setattr(intpoly, "_PACKED_DIVISION_MIN_WORK", math.inf)
+        assert _pseudo_divrem(a, b) == (scale, q, r)
+
+    # three 1-byte digits in [-128, 128) reach exactly [-128*65793, 127*65793]
+    @pytest.mark.parametrize(
+        "x, digits",
+        [(127 * 65793, [127] * 3), (127 * 65793 + 1, None), (-128 * 65793, [-128] * 3), (-128 * 65793 - 1, None)],
+    )
+    def test_unpack_is_none_past_the_balanced_range(self, x, digits):
+        assert intpoly._unpack(x, 1, 3) == digits
 
 
 class TestXgcd:
