@@ -56,9 +56,8 @@ EXIT_PRECONDITION = 3
 VERIFY_CEILING = 31
 INDEX_CEILING = 3003  # phi/res/inv/eval; see _check_indices
 FIELD_ORDER_CEILING = 2**128
-# Measured cold on a 2-core Xeon VM: torus params --q 0 is slowest at p = 2 and 3, 0.4-0.5 s
-# at (2, 7993) and (3, 5333), far below the slowest inv's 7.8-12.3 s; q >= 2 has p*r <= 128 by
-# the field ceiling. Raising it needs a new cost curve of the v1/v2 Bezout pair.
+# Measured cold on a 2-core Xeon VM: torus params --q 0 is slowest at p = 2, 3: 0.4-0.5 s at
+# (2, 7993) and (3, 5333), below the slowest inv's 7.8-12.3 s; q >= 2 has p*r <= 128 by the field ceiling.
 PR_CEILING = 16000
 # Measured cold on a 2-core Xeon VM: the slowest theta-demo op under the field
 # ceiling takes 22-27 ms (q=2, n=122), so 200 take 6.4-7.5 s with about 2 s of

@@ -18,8 +18,7 @@ one packed bigint division, kept only under an exact certificate. It serves
 the Bezout pairs of ``xgcd_rational``: Euclid on primitive int-list remainders,
 with one denominator per cofactor, carries only the short cofactor, and an
 exact residual division gives the other. ``_mul``, one packed bigint product
-(Kronecker substitution), is the only multiply in Z[X]; ``_pack`` and
-``_unpack`` are the one slot format of both.
+(Kronecker substitution), is the only multiply in Z[X].
 """
 
 from __future__ import annotations
@@ -70,27 +69,45 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-_SLOT_TYPES = {array(t).itemsize: t for t in "BHILQ"}  # unsigned, by size: 1, 2, 4, 8 bytes
+_SLOT_TYPES = {array(t).itemsize: t for t in "bhilq"}  # signed, by size: 1, 2, 4, 8 bytes
+
+
+def _sign_bits(size: int, count: int) -> int:
+    return int.from_bytes((1 << (8 * size - 1)).to_bytes(size, "little") * count, "little")
+
+
+def _height(xs) -> int:  # max |x|, in two C passes
+    return max(max(xs), -min(xs))
+
+
+def _little(slots: array) -> array:
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots
 
 
 def _pack(xs, size: int) -> int:
-    """sum(x * 2^(8*size*i)) for |x| < 2^(8*size-1): each slot, biased by 2^(8*size-1), packs as
-    unsigned bytes in linear time, through an array for 1, 2, 4 or 8 bytes, else int.to_bytes."""
-    bias, order, typecode = 1 << (8 * size - 1), sys.byteorder, _SLOT_TYPES.get(size)
-    xs = [x + bias for x in xs]
-    raw = array(typecode, xs).tobytes() if typecode else b"".join(x.to_bytes(size, order) for x in xs)
-    return int.from_bytes(raw, order) - int.from_bytes(bias.to_bytes(size, order) * len(xs), order)
+    """sum(x * 2^(8*size*i)) for |x| < 2^(8*size-1), in linear time: little-endian two's-complement
+    slots (an array for 1, 2, 4 or 8 bytes), then each slot with its sign bit set loses 2^(8*size)."""
+    if typecode := _SLOT_TYPES.get(size):
+        raw = _little(array(typecode, xs)).tobytes()
+    else:
+        raw = b"".join(x.to_bytes(size, "little", signed=True) for x in xs)
+    u = int.from_bytes(raw, "little")
+    return u - ((u & _sign_bits(size, len(xs))) << 1)
 
 
 def _unpack(x: int, size: int, count: int) -> list[int] | None:
-    """The count digits of x in base 2^(8*size), balanced as in ``_pack``; None if there are none."""
-    bias, order, typecode = 1 << (8 * size - 1), sys.byteorder, _SLOT_TYPES.get(size)
+    """The count digits of x in base 2^(8*size), each in [-2^(8*size-1), 2^(8*size-1)); None if there
+    are none. Each digit plus its slot's sign bit, with that bit then flipped, is its two's complement."""
+    signs = _sign_bits(size, count)
     try:
-        raw = (x + int.from_bytes(bias.to_bytes(size, order) * count, order)).to_bytes(size * count, order)
+        raw = ((x + signs) ^ signs).to_bytes(size * count, "little")
     except OverflowError:
         return None
-    wide = (int.from_bytes(raw[i : i + size], order) for i in range(0, len(raw), size))
-    return [d - bias for d in (array(typecode, raw) if typecode else wide)]
+    if typecode := _SLOT_TYPES.get(size):
+        return _little(array(typecode, raw)).tolist()
+    return [int.from_bytes(raw[i : i + size], "little", signed=True) for i in range(0, len(raw), size)]
 
 
 def _mul(a, b) -> list[int]:
@@ -98,7 +115,7 @@ def _mul(a, b) -> list[int]:
     product of slots wide enough for any product coefficient and its sign."""
     if not a or not b:
         return []
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    bound = _height(a) * _height(b) * min(len(a), len(b))
     size = min((s for s in _SLOT_TYPES if 8 * s > bound.bit_length()), default=bound.bit_length() // 8 + 1)
     return _unpack(_pack(a, size) * _pack(b, size), size, len(a) + len(b) - 1)
 
@@ -258,10 +275,9 @@ class ScaledPoly(_Record):
         return {"num": self.num.to_decimal_strings(), "den": str(self.den)}
 
 
-# Measured crossover: from 12 loop updates per dividend slot the packed division
-# won at every slot width; below, as for X^d - 1 or the short, wide steps of
-# Euclid over Q, its conversions and bigint division cost more.
-_PACKED_DIVISION_MIN_WORK = 12
+# Measured crossover on the theorem-1 sweep's divisions: below 8 loop updates per dividend
+# slot, as for X^d - 1 or Euclid's short, wide steps over Q, packing costs more than it saves.
+_PACKED_DIVISION_MIN_WORK = 8
 
 
 def _pseudo_divrem(a, b) -> tuple[int, list[int], list[int]]:
@@ -272,14 +288,13 @@ def _pseudo_divrem(a, b) -> tuple[int, list[int], list[int]]:
     Q has one entry per step. b must be nonzero with a nonzero last entry; a
     monic b skips the scaling.
 
-    The loop makes steps*len(low) updates, one per step and nonzero low term
-    of b. From ``_PACKED_DIVISION_MIN_WORK`` updates per dividend slot, if
-    scale*a fits 8-byte slots, one packed division is tried at w = 8, 16, 32
-    and 64 bits first: Q and R are the balanced w-bit digits of Qi = round(A/B)
-    and A - Qi*B, for A, B the packed scale*a and b. It is kept only if
-    max|Q|*sum|b| + max|R| + max|scale*a| < 2^(w-1): then Q*b + R - scale*a,
-    zero at 2^w, has no coefficient that can carry, so it is zero in Z[X] and
-    Q, R are the unique pseudo-quotient and remainder.
+    The loop makes steps*len(low) updates. From ``_PACKED_DIVISION_MIN_WORK`` of them
+    per dividend slot, a packed division comes first, at each w = 8, 16, 32, 64 bits
+    whose slots hold scale*a and b: Q and R are the balanced w-bit digits of
+    Qi = round(A/B) and A - Qi*B, for A, B the packed scale*a and b. They are kept
+    only if max|Q|*sum|b| + max|R| + max|scale*a| < 2^w: P = Q*b + R - scale*a is
+    zero at 2^w, so its lowest nonzero coefficient would be a multiple of 2^w, and
+    none is. Then P = 0, and Q, R are the unique pseudo-quotient and remainder.
     """
     db = len(b) - 1
     lc = b[-1]
@@ -291,13 +306,12 @@ def _pseudo_divrem(a, b) -> tuple[int, list[int], list[int]]:
     low = [(i, bc) for i, bc in enumerate(b[:-1]) if bc]  # cyclotomics and moduli are sparse
     if steps and steps * len(low) >= _PACKED_DIVISION_MIN_WORK * len(a):
         scale = lc**steps
-        top, norm = abs(scale) * max(map(abs, a)), sum(map(abs, b))
+        top, norm = abs(scale) * _height(a), sum(map(abs, b))
         for size in (s for s in _SLOT_TYPES if (top + norm).bit_length() < 8 * s):
-            B = _pack(b, size)
-            half = B >> 1  # round(A/B) = floor((A + half)/B)
-            qi, ri = divmod(_pack(a if scale == 1 else [scale * x for x in a], size) + half, B)
-            q, r = _unpack(qi, size, steps), _unpack(ri - half, size, db)
-            if None not in (q, r) and max(map(abs, q)) * norm + max(map(abs, r)) + top < 1 << (8 * size - 1):
+            A, B = _pack(a if scale == 1 else [scale * x for x in a], size), _pack(b, size)
+            qi, ri = divmod(A + (B >> 1), B)  # qi = round(A/B), ri = A - qi*B + (B >> 1)
+            q, r = _unpack(qi, size, steps), _unpack(ri - (B >> 1), size, db)
+            if None not in (q, r) and _height(q) * norm + _height(r) + top < 1 << (8 * size):
                 return scale, q, r
     r = list(a)
     q = [0] * steps
