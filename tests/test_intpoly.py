@@ -65,10 +65,11 @@ dense_divisors = st.tuples(
 @st.composite
 def long_dividends(draw, b):
     m = draw(slot_edges)
-    terms = st.lists(st.integers(-m, m), min_size=max(64 - len(b) + 1, 16), max_size=200)
+    coeffs = st.integers(-m, m)
     if draw(st.booleans()):
-        return draw(terms.filter(lambda a: len(a) >= 64))
-    q, r = draw(terms), draw(st.lists(st.integers(-m, m), max_size=len(b) - 1))
+        return draw(st.lists(coeffs, min_size=64, max_size=200))
+    q = draw(st.lists(coeffs, min_size=max(65 - len(b), 16), max_size=200))
+    r = draw(st.lists(coeffs, max_size=len(b) - 1))
     return [x + y for x, y in zip_longest(_mul(q, b), r, fillvalue=0)]
 
 
@@ -149,6 +150,22 @@ class TestIntPoly:
         a, b = IntPoly(tuple(a)), IntPoly(tuple(b))
         assert a * b == schoolbook_product(a, b)
 
+    # one coefficient at each signed limit of the 1-, 2-, 4- and 8-byte slots and a 9-byte one
+    @pytest.mark.parametrize("size", [1, 2, 4, 8, 9])
+    def test_pack_is_the_value_at_the_slot_base(self, size):
+        w = 8 * size
+        xs = [0, 1, -1, 2 ** (w - 1) - 1, -(2 ** (w - 1)), 5, -7, 0]
+        assert intpoly._pack(xs, size) == sum(x << (w * i) for i, x in enumerate(xs))
+        assert intpoly._unpack(intpoly._pack(xs, size), size, len(xs)) == xs
+
+    # three 1-byte digits in [-128, 128) reach exactly [-128*65793, 127*65793]
+    @pytest.mark.parametrize(
+        "x, digits",
+        [(127 * 65793, [127] * 3), (127 * 65793 + 1, None), (-128 * 65793, [-128] * 3), (-128 * 65793 - 1, None)],
+    )
+    def test_unpack_is_none_past_the_balanced_range(self, x, digits):
+        assert intpoly._unpack(x, 1, 3) == digits
+
     def test_eval(self):
         assert PHI3.evaluate(2) == 7
         assert PHI1.evaluate(1) == 0
@@ -215,7 +232,7 @@ class TestPseudoDivrem:
         [
             (cyclotomic(899).coeffs, cyclotomic(29).coeffs, True),  # the oracle's first Euclid step
             (cyclotomic(899).coeffs, [-1] * 20 + [1], True),  # lc -1: the monic -b
-            ([1] * 60, [1] * 40 + [2], True),  # non-monic, scale 2^21 fits
+            ([1] * 60, [1] * 40 + [2], True),  # non-monic, scale 2^20 fits
             ((-1,) + (0,) * 898 + (1,), (-1, 1), False),  # X - 1 is sparse
             (cyclotomic(899).coeffs, (-1,) + (0,) * 28 + (1,), False),  # so is X^29 - 1
             ([], cyclotomic(29).coeffs, False),  # no step
@@ -230,14 +247,6 @@ class TestPseudoDivrem:
         assert bool(unpacked) == packed
         monkeypatch.setattr(intpoly, "_PACKED_DIVISION_MIN_WORK", math.inf)
         assert _pseudo_divrem(a, b) == (scale, q, r)
-
-    # three 1-byte digits in [-128, 128) reach exactly [-128*65793, 127*65793]
-    @pytest.mark.parametrize(
-        "x, digits",
-        [(127 * 65793, [127] * 3), (127 * 65793 + 1, None), (-128 * 65793, [-128] * 3), (-128 * 65793 - 1, None)],
-    )
-    def test_unpack_is_none_past_the_balanced_range(self, x, digits):
-        assert intpoly._unpack(x, 1, 3) == digits
 
 
 class TestXgcd:
