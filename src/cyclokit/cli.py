@@ -91,7 +91,7 @@ def _emit(command: str, params: dict, result, started: float) -> None:
 
 def _check_indices(*indices: int) -> None:
     # Measured cold on a 2-core Xeon VM, the slowest under INDEX_CEILING: inv (3003, 2261)
-    # 11.5-12.3 s, (3003, 2431) 7.8-8.8 s, res 3.5-4.4 s, phi/eval 0.10-0.14 s (0.06-0.08 s
+    # 11.5-12.3 s, (3003, 2431) 7.3-8.8 s, res 3.5-4.4 s, phi/eval 0.10-0.14 s (0.06-0.08 s
     # start-up); inv (2002, 3003) 0.9-1.1 s. 3003 is the largest index the goldens and benchmark use.
     if min(indices) < 1:
         raise UsageError("indices must be >= 1")
