@@ -36,8 +36,7 @@ from .inverses import (
     InverseReport,
     closed_form_i,
     closed_form_ii,
-    closed_form_iii_forward,
-    closed_form_iii_reverse,
+    closed_form_iii,
     closed_form_iv,
     difference_inverse,
     inverse_mod,

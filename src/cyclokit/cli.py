@@ -324,7 +324,7 @@ def _torus_theta_payload(args) -> tuple[dict, int]:
 
 def _cmd_torus(args) -> tuple[dict, dict, int]:
     if args.p < 2 or args.r < 2 or args.q < 0:
-        raise UsageError("q, p, r must be positive (q may be 0 for symbolic params)")
+        raise UsageError("p and r must be >= 2 and q >= 0 (q = 0 gives symbolic params)")
     params_desc = {"action": args.action, "q": args.q, "p": args.p, "r": args.r}
     if args.action == "params":
         _torus_guard(args.q, args.p, args.r)

@@ -2,12 +2,14 @@
 
 For distinct primes p, r and indices m, n dividing p*r, the inverse of
 the m-th cyclotomic polynomial modulo the n-th has small, structured
-coefficients. Each builder below constructs one case from its closed
-form and raises ArithmeticError only when an identity of that
-construction fails, never on a bound. ``_bound_holds`` states the bounds
-of i-b, ii-b, iii-b and iv; ``verify_closed_forms`` checks all seven
-cases of a prime pair against the generic extended-GCD inverse and
-reports each verdict with the case's own closed form.
+coefficients. Each builder below constructs its case from the closed form
+and raises ArithmeticError only when an identity of that construction
+fails, never on a bound. Cases i, ii and iii return the Bezout pair (U, V)
+with Phi_m*U + Phi_n*V = 1, ordered as ``inverse_pair(m, n)``; case iv is
+one inverse. ``_bound_holds`` states the bounds of i-b, ii-b, iii-b and iv;
+``verify_closed_forms`` checks all seven cases of a prime pair against the
+generic extended-GCD inverse and reports each verdict with the case's own
+closed form.
 
 Case ids (m index vs modulus index):
     i-a    p   mod 1          1/p
@@ -43,23 +45,19 @@ def inverse_mod(m: int, n: int) -> ScaledPoly:
     return inverse_pair(m, n)[0]
 
 
-def closed_form_i(p: int, direction: str = "forward") -> ScaledPoly:
-    """Case i: forward is the p-th cyclotomic inverted mod X-1, reverse the converse.
+def closed_form_i(p: int) -> tuple[ScaledPoly, ScaledPoly]:
+    """Case i: (U, V) with Phi_p*U + (X-1)*V = 1.
 
-    forward: 1/p.  reverse: -(1/p)(X^{p-2} + 2X^{p-3} + ... + (p-1)).
+    U = 1/p and V = -(1/p)(X^{p-2} + 2X^{p-3} + ... + (p-1)).
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if direction == "forward":
-        return ScaledPoly(IntPoly.one(), p)
-    if direction == "reverse":
-        coeffs = tuple(-(p - 1 - k) for k in range(p - 1))
-        return ScaledPoly(IntPoly(coeffs), p)
-    raise ValueError("direction must be 'forward' or 'reverse'")
+    reverse = tuple(-(p - 1 - k) for k in range(p - 1))
+    return ScaledPoly(IntPoly.one(), p), ScaledPoly(IntPoly(reverse), p)
 
 
 def closed_form_ii(pair: PrimePair) -> tuple[ScaledPoly, ScaledPoly]:
-    """Case ii: constant 1 forward; reverse solved from (X-1)*V = 1 - Phi_pr.
+    """Case ii: (U, V) with Phi_pr*U + (X-1)*V = 1: U = 1, V solved from (X-1)*V = 1 - Phi_pr.
 
     The prefix-sum structure of that triangular system keeps every
     coefficient of V in {-1, 0, 1}.
@@ -70,24 +68,18 @@ def closed_form_ii(pair: PrimePair) -> tuple[ScaledPoly, ScaledPoly]:
     return ScaledPoly(IntPoly.one(), 1), ScaledPoly(v, 1)
 
 
-def closed_form_iii_forward(pair: PrimePair) -> ScaledPoly:
-    """Case iii forward: (1/r) * (1 + X + ... + X^d) with d = (r-1) mod p."""
-    d = (pair.r - 1) % pair.p
-    return ScaledPoly(IntPoly((1,) * (d + 1)), pair.r)
+def closed_form_iii(pair: PrimePair) -> tuple[ScaledPoly, ScaledPoly]:
+    """Case iii: (U, V) with Phi_pr*U + Phi_p*V = 1.
 
-
-def closed_form_iii_reverse(pair: PrimePair) -> ScaledPoly:
-    """Case iii reverse: divide 1 - Phi_pr * (forward inverse) by Phi_p.
-
-    Returns the denominator-r inverse; ``_bound_holds`` judges its bound.
+    U = (1/r)(1 + X + ... + X^d) with d = (r-1) mod p; V = (1 - Phi_pr*U) / Phi_p,
+    an exact division. ``_bound_holds`` judges the bound of V.
     """
     p, r = pair.p, pair.r
-    d = (r - 1) % p
-    w = IntPoly.constant(r) - cyclotomic(pair.n) * IntPoly((1,) * (d + 1))
-    v, rem = divrem_exact(w, cyclotomic(p))
+    ones = IntPoly((1,) * ((r - 1) % p + 1))
+    v, rem = divrem_exact(IntPoly.constant(r) - cyclotomic(pair.n) * ones, cyclotomic(p))
     if not rem.is_zero:
         raise ArithmeticError(f"Phi_{p} does not divide r - Phi_pr * U for ({p}, {r})")
-    return ScaledPoly(v, r)
+    return ScaledPoly(ones, r), ScaledPoly(v, r)
 
 
 def closed_form_iv(p: int, r: int) -> IntPoly:
@@ -185,43 +177,30 @@ def verify_closed_forms(pair: PrimePair) -> list[InverseReport]:
 
     Every closed form is compared, as a canonical ScaledPoly, against the
     extended-GCD inverse of the same indices, and its coefficient bound is
-    checked. Four oracle calls, at (p, 1), (pr, 1), (pr, p) and (p, r), give
-    all seven inverses, each call both halves of one verified Bezout identity.
+    checked. Each row zips a closed pair against the oracle's pair at the same
+    (m, n), four calls at (p, 1), (pr, 1), (pr, p) and (p, r) in all.
     A violation is reported (failed_check names the first check that failed,
     so bound_satisfied is False) with the case's own closed form and
     extrema: a sweep is also a falsification harness.
     """
     p, r, n = pair.p, pair.r, pair.n
-    ii_forward, ii_reverse = closed_form_ii(pair)
-    cases = (
-        ("i-a", closed_form_i(p, "forward"), p, 1),
-        ("i-b", closed_form_i(p, "reverse"), 1, p),
-        ("ii-a", ii_forward, n, 1),
-        ("ii-b", ii_reverse, 1, n),
-        ("iii-a", closed_form_iii_forward(pair), n, p),
-        ("iii-b", closed_form_iii_reverse(pair), p, n),
-        ("iv", ScaledPoly(closed_form_iv(p, r), 1), p, r),
+    rows = (
+        (("i-a", "i-b"), closed_form_i(p), p, 1),
+        (("ii-a", "ii-b"), closed_form_ii(pair), n, 1),
+        (("iii-a", "iii-b"), closed_form_iii(pair), n, p),
+        (("iv",), (ScaledPoly(closed_form_iv(p, r)),), p, r),
     )
-    oracle = {}
-    for m_idx, n_idx in ((p, 1), (n, 1), (n, p), (p, r)):
-        oracle[m_idx, n_idx], oracle[n_idx, m_idx] = inverse_pair(m_idx, n_idx)
     reports = []
-    for case_id, closed, m_idx, n_idx in cases:
-        if closed != oracle[m_idx, n_idx]:
-            failed = "oracle"
-        elif closed.num.degree >= euler_phi(n_idx):
-            failed = "degree"
-        else:
-            failed = None if _bound_holds(case_id, pair, closed) else "bound"
-        observed = closed.num * (r // closed.den) if case_id == "iii-b" else closed.num
-        reports.append(
-            InverseReport(
-                pair=pair,
-                case_id=case_id,
-                inverse=closed,
-                failed_check=failed,
-                observed_min=min(observed.coeffs),
-                observed_max=max(observed.coeffs),
-            )
-        )
+    for case_ids, closed_pair, m_idx, n_idx in rows:
+        oracle_pair, caps = inverse_pair(m_idx, n_idx), (euler_phi(n_idx), euler_phi(m_idx))
+        for case_id, closed, oracle, cap in zip(case_ids, closed_pair, oracle_pair, caps):
+            if closed != oracle:
+                failed = "oracle"
+            elif closed.num.degree >= cap:
+                failed = "degree"
+            else:
+                failed = None if _bound_holds(case_id, pair, closed) else "bound"
+            observed = closed.num * (r // closed.den) if case_id == "iii-b" else closed.num
+            extrema = min(observed.coeffs), max(observed.coeffs)
+            reports.append(InverseReport(pair, case_id, closed, failed, *extrema))
     return reports

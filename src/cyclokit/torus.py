@@ -175,7 +175,7 @@ def recombine(c: TorusComponents, params: TorusParams) -> ExtFieldElement:
 
 def _single_prime_cofactor(p: int, q: int) -> int:
     """Integer b with Phi_p(q)*1 + (q-1)*b = p: closed form i-b's numerator at q."""
-    b = closed_form_i(p, "reverse").num.evaluate(q)
+    b = closed_form_i(p)[1].num.evaluate(q)
     if cyclotomic(p).evaluate(q) + (q - 1) * b != p:
         raise ArithmeticError(f"Phi_{p}(q) + (q-1)*b != {p} for q = {q}")
     return b

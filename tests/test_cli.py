@@ -245,6 +245,13 @@ class TestTorus:
         code, _, err = run_cli(capsys, "torus", "roundtrip", "--q", "0", "--p", "3", "--r", "5")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("p, r", [("1", "5"), ("3", "1")])
+    def test_index_below_2_states_the_rule(self, capsys, p, r):
+        code, out, err = run_cli(capsys, "torus", "params", "--q", "0", "--p", p, "--r", r)
+        assert code == 2 and not out
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "p and r must be >= 2 and q >= 0" in err and "positive" not in err
+
     @pytest.mark.parametrize("action", ["roundtrip", "theta-demo"])
     def test_negative_count_is_usage_error(self, capsys, action):
         code, out, err = run_cli(

@@ -12,8 +12,7 @@ from cyclokit.inverses import (
     CASE_IDS,
     closed_form_i,
     closed_form_ii,
-    closed_form_iii_forward,
-    closed_form_iii_reverse,
+    closed_form_iii,
     closed_form_iv,
     difference_inverse,
     inverse_mod,
@@ -24,6 +23,13 @@ from cyclokit.inverses import (
 
 def reduce_mod(a: IntPoly, n: int) -> IntPoly:
     return divrem_exact(a, cyclotomic(n))[1]
+
+
+def assert_bezout_pair(m: int, n: int, u: ScaledPoly, v: ScaledPoly) -> None:
+    # Phi_m*U + Phi_n*V = 1 exactly, with deg U < phi(n) and deg V < phi(m)
+    lhs = cyclotomic(m) * u.num * v.den + cyclotomic(n) * v.num * u.den
+    assert lhs == IntPoly.constant(u.den * v.den), (m, n)
+    assert u.num.degree < euler_phi(n) and v.num.degree < euler_phi(m), (m, n)
 
 
 class TestInverseMod:
@@ -64,30 +70,45 @@ class TestInverseMod:
                 if m == n:
                     continue
                 u, v = inverse_pair(m, n)
-                lhs = cyclotomic(m) * u.num * v.den + cyclotomic(n) * v.num * u.den
-                assert lhs == IntPoly.constant(u.den * v.den), (m, n)
-                assert u.num.degree < euler_phi(n) and v.num.degree < euler_phi(m), (m, n)
+                assert_bezout_pair(m, n, u, v)
                 assert (u, v) == (inverse_mod(m, n), inverse_mod(n, m)), (m, n)
+
+
+# every ordered pair of distinct primes <= 13
+SMALL_PAIRS = [(p, r) for p in primes_upto(13) for r in primes_upto(13) if p != r]
+
+
+class TestBezoutPairContract:
+    @pytest.mark.parametrize("p, r", SMALL_PAIRS)
+    def test_two_sided_builders_return_the_bezout_pair(self, p, r):
+        pair = PrimePair.of(p, r)
+        assert_bezout_pair(p, 1, *closed_form_i(p))
+        assert_bezout_pair(p * r, 1, *closed_form_ii(pair))
+        assert_bezout_pair(p * r, p, *closed_form_iii(pair))
+
+    @pytest.mark.parametrize("p, r", SMALL_PAIRS)
+    def test_case_iv_and_its_swap_form_the_bezout_pair(self, p, r):
+        assert_bezout_pair(p, r, ScaledPoly(closed_form_iv(p, r)), ScaledPoly(closed_form_iv(r, p)))
 
 
 class TestClosedFormI:
     def test_forward(self):
-        assert closed_form_i(2) == ScaledPoly(IntPoly.one(), 2)
-        assert closed_form_i(3, "forward") == inverse_mod(3, 1)
+        assert closed_form_i(2)[0] == ScaledPoly(IntPoly.one(), 2)
+        assert closed_form_i(3)[0] == inverse_mod(3, 1)
 
     def test_reverse_degenerate(self):
-        assert closed_form_i(2, "reverse") == ScaledPoly(IntPoly((-1,)), 2)
+        assert closed_form_i(2)[1] == ScaledPoly(IntPoly((-1,)), 2)
 
     def test_reverse_p5(self):
-        assert closed_form_i(5, "reverse") == ScaledPoly(IntPoly((-4, -3, -2, -1)), 5)
-        assert closed_form_i(5, "reverse") == inverse_mod(1, 5)
+        assert closed_form_i(5)[1] == ScaledPoly(IntPoly((-4, -3, -2, -1)), 5)
+        assert closed_form_i(5)[1] == inverse_mod(1, 5)
 
     @pytest.mark.parametrize("p", primes_upto(31))
     def test_reverse_bound(self, p):
         # den = p and every numerator coefficient in [-(p-1), -1]
         pair = PrimePair.of(p, 3 if p == 2 else 2)
         r = pair.r
-        assert inverses._bound_holds("i-b", pair, closed_form_i(p, "reverse"))
+        assert inverses._bound_holds("i-b", pair, closed_form_i(p)[1])
         too_low = ScaledPoly(IntPoly((-p, -1)), p)
         assert too_low.den == p and not inverses._bound_holds("i-b", pair, too_low)
         assert not inverses._bound_holds("i-b", pair, ScaledPoly(IntPoly((-1,)), p + 2))
@@ -97,14 +118,12 @@ class TestClosedFormI:
         assert inverses._bound_holds("iv", pair, ScaledPoly(closed_form_iv(p, r), 1))
         assert not inverses._bound_holds("iv", pair, ScaledPoly(IntPoly((1,)), 2))
         # iii-b: written over the denominator r, every numerator coefficient < r
-        assert inverses._bound_holds("iii-b", pair, closed_form_iii_reverse(pair))
+        assert inverses._bound_holds("iii-b", pair, closed_form_iii(pair)[1])
         assert not inverses._bound_holds("iii-b", pair, ScaledPoly(IntPoly((r, -1)), r))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             closed_form_i(4)
-        with pytest.raises(ValueError):
-            closed_form_i(3, "sideways")
 
 
 class TestClosedFormII:
@@ -126,9 +145,9 @@ class TestClosedFormII:
 
 class TestClosedFormIII:
     def test_forward_examples(self):
-        assert closed_form_iii_forward(PrimePair.of(3, 5)) == ScaledPoly(IntPoly((1, 1)), 5)
-        assert closed_form_iii_forward(PrimePair.of(5, 3)) == ScaledPoly(IntPoly((1, 1, 1)), 3)
-        assert closed_form_iii_forward(PrimePair.of(2, 3)) == ScaledPoly(IntPoly.one(), 3)
+        assert closed_form_iii(PrimePair.of(3, 5))[0] == ScaledPoly(IntPoly((1, 1)), 5)
+        assert closed_form_iii(PrimePair.of(5, 3))[0] == ScaledPoly(IntPoly((1, 1, 1)), 3)
+        assert closed_form_iii(PrimePair.of(2, 3))[0] == ScaledPoly(IntPoly.one(), 3)
 
     def test_forward_reduction_witness(self):
         # Phi_15 * (1 + X) = 5 mod Phi_3
@@ -139,12 +158,12 @@ class TestClosedFormIII:
 
     def test_forward_is_oracle(self):
         for p, r in [(2, 3), (3, 5), (5, 3), (7, 13), (13, 7)]:
-            assert closed_form_iii_forward(PrimePair.of(p, r)) == inverse_mod(p * r, p)
+            assert closed_form_iii(PrimePair.of(p, r))[0] == inverse_mod(p * r, p)
 
     def test_reverse_examples(self):
-        v = closed_form_iii_reverse(PrimePair.of(2, 3))
+        v = closed_form_iii(PrimePair.of(2, 3))[1]
         assert v == ScaledPoly(IntPoly((2, -1)), 3)
-        v = closed_form_iii_reverse(PrimePair.of(3, 5))
+        v = closed_form_iii(PrimePair.of(3, 5))[1]
         assert v.den == 5 and all(c < 5 for c in v.num.coeffs)
 
     def test_reverse_is_oracle(self):
@@ -153,7 +172,7 @@ class TestClosedFormIII:
                 if p == r:
                     continue
                 pair = PrimePair.of(p, r)
-                assert closed_form_iii_reverse(pair) == inverse_mod(p, p * r)
+                assert closed_form_iii(pair)[1] == inverse_mod(p, p * r)
 
 
 class TestClosedFormIV:
@@ -238,11 +257,11 @@ class TestVerifyClosedForms:
     @pytest.mark.parametrize("case_id", sorted(OUT_OF_BOUND))
     def test_bound_miss_reports_its_own_closed_form(self, monkeypatch, case_id):
         bad, lo, hi = self.OUT_OF_BOUND[case_id]
-        real_i, real_ii = closed_form_i, closed_form_ii
+        real_i, real_ii, real_iii = closed_form_i, closed_form_ii, closed_form_iii
         builders = {
-            "i-b": ("closed_form_i", lambda p, d="forward": bad if d == "reverse" else real_i(p, d)),
+            "i-b": ("closed_form_i", lambda p: (real_i(p)[0], bad)),
             "ii-b": ("closed_form_ii", lambda pair: (real_ii(pair)[0], bad)),
-            "iii-b": ("closed_form_iii_reverse", lambda pair: bad),
+            "iii-b": ("closed_form_iii", lambda pair: (real_iii(pair)[0], bad)),
             "iv": ("closed_form_iv", lambda p, r: bad.num),
         }
         monkeypatch.setattr(inverses, *builders[case_id])
@@ -257,18 +276,24 @@ class TestVerifyClosedForms:
         assert all(rep.failed_check is None for rep in reports.values())
 
     # a closed form at (3, 5) that fails each check first: its builder, the
-    # fake it returns, its case, and the indices at which the oracle is made
-    # to return the same fake (so that the later checks decide), if any
+    # fake it returns (iii's as the first half of its pair), its case, and the
+    # indices at which the oracle is made to return the same fake (so that
+    # the later checks decide), if any
     FIRST_FAILED = {
-        "oracle": ("closed_form_iii_forward", ScaledPoly(IntPoly((1,)), 7), "iii-a", None),
-        "degree": ("closed_form_iii_forward", ScaledPoly(IntPoly((0, 0, 1)), 5), "iii-a", (15, 3)),
+        "oracle": ("closed_form_iii", ScaledPoly(IntPoly((1,)), 7), "iii-a", None),
+        "degree": ("closed_form_iii", ScaledPoly(IntPoly((0, 0, 1)), 5), "iii-a", (15, 3)),
         "bound": ("closed_form_iv", IntPoly((2,)), "iv", (3, 5)),
     }
 
     @pytest.mark.parametrize("check", sorted(FIRST_FAILED))
     def test_failed_check_is_named(self, monkeypatch, capsys, check):
         builder, fake, case_id, agree_at = self.FIRST_FAILED[check]
-        monkeypatch.setattr(inverses, builder, lambda *args: fake)
+        real_iii = closed_form_iii
+        fakes = {
+            "closed_form_iii": lambda pair: (fake, real_iii(pair)[1]),
+            "closed_form_iv": lambda p, r: fake,
+        }
+        monkeypatch.setattr(inverses, builder, fakes[builder])
         if agree_at:
             real, scaled = inverse_pair, fake if isinstance(fake, ScaledPoly) else ScaledPoly(fake)
 
@@ -327,7 +352,7 @@ class TestObservedEnvelopes:
         # observed: max r - 1; min -(r - 2) exactly when r = 1 mod p, else -(r - 1)
         for pair in OBSERVED_PAIRS:
             p, r = pair.p, pair.r
-            closed = closed_form_iii_reverse(pair)
+            closed = closed_form_iii(pair)[1]
             scaled = [c * (r // closed.den) for c in closed.num.coeffs]
             low = -(r - 2) if r % p == 1 else -(r - 1)
             assert (min(scaled), max(scaled)) == (low, r - 1), (p, r)
