@@ -18,9 +18,9 @@ same machinery as a near-bijection
 whose kernel is annihilated by a power of p*r; ``kernel_annihilator``
 measures that power from the composite exponents of theta_reverse o theta.
 
-The subfield embeddings theta uses are F_q-linear, so each is stored as its
-matrix and a left inverse, both from one elimination when it is first
-built; embedding and extraction are then one matrix-vector product each.
+The subfield embeddings theta uses are F_q-linear: each is stored, once built, as
+the packed powers beta^j and a packed left inverse from one elimination on those
+d rows, so embedding and extraction are one packed sum and one reduce each.
 The embedding of F_{q^d} sends X to the coefficient-lex smallest root of
 its modulus, which equal-degree (Cantor-Zassenhaus) splitting with random
 norms down to F_{q^d} finds without scanning or spanning the subfield.
@@ -184,14 +184,6 @@ def _single_prime_cofactor(p: int, q: int) -> int:
 # -- subfield embeddings -----------------------------------------------------
 
 
-class _Embedding(_Record):
-    _fields = ("matrix", "inverse")  # n x d over F_q, column j holds beta^j; inverse * matrix = I_d
-    __eq__, __hash__ = object.__eq__, object.__hash__  # compared and hashed by identity
-
-    def __init__(self, matrix: tuple[tuple[int, ...], ...], inverse: tuple[tuple[int, ...], ...]):
-        self._assign(matrix, inverse)
-
-
 def _rref(rows, q) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form of a rectangular matrix over F_q, and its pivot columns."""
     a = [[c % q for c in row] for row in rows]
@@ -291,7 +283,7 @@ _SPLIT_TRIES = 64  # a try separates two given roots with probability about 1/2
 
 
 @lru_cache(maxsize=None)
-def _embedding(small: ExtField, big: ExtField) -> _Embedding:
+def _embedding(small: ExtField, big: ExtField) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """The map F_{q^d} -> F_{q^n} sending X to the lex-smallest root of small's modulus f_s.
 
     The d roots of f_s are the conjugates beta^(q^i) in the degree-d subfield
@@ -327,15 +319,14 @@ def _embedding(small: ExtField, big: ExtField) -> _Embedding:
         value = value * beta + big.element((c,))
     if not value.is_zero:
         raise ArithmeticError(f"the split gave a non-root of the modulus (q={q}, d={d}, n={n})")
-    powers = [big.one]
+    b, powers = big._pack(beta.coeffs), [big._pack((1,))]
     for _ in range(d - 1):
-        powers.append(powers[-1] * beta)
-    matrix = tuple(zip(*(pw.coeffs for pw in powers)))
-    # rref([matrix | I]) = [rref(matrix) | P]; at full rank P's upper d rows are a left inverse
-    red, pivots = _rref([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(matrix)], q)
-    if sum(c < d for c in pivots) != d:
+        powers.append(big._reduce(powers[-1] * b))
+    # rref([B | I_d]) = [R | M], R = M*B: y = x*B gives x = sum_k y[i_k]*M[k] at R's pivots i_k
+    red, pivots = _rref([[*big._unpack(pw), *(i == j for j in range(d))] for i, pw in enumerate(powers)], q)
+    if sum(c < n for c in pivots) != d:
         raise ArithmeticError("embedding powers must be independent")
-    return _Embedding(matrix=matrix, inverse=tuple(tuple(row[d:]) for row in red[:d]))
+    return tuple(powers), tuple((i, small._pack(row[n:])) for i, row in zip(pivots, red))
 
 
 def subfield_embed(x: ExtFieldElement, big: ExtField) -> ExtFieldElement:
@@ -345,15 +336,17 @@ def subfield_embed(x: ExtFieldElement, big: ExtField) -> ExtFieldElement:
     canonically smallest root of its modulus in the big field, so the map
     is deterministic and multiplicative.
     """
-    emb = _embedding(x.field, big)
-    return big.element([sum(e * c for e, c in zip(row, x.coeffs)) for row in emb.matrix])
+    powers, _ = _embedding(x.field, big)
+    # d terms, slots <= d(q-1)^2 and degree < n: inside reduce's bound n(q-1)^2
+    return ExtFieldElement(big, big._unpack(big._reduce(sum(c * pw for c, pw in zip(x.coeffs, powers)))))
 
 
 def subfield_extract(y: ExtFieldElement, small: ExtField) -> ExtFieldElement:
     """Inverse of subfield_embed on its image; raises if y is not in the image."""
-    emb = _embedding(small, y.field)
-    x = small.element([sum(e * c for e, c in zip(row, y.coeffs)) for row in emb.inverse])
-    if subfield_embed(x, y.field) != y:  # y is in the image iff matrix * inverse * y = y
+    _, rows = _embedding(small, y.field)
+    # d terms, slots <= d(q-1)^2 and degree < d: exactly small's reduce bound
+    x = ExtFieldElement(small, small._unpack(small._reduce(sum(y.coeffs[i] * m for i, m in rows))))
+    if subfield_embed(x, y.field) != y:  # y is in the image iff re-embedding x gives it back
         raise ValueError("element is not in the subfield image")
     return x
 

@@ -40,7 +40,6 @@ RECORDS = {
     "BezoutExponents": (lambda: torus.derive_exponent_polys(2, 3), "v1"),
     "TorusParams": (_params, "orders"),
     "TorusComponents": (_components, "tpr"),
-    "_Embedding": (lambda: torus._embedding(make_ext_field(5, 2), make_ext_field(5, 6)), "matrix"),
     "KernelReport": (lambda: torus.kernel_annihilator(_params()), "power"),
 }
 
@@ -86,12 +85,6 @@ def test_torus_params_compare_by_identity():
     assert a != b and a == a
     assert (a.q, a.pair, a.exps, a.orders) == (b.q, b.pair, b.exps, b.orders)
     assert len({a, b}) == 2
-
-
-def test_embeddings_compare_by_identity():
-    small, big = make_ext_field(5, 2), make_ext_field(5, 6)
-    a, b = torus._embedding.__wrapped__(small, big), torus._embedding.__wrapped__(small, big)
-    assert a.matrix == b.matrix and a != b
 
 
 @pytest.mark.parametrize("name", ["IntPoly", "ScaledPoly", "PrimePair", "ExtFieldElement"])

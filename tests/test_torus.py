@@ -214,39 +214,44 @@ class TestSubfieldEmbedding:
             x = random_nonzero(small, rng)
             assert subfield_extract(subfield_embed(x, big), small) == x
 
-    def test_extract_dependent_powers_raise_arithmetic_error(self, monkeypatch):
-        # an elimination that drops the last pivot of the embedding matrix finds
-        # rank d - 1, which stands for dependent powers: the build must refuse the map
+    # column n = 6 is the first column of the identity block
+    @pytest.mark.parametrize("last", [[], [6]], ids=["dropped", "moved_to_column_n"])
+    def test_extract_dependent_powers_raise_arithmetic_error(self, monkeypatch, last):
+        # an elimination whose last pivot is missing, or lies in the identity block,
+        # finds rank d - 1 among the powers: the build must refuse the map
         big = make_ext_field(5, 6)
         small = make_ext_field(5, 3)
         rref = torus._rref
 
         def rank_deficient(rows, q):
             red, pivots = rref(rows, q)
-            return red, [c for c in pivots if c != small.n - 1]
+            return red, pivots[:-1] + last
 
         monkeypatch.setattr(torus, "_rref", rank_deficient)
         with pytest.raises(ArithmeticError, match="independent"):
             torus._embedding.__wrapped__(small, big)
 
-    def test_stored_inverse_is_a_left_inverse(self):
-        big = make_ext_field(5, 6)
-        for d in (1, 2, 3):
-            emb = torus._embedding(make_ext_field(5, d), big)
-            prod = [
-                [sum(a * b for a, b in zip(row, col)) % 5 for col in zip(*emb.matrix)]
-                for row in emb.inverse
-            ]
-            assert prod == [[int(i == j) for j in range(d)] for i in range(d)]
+    # q = 2 (the trace split), a 17-bit q (the widest slots) and d = 1 (small's
+    # reduce bound is (q-1)^2)
+    EDGE_SHAPES = [(5, 3, 6), (2, 5, 15), (65537, 2, 6), (3, 1, 35)]
 
-    def test_extract_rejects_outsiders(self):
-        big = make_ext_field(5, 6)
-        small = make_ext_field(5, 3)
+    @pytest.mark.parametrize("q, d, n", EDGE_SHAPES)
+    def test_stored_inverse_is_a_left_inverse(self, q, d, n):
+        small, big = make_ext_field(q, d), make_ext_field(q, n)
+        powers, _ = torus._embedding(small, big)
+        assert len(powers) == d
+        for j, pw in enumerate(powers):
+            beta_j = ExtFieldElement(big, big._unpack(pw))
+            assert subfield_extract(beta_j, small) == small.element([0] * j + [1])
+
+    @pytest.mark.parametrize("q, d, n", EDGE_SHAPES)
+    def test_extract_rejects_outsiders(self, q, d, n):
+        small, big = make_ext_field(q, d), make_ext_field(q, n)
         rng = random.Random(12)
         y = random_nonzero(big, rng)
-        while y ** (5**3) == y:
+        while y ** (q**d) == y:
             y = random_nonzero(big, rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not in the subfield image"):
             subfield_extract(y, small)
 
 
@@ -315,15 +320,17 @@ class TestRootSplitting:
         small, big = make_ext_field(q, (1, p, r)[which]), make_ext_field(q, p * r)
         beta = scan_root(small, big)
         columns = [(beta**j).coeffs for j in range(small.n)]
-        assert torus._embedding(small, big).matrix == tuple(zip(*columns))
+        assert [big._unpack(pw) for pw in torus._embedding(small, big)[0]] == columns
 
     def test_matrices_digest(self):
-        # sha256 of the matrices for d in (1, p, r), recorded with the Theta(q^d)
-        # candidate scan that root splitting replaced
+        # sha256 of the n x d matrices whose column j holds beta^j, for d in (1, p, r),
+        # recorded with the Theta(q^d) candidate scan that root splitting replaced
         mats = []
         for q, p, r in DIGEST_TRIPLES:
             big = make_ext_field(q, p * r)
-            mats += [torus._embedding(make_ext_field(q, d), big).matrix for d in (1, p, r)]
+            for d in (1, p, r):
+                powers, _ = torus._embedding(make_ext_field(q, d), big)
+                mats.append(list(zip(*map(big._unpack, powers))))
         digest = hashlib.sha256(json.dumps(mats).encode()).hexdigest()
         assert digest == "a5a39fd63e775081b0148dc1aa2782e60c8b0149deda5f9e2ecd14ca76bae492"
 
