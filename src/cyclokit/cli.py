@@ -60,7 +60,7 @@ FIELD_ORDER_CEILING = 2**128
 # (2, 7993) and (3, 5333), below the slowest inv's 7.8-12.3 s; q >= 2 has p*r <= 128 by the field ceiling.
 PR_CEILING = 16000
 # Measured cold on a 2-core Xeon VM: the slowest theta-demo op under the field
-# ceiling takes 23-27 ms (q=2, n=122), so 200 take 6.5-7.4 s with about 2 s of
+# ceiling takes 21-24 ms (q=2, n=122), so 200 take 5.5-6.3 s with about 1.5 s of
 # set-up, below the slowest inv under INDEX_CEILING.
 COUNT_CEILING = 200
 

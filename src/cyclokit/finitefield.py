@@ -7,21 +7,21 @@ field object -- and every test vector built on it -- is a pure function
 of (q, n). Norm maps onto the order-Phi_k(q) subgroups are realized as
 exponentiations by the cofactor values U_k(q) = (q^n - 1)/Phi_k(q).
 
-Elements store their canonical coefficient tuple. Arithmetic mod the
-modulus runs on one packed kernel (Kronecker substitution):
-(a_0, ..., a_{n-1}) becomes the single integer sum a_i * 2^(W*i), with a
-slot width W wide enough that no slot ever carries into the next. One
-bigint product then yields every coefficient of the polynomial product at
-once. Reduction stays packed too: a Barrett step on the integers (one
-multiply, a shift and a mask) takes every slot mod q, and a Barrett step
-on polynomials, with mu = floor(X^(2n-2) / f) over F_q, reduces mod the
-modulus f. A power packs its base once and runs the whole
-square-and-multiply ladder on packed integers; a negative exponent is
-first reduced mod q^n - 1, so x^(-e) is one ladder too. Products, powers,
-inversion (Fermat: x^(-1) = x^(q^n - 2)) and the Rabin irreducibility
-test behind the modulus search all run on this kernel. The only long
-division is intpoly's: it gives mu, and it reduces over-long input
-vectors mod the modulus.
+An element stores its canonical packed residue (Kronecker substitution):
+(a_0, ..., a_{n-1}) is the one integer sum a_i * 2^(W*i), with a slot width W
+wide enough that no slot ever carries into the next, so one bigint product
+yields every coefficient of the polynomial product at once. Reduction stays
+packed: a Barrett step on the integers (one multiply, a shift and a mask)
+takes every slot mod q, and a Barrett step on polynomials, with
+mu = floor(X^(2n-2) / f) over F_q, reduces mod the modulus f. A reduced
+residue has every slot in [0, q) and nothing above slot n - 1, so equal
+elements hold equal integers. A product is one bigint product and one
+reduce; a power runs its ladder on the stored integer, and a negative
+exponent is first reduced mod q^n - 1, so x^(-e) is one ladder too. Inversion
+(Fermat: x^(-1) = x^(q^n - 2)) and the Rabin irreducibility test behind the
+modulus search run on the same kernel; coefficients are unpacked only when
+read. The only long division is intpoly's: it gives mu, and it reduces
+over-long input vectors mod the modulus.
 """
 
 from __future__ import annotations
@@ -150,21 +150,20 @@ class ExtField:
         return self.q**self.n
 
     def element(self, coeffs) -> ExtFieldElement:
-        q, n = self.q, self.n
+        q = self.q
         vec = [c % q for c in coeffs]
-        if len(vec) > n:
+        if len(vec) > self.n:
             _, rem = divrem_exact(IntPoly(tuple(vec)), self.modulus)
             vec = [c % q for c in rem.coeffs]
-        vec += [0] * (n - len(vec))
-        return ExtFieldElement(self, tuple(vec))
+        return ExtFieldElement(self, self._pack(vec))
 
     @property
     def zero(self) -> ExtFieldElement:
-        return self.element(())
+        return ExtFieldElement(self, 0)
 
     @property
     def one(self) -> ExtFieldElement:
-        return self.element((1,))
+        return ExtFieldElement(self, 1)
 
     def __eq__(self, other) -> bool:
         return (
@@ -209,14 +208,21 @@ def make_ext_field(q: int, n: int) -> ExtField:
 
 
 class ExtFieldElement(_Record):
-    _fields = ("field", "coeffs")
+    """An element of F_{q^n}, stored as its canonical packed residue on the field's
+    kernel; ExtField.element builds one from a coefficient vector."""
 
-    def __init__(self, field: ExtField, coeffs: tuple[int, ...]):
-        self._assign(field, coeffs)
+    _fields = ("field", "packed")
+
+    def __init__(self, field: ExtField, packed: int):
+        self._assign(field, packed)
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return self.field._unpack(self.packed)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.packed
 
     def _same_field(self, other: ExtFieldElement) -> ExtField:
         if not isinstance(other, ExtFieldElement):
@@ -226,27 +232,17 @@ class ExtFieldElement(_Record):
         return self.field
 
     def __add__(self, other: ExtFieldElement) -> ExtFieldElement:
-        field = self._same_field(other)
-        q = field.q
-        return ExtFieldElement(
-            field, tuple((x + y) % q for x, y in zip(self.coeffs, other.coeffs))
-        )
+        return self._same_field(other).element([x + y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: ExtFieldElement) -> ExtFieldElement:
-        field = self._same_field(other)
-        q = field.q
-        return ExtFieldElement(
-            field, tuple((x - y) % q for x, y in zip(self.coeffs, other.coeffs))
-        )
+        return self._same_field(other).element([x - y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> ExtFieldElement:
-        q = self.field.q
-        return ExtFieldElement(self.field, tuple(-x % q for x in self.coeffs))
+        return self.field.element([-x for x in self.coeffs])
 
     def __mul__(self, other: ExtFieldElement) -> ExtFieldElement:
         field = self._same_field(other)
-        prod = field._pack(self.coeffs) * field._pack(other.coeffs)
-        return ExtFieldElement(field, field._unpack(field._reduce(prod)))
+        return ExtFieldElement(field, field._reduce(self.packed * other.packed))
 
     def inv(self) -> ExtFieldElement:
         if self.is_zero:
@@ -261,8 +257,7 @@ class ExtFieldElement(_Record):
             e %= field.order - 1
         if e == 0:
             return field.one
-        acc = _packed_pow(field._pack(self.coeffs), e, field._reduce)
-        return ExtFieldElement(field, field._unpack(acc))
+        return ExtFieldElement(field, _packed_pow(self.packed, e, field._reduce))
 
 
 # -- subgroup structure -----------------------------------------------------

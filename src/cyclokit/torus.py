@@ -300,17 +300,17 @@ def _embedding(small: ExtField, big: ExtField) -> tuple[tuple[int, ...], tuple[t
         raise ValueError(f"degree {d} does not divide {n}")
     rng = random.Random(0)  # a fixed seed: the same tries on every build
     norm = (q**n - 1) // (q**d - 1)  # y -> y^norm maps F_{q^n}^x onto S^x, each fiber one size
-    f = [big._pack((c,)) for c in small.modulus.coeffs]
+    f = list(small.modulus.coeffs)  # a reduced constant c < q is its own packed residue
     for _ in range(_SPLIT_TRIES):
         if len(f) == 2:
             break
-        delta = big._pack((random_nonzero(big, rng) ** norm).coeffs)
+        delta = (random_nonzero(big, rng) ** norm).packed
         factor = _split(f, delta, d, big)
         if 1 < len(factor) < len(f):
             f = min(factor, _pdivmod(f, factor, big)[0], key=len)
     if len(f) != 2:
         raise ArithmeticError(f"no root split off in {_SPLIT_TRIES} tries (q={q}, d={d}, n={n})")
-    conjugates = [-ExtFieldElement(big, big._unpack(f[0]))]
+    conjugates = [-ExtFieldElement(big, f[0])]
     for _ in range(d - 1):
         conjugates.append(conjugates[-1] ** q)
     beta = min(conjugates, key=lambda e: e.coeffs)
@@ -319,9 +319,9 @@ def _embedding(small: ExtField, big: ExtField) -> tuple[tuple[int, ...], tuple[t
         value = value * beta + big.element((c,))
     if not value.is_zero:
         raise ArithmeticError(f"the split gave a non-root of the modulus (q={q}, d={d}, n={n})")
-    b, powers = big._pack(beta.coeffs), [big._pack((1,))]
+    powers = [1]
     for _ in range(d - 1):
-        powers.append(big._reduce(powers[-1] * b))
+        powers.append(big._reduce(powers[-1] * beta.packed))
     # rref([B | I_d]) = [R | M], R = M*B: y = x*B gives x = sum_k y[i_k]*M[k] at R's pivots i_k
     red, pivots = _rref([[*big._unpack(pw), *(i == j for j in range(d))] for i, pw in enumerate(powers)], q)
     if sum(c < n for c in pivots) != d:
@@ -338,14 +338,15 @@ def subfield_embed(x: ExtFieldElement, big: ExtField) -> ExtFieldElement:
     """
     powers, _ = _embedding(x.field, big)
     # d terms, slots <= d(q-1)^2 and degree < n: inside reduce's bound n(q-1)^2
-    return ExtFieldElement(big, big._unpack(big._reduce(sum(c * pw for c, pw in zip(x.coeffs, powers)))))
+    return ExtFieldElement(big, big._reduce(sum(c * pw for c, pw in zip(x.coeffs, powers))))
 
 
 def subfield_extract(y: ExtFieldElement, small: ExtField) -> ExtFieldElement:
     """Inverse of subfield_embed on its image; raises if y is not in the image."""
     _, rows = _embedding(small, y.field)
     # d terms, slots <= d(q-1)^2 and degree < d: exactly small's reduce bound
-    x = ExtFieldElement(small, small._unpack(small._reduce(sum(y.coeffs[i] * m for i, m in rows))))
+    coeffs = y.coeffs
+    x = ExtFieldElement(small, small._reduce(sum(coeffs[i] * m for i, m in rows)))
     if subfield_embed(x, y.field) != y:  # y is in the image iff re-embedding x gives it back
         raise ValueError("element is not in the subfield image")
     return x

@@ -395,6 +395,17 @@ class TestDeterminism:
                 ("torus", "params", "--q", "0", "--p", "29", "--r", "31"),
                 "bb1730258402c5249e3e108f24178bd25e3c9b12d0b6494cf10a666d40a2d03b",
             ),
+            # a 17-bit q (the widest kernel slots) and q = 2 (123 slots)
+            (
+                ("torus", "roundtrip", "--q", "65537", "--p", "2", "--r", "3",
+                 "--count", "3", "--seed", "1", "--vectors", "3"),
+                "0a12689ab5d95444ca7699bdc62b75fe5d5b014cf55acd3fab0bf0fbf30f6fd6",
+            ),
+            (
+                ("torus", "roundtrip", "--q", "2", "--p", "3", "--r", "41",
+                 "--count", "2", "--seed", "1", "--vectors", "2"),
+                "31b67af16b22ef6840d1a20a157cf021d8472710205d47fcaaecc82ba8e6448d",
+            ),
         ],
     )
     def test_seeded_torus_output_golden(self, capsys, argv, digest):

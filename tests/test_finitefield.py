@@ -337,13 +337,22 @@ def modulus_of(f):
     return tuple(f.modulus.coeffs)
 
 
+def assert_canonical(got, f, expected):
+    # unpacking never reads above slot n - 1, so a stray high bit shows only
+    # in the stored residue: value equality and hash against a fresh element
+    assert got == f.element(expected)
+    assert hash(got) == hash(f.element(expected))
+
+
 class TestPackedKernel:
     @given(field_and_vectors(2))
     @settings(max_examples=300, deadline=None)
     def test_product_matches_schoolbook(self, case):
         f, (a, b) = case
         got = f.element(a) * f.element(b)
-        assert got.coeffs == schoolbook_mulmod(a, b, modulus_of(f), f.q)
+        expected = schoolbook_mulmod(a, b, modulus_of(f), f.q)
+        assert got.coeffs == expected
+        assert_canonical(got, f, expected)
 
     @pytest.mark.parametrize("q, n", KERNEL_FIELDS)
     def test_largest_coefficients(self, q, n):
@@ -352,7 +361,9 @@ class TestPackedKernel:
         top = [q - 1] * n
         for other in (top, [1] + [0] * (n - 1), [q - 1] + [0] * (n - 1), [0] * (n - 1) + [q - 1]):
             got = f.element(top) * f.element(other)
-            assert got.coeffs == schoolbook_mulmod(top, other, modulus_of(f), q)
+            expected = schoolbook_mulmod(top, other, modulus_of(f), q)
+            assert got.coeffs == expected
+            assert_canonical(got, f, expected)
 
     @given(field_and_vectors(1), st.integers(0, 24))
     @settings(max_examples=200, deadline=None)
@@ -361,7 +372,9 @@ class TestPackedKernel:
         expected = f.one.coeffs
         for _ in range(e):
             expected = schoolbook_mulmod(expected, a, modulus_of(f), f.q)
-        assert (f.element(a) ** e).coeffs == expected
+        got = f.element(a) ** e
+        assert got.coeffs == expected
+        assert_canonical(got, f, expected)
 
     @given(field_and_vectors(1), st.integers(0, 2**40))
     @settings(max_examples=100, deadline=None)

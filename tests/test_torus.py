@@ -241,7 +241,7 @@ class TestSubfieldEmbedding:
         powers, _ = torus._embedding(small, big)
         assert len(powers) == d
         for j, pw in enumerate(powers):
-            beta_j = ExtFieldElement(big, big._unpack(pw))
+            beta_j = ExtFieldElement(big, pw)
             assert subfield_extract(beta_j, small) == small.element([0] * j + [1])
 
     @pytest.mark.parametrize("q, d, n", EDGE_SHAPES)
@@ -354,7 +354,7 @@ class TestRootSplitting:
         big, deltas, split = make_ext_field(q, n), [], torus._split
 
         def recording(g, delta, d_, big_):
-            deltas.append(ExtFieldElement(big_, big_._unpack(delta)))
+            deltas.append(ExtFieldElement(big_, delta))
             return split(g, delta, d_, big_)
 
         monkeypatch.setattr(torus, "_split", recording)
