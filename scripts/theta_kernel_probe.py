@@ -11,7 +11,7 @@ Usage: python scripts/theta_kernel_probe.py --q 7 --p 3 --r 5
 
 import argparse
 
-from cyclokit.torus import composite_exponents, derive_params, kernel_annihilator
+from cyclokit.torus import derive_params, kernel_annihilator
 
 
 def main() -> None:
@@ -22,13 +22,12 @@ def main() -> None:
     args = parser.parse_args()
 
     params = derive_params(args.q, args.p, args.r)
-    d_x, d_p, d_r = composite_exponents(params)
     report = kernel_annihilator(params)
     n = args.p * args.r
     print(f"(q, p, r) = ({args.q}, {args.p}, {args.r}), n = {n}")
-    print(f"torus slot exponent      d_x = {d_x}")
-    print(f"degree-p slot exponent   d_p = {d_p}")
-    print(f"degree-r slot exponent   d_r = {d_r}")
+    print(f"torus slot exponent      d_x = {report.d_x}")
+    print(f"degree-p slot exponent   d_p = {report.d_p}")
+    print(f"degree-r slot exponent   d_r = {report.d_r}")
     print(f"kernel group exponent        = {report.exponent}")
     print(f"least k with exponent | n^k  = {report.power}  (n^k = {n**report.power})")
 

@@ -2,7 +2,6 @@
 and subgroup decompositions of small finite fields."""
 
 from .cyclotomic import (
-    Factorization,
     PrimePair,
     cyclotomic,
     divisors,
@@ -20,7 +19,6 @@ from .finitefield import (
     ExtField,
     ExtFieldElement,
     make_ext_field,
-    norm_exponent,
     random_nonzero,
     torus_membership,
 )

@@ -29,6 +29,7 @@ from .cyclotomic import (
     cyclotomic,
     euler_phi,
     lam_leung_phi_pr,
+    nontrivial_resultant,
     primes_upto,
     resultant_apostol,
 )
@@ -151,6 +152,7 @@ def _verify_resultants(bound: int):
             closed = resultant_apostol(m, n)
             generic = resultant(phi_m, cyclotomic(n))
             ok = closed == abs(generic) and (n == 1 or generic > 0)
+            ok = ok and nontrivial_resultant(m, n) == (closed != 1)  # the ratio criterion
             yield {
                 "m": m,
                 "n": n,

@@ -34,34 +34,9 @@ def primes_upto(bound: int) -> list[int]:
     return [n for n in range(2, bound + 1) if is_prime(n)]
 
 
-class Factorization(_Record):
-    """Prime factorization as (prime, exponent) pairs with increasing primes."""
-
-    _fields = ("pairs",)
-
-    def __init__(self, pairs: tuple[tuple[int, int], ...]):
-        last = 1
-        for p, e in pairs:
-            if p <= last or e < 1:
-                raise ValueError("factor pairs must have increasing primes and exponents >= 1")
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            last = p
-        self._assign(pairs)
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
-
-    def divisors(self) -> tuple[int, ...]:
-        divs = [1]
-        for p, e in self.pairs:
-            divs = [d * p**k for d in divs for k in range(e + 1)]
-        return tuple(sorted(divs))
-
-
 @lru_cache(maxsize=None)
-def factorize(n: int) -> Factorization:
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime factorization of n as (prime, exponent) pairs, primes increasing."""
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     pairs = []
@@ -75,25 +50,28 @@ def factorize(n: int) -> Factorization:
             pairs.append((p, e))
     if m > 1:
         pairs.append((m, 1))
-    return Factorization(tuple(pairs))
+    return tuple(pairs)
 
 
 def divisors(n: int) -> tuple[int, ...]:
-    return factorize(n).divisors()
+    divs = [1]
+    for p, e in factorize(n):
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return tuple(sorted(divs))
 
 
 def euler_phi(n: int) -> int:
     out = 1
-    for p, e in factorize(n).pairs:
+    for p, e in factorize(n):
         out *= p ** (e - 1) * (p - 1)
     return out
 
 
 def moebius(n: int) -> int:
     f = factorize(n)
-    if any(e > 1 for _, e in f.pairs):
+    if any(e > 1 for _, e in f):
         return 0
-    return -1 if len(f.pairs) % 2 else 1
+    return -1 if len(f) % 2 else 1
 
 
 @lru_cache(maxsize=None)
@@ -195,15 +173,15 @@ def resultant_apostol(m: int, n: int) -> int:
         raise ValueError("requires m > n >= 1")
     if n == 1:
         f = factorize(m)
-        return f.pairs[0][0] if len(f.pairs) == 1 else 1
+        return f[0][0] if len(f) == 1 else 1
     phim = euler_phi(m)
     exponents: dict[int, int] = {}
     for d in divisors(n):
         md = m // math.gcd(m, d)
         f = factorize(md)
-        if len(f.pairs) != 1:
+        if len(f) != 1:
             continue
-        p, a = f.pairs[0]
+        p, a = f[0]
         term, rem = divmod(phim, euler_phi(p**a))
         if rem:
             raise ArithmeticError(f"phi({p}^{a}) does not divide phi({m})")
@@ -226,5 +204,5 @@ def nontrivial_resultant(m: int, n: int) -> bool:
         raise ValueError("requires m > n >= 1")
     if m % n:
         return False
-    return len(factorize(m // n).pairs) == 1
+    return len(factorize(m // n)) == 1
 

@@ -4,8 +4,7 @@ Extensions use plain polynomial-basis arithmetic modulo the
 lexicographically smallest monic irreducible polynomial of the requested
 degree (coefficient vectors compared from the constant term up), so a
 field object -- and every test vector built on it -- is a pure function
-of (q, n). Norm maps onto the order-Phi_k(q) subgroups are realized as
-exponentiations by the cofactor values U_k(q) = (q^n - 1)/Phi_k(q).
+of (q, n).
 
 An element stores its canonical packed residue (Kronecker substitution):
 (a_0, ..., a_{n-1}) is the one integer sum a_i * 2^(W*i), with a slot width W
@@ -110,7 +109,7 @@ def _is_irreducible(q: int, n: int, kernel) -> bool:
         return True
     pack, _, reduce = kernel
     x, one = pack((0, 1)), pack((1,))
-    checkpoints = {n // ell for ell in factorize(n).primes}
+    checkpoints = {n // ell for ell, _ in factorize(n)}
     b, prod = x, one
     for i in range(1, n + 1):
         b = _packed_pow(b, q, reduce)  # X^{q^i}
@@ -123,16 +122,15 @@ def _is_irreducible(q: int, n: int, kernel) -> bool:
 
 
 class ExtField:
-    """F_{q^n} in polynomial basis modulo a fixed monic irreducible polynomial."""
+    """F_{q^n} in polynomial basis modulo a fixed monic irreducible polynomial of degree n."""
 
-    def __init__(self, q: int, n: int, modulus: IntPoly):
+    def __init__(self, q: int, modulus: IntPoly):
         if not is_prime(q):
             raise ValueError(f"{q} is not prime")
-        if n < 1:
-            raise ValueError("extension degree must be >= 1")
         mod = tuple(c % q for c in modulus.coeffs)
-        if len(mod) != n + 1 or mod[-1] != 1:
-            raise ValueError("modulus must be monic of degree n with reduced coefficients")
+        if len(mod) < 2 or mod[-1] != 1:
+            raise ValueError("modulus must be monic mod q of degree >= 1")
+        n = len(mod) - 1
         kernel = _packed_kernel(q, mod)
         if not _is_irreducible(q, n, kernel):
             raise ValueError("modulus is reducible")
@@ -143,7 +141,7 @@ class ExtField:
 
     def __reduce__(self):
         # pickle by construction data; the kernel's functions are closures
-        return ExtField, (self.q, self.n, self.modulus)
+        return ExtField, (self.q, self.modulus)
 
     @property
     def order(self) -> int:
@@ -190,18 +188,16 @@ def make_ext_field(q: int, n: int) -> ExtField:
     # before the scan, whose except would read a composite q as reducibility
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
+    if n < 1:  # the scan below would return a degree-1 field
+        raise ValueError("extension degree must be >= 1")
     if n == 1:
-        return ExtField(q, 1, IntPoly.monomial(1))
-    # c_0 = 0 would make X a factor, so start at the first candidate with c_0 = 1
+        return ExtField(q, IntPoly.monomial(1))
+    # c_0 = 0 would make X a factor, so start at the first candidate with c_0 = 1;
+    # a lazy range, as itertools.product would first hold range(q) in memory
     for k in range(q ** (n - 1), q**n):
-        digits = []
-        kk = k
-        for _ in range(n):
-            digits.append(kk % q)
-            kk //= q
-        coeffs = tuple(reversed(digits))  # (c_0, ..., c_{n-1})
+        coeffs = tuple(k // q**i % q for i in reversed(range(n)))  # base-q digits (c_0, ..., c_{n-1})
         try:
-            return ExtField(q, n, IntPoly(coeffs + (1,)))
+            return ExtField(q, IntPoly(coeffs + (1,)))
         except ValueError:  # reducible: every candidate is monic of degree n
             continue
     raise ArithmeticError(f"no monic irreducible polynomial of degree {n} over F_{q} found")
@@ -261,22 +257,6 @@ class ExtFieldElement(_Record):
 
 
 # -- subgroup structure -----------------------------------------------------
-
-
-def norm_exponent(q: int, pr: int, k: int) -> int:
-    """Evaluation at q of the cofactor (X^pr - 1) / Phi_k, for k | pr.
-
-    Raising an element of F_{q^pr}^x to this power projects it onto the
-    subgroup of order Phi_k(q).
-    """
-    if not is_prime(q):
-        raise ValueError(f"{q} is not prime")
-    if pr < 2 or k < 1 or pr % k:
-        raise ValueError(f"{k} does not divide {pr}")
-    e, rem = divmod(q**pr - 1, cyclotomic(k).evaluate(q))  # evaluation at q is a ring map
-    if rem:
-        raise ArithmeticError(f"Phi_{k}({q}) does not divide {q}^{pr} - 1")
-    return e
 
 
 def torus_membership(x: ExtFieldElement, k: int) -> bool:

@@ -38,7 +38,6 @@ from .finitefield import (
     ExtFieldElement,
     _packed_pow,
     make_ext_field,
-    norm_exponent,
     random_nonzero,
     torus_membership,
 )
@@ -104,6 +103,12 @@ class TorusParams(_Record):
 
 
 def derive_params(q: int, p: int, r: int) -> TorusParams:
+    """TorusParams for the prime q and the distinct primes p, r.
+
+    Raising x in F_{q^pr}^x to the norm exponent U_k(q) = (q^pr - 1)/Phi_k(q)
+    projects it onto the subgroup of order Phi_k(q). Raises ArithmeticError
+    unless the four orders multiply to q^pr - 1, as X^pr - 1 = prod_{d | pr} Phi_d does.
+    """
     if not is_prime(q):
         raise ValueError(f"q = {q} is not prime")
     pair = PrimePair.of(p, r)
@@ -113,10 +118,13 @@ def derive_params(q: int, p: int, r: int) -> TorusParams:
         f.evaluate(q) for f in (exps.u1, exps.u_pr, exps.u_p, exps.u_r, exps.v1, exps.v2)
     )
     orders = {k: cyclotomic(k).evaluate(q) for k in (1, p, r, n)}
+    group = q**n - 1  # the order of F_{q^pr}^x
+    if math.prod(orders.values()) != group:
+        raise ArithmeticError(f"Phi_1 Phi_p Phi_r Phi_pr at q = {q} is not {q}^{n} - 1")
     two_step = {1: u1 * v1, p: u_p * v2, r: u_r * v2, n: u_pr * v1}
     return TorusParams(
         q=q, pair=pair, exps=exps,
-        norm_exponents={k: norm_exponent(q, n, k) for k in orders},
+        norm_exponents={k: group // o for k, o in orders.items()},
         orders=orders,
         recombine_exponents={k: e % orders[k] for k, e in two_step.items()},
     )

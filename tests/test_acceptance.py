@@ -74,7 +74,7 @@ def test_criterion_02_resultant_oracle_equivalence():
     for m in range(2, 201):
         value = resultant(phi_1, cyclotomic(m))
         f = factorize(m)
-        expected = f.pairs[0][0] if len(f.pairs) == 1 else 1
+        expected = f[0][0] if len(f) == 1 else 1
         ok = ok and value == expected
     _report(2, "resultant-oracle-equivalence", ok, started, 120.0)
 

@@ -6,7 +6,6 @@ import math
 import pytest
 
 from cyclokit.cyclotomic import (
-    Factorization,
     PrimePair,
     cyclotomic,
     divisors,
@@ -33,16 +32,13 @@ class TestNumberTheory:
         assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
 
     def test_factorize_roundtrip(self):
+        assert factorize(12) == ((2, 2), (3, 1))
+        assert factorize(1) == ()
         for n in range(1, 300):
-            assert math.prod(p**e for p, e in factorize(n).pairs) == n
-
-    def test_factorization_validation(self):
-        with pytest.raises(ValueError):
-            Factorization(((4, 1),))
-        with pytest.raises(ValueError):
-            Factorization(((3, 1), (2, 1)))
-        with pytest.raises(ValueError):
-            Factorization(((2, 0),))
+            pairs = factorize(n)
+            assert math.prod(p**e for p, e in pairs) == n
+            assert all(is_prime(p) and e >= 1 for p, e in pairs)
+            assert [p for p, _ in pairs] == sorted({p for p, _ in pairs})
 
     def test_divisors(self):
         assert divisors(15) == (1, 3, 5, 15)

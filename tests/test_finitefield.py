@@ -16,11 +16,11 @@ from cyclokit.finitefield import (
     _packed_kernel,
     _packed_pow,
     make_ext_field,
-    norm_exponent,
     random_nonzero,
     torus_membership,
 )
 from cyclokit.intpoly import IntPoly
+from cyclokit.torus import derive_params
 
 
 def multiplicative_order(x):
@@ -30,8 +30,8 @@ def multiplicative_order(x):
     field = x.field
     order = field.order - 1
     primes = set()
-    for d in factorize(field.n).divisors():
-        primes.update(factorize(cyclotomic(d).evaluate(field.q)).primes)
+    for d in divisors(field.n):
+        primes.update(p for p, _ in factorize(cyclotomic(d).evaluate(field.q)))
     for ell in primes:
         while order % ell == 0 and x ** (order // ell) == field.one:
             order //= ell
@@ -40,9 +40,26 @@ def multiplicative_order(x):
 
 class TestConstruction:
     def test_prime_field_validation(self):
-        assert ExtField(97, 1, IntPoly.monomial(1)).q == 97
+        assert ExtField(97, IntPoly.monomial(1)).q == 97
         with pytest.raises(ValueError):
-            ExtField(91, 1, IntPoly.monomial(1))
+            ExtField(91, IntPoly.monomial(1))
+
+    def test_degree_is_read_off_the_modulus(self):
+        assert ExtField(7, make_ext_field(7, 15).modulus).n == 15
+        for bad in (IntPoly((1,)), IntPoly((1, 5)), IntPoly((1, 2))):  # degree 0; lead 0 or 2 mod 5
+            with pytest.raises(ValueError, match="monic"):
+                ExtField(5, bad)
+        with pytest.raises(ValueError, match="degree"):
+            make_ext_field.__wrapped__(5, 0)
+
+    @pytest.mark.parametrize("q, n", [(2, 5), (3, 4), (5, 3), (7, 2)])
+    def test_modulus_is_the_first_irreducible_in_base_q_order(self, q, n):
+        # (c_0, ..., c_{n-1}) in lex order, c_0 most significant, skipping c_0 = 0
+        low = next(
+            low for low in itertools.product(range(q), repeat=n)
+            if low[0] and _is_irreducible(q, n, _packed_kernel(q, low + (1,)))
+        )
+        assert make_ext_field(q, n).modulus.coeffs == low + (1,)
 
     def test_degree_one_modulus_is_x(self):
         assert make_ext_field(7, 1).modulus == IntPoly.monomial(1)
@@ -69,11 +86,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="not prime"):
             make_ext_field.__wrapped__(91, 2)
         with pytest.raises(ValueError, match="not prime"):
-            ExtField(91, 1, IntPoly.monomial(1))
+            ExtField(91, IntPoly.monomial(1))
 
     def test_rejects_reducible_modulus(self):
         with pytest.raises(ValueError):
-            ExtField(2, 2, IntPoly((1, 0, 1)))  # (X + 1)^2 over F_2
+            ExtField(2, IntPoly((1, 0, 1)))  # (X + 1)^2 over F_2
 
     @pytest.mark.parametrize("q, max_n", [(2, 10), (3, 6), (5, 4), (7, 3)])
     def test_irreducible_count_matches_gauss(self, q, max_n):
@@ -106,7 +123,7 @@ class TestConstruction:
         assert (_packed_pow(x, 2**6, reduce) == x) == fixes_x
         assert not _is_irreducible(2, 6, kernel)
         with pytest.raises(ValueError):
-            ExtField(2, 6, IntPoly(f))
+            ExtField(2, IntPoly(f))
 
     def test_one_kernel_per_field(self, monkeypatch):
         calls = []
@@ -116,10 +133,10 @@ class TestConstruction:
             return _packed_kernel(q, f)
 
         monkeypatch.setattr(finitefield, "_packed_kernel", counting_kernel)
-        ExtField(7, 15, make_ext_field(7, 15).modulus)
+        ExtField(7, make_ext_field(7, 15).modulus)
         assert len(calls) == 1
         with pytest.raises(ValueError):
-            ExtField(2, 2, IntPoly((1, 0, 1)))
+            ExtField(2, IntPoly((1, 0, 1)))
         assert len(calls) == 2
 
     def test_exhausted_search_raises_arithmetic_error(self, monkeypatch):
@@ -207,28 +224,26 @@ class TestArithmetic:
 
 class TestSubgroups:
     def test_norm_exponent_values(self):
-        assert norm_exponent(2, 15, 15) == 217
-        assert norm_exponent(2, 15, 1) == 32767
+        norm_exponents = derive_params(2, 3, 5).norm_exponents
+        assert norm_exponents[15] == 217
+        assert norm_exponents[1] == 32767
 
     def test_defining_identity(self):
         for q in (2, 7, 11):
-            for k in (1, 3, 5, 15):
-                assert cyclotomic(k).evaluate(q) * norm_exponent(q, 15, k) == q**15 - 1
-
-    def test_rejects_non_divisor(self):
-        with pytest.raises(ValueError):
-            norm_exponent(2, 15, 4)
-        with pytest.raises(ValueError):
-            norm_exponent(4, 15, 3)
+            norm_exponents = derive_params(q, 3, 5).norm_exponents
+            assert sorted(norm_exponents) == [1, 3, 5, 15]
+            for k, e in norm_exponents.items():
+                assert cyclotomic(k).evaluate(q) * e == q**15 - 1
 
     def test_membership_of_projections(self):
         rng = random.Random(21)
         q, n = 7, 15
         f = make_ext_field(q, n)
+        norm_exponents = derive_params(q, 3, 5).norm_exponents
         for _ in range(50):
             x = random_nonzero(f, rng)
             for k in (1, 3, 5, 15):
-                t = x ** norm_exponent(q, n, k)
+                t = x ** norm_exponents[k]
                 assert torus_membership(t, k)
                 assert t ** cyclotomic(k).evaluate(q) == f.one
 
@@ -248,7 +263,7 @@ class TestSubgroups:
                 break
         assert g is not None
         assert not torus_membership(g, 15)
-        assert torus_membership(g ** norm_exponent(2, 15, 15), 15)
+        assert torus_membership(g ** derive_params(2, 3, 5).norm_exponents[15], 15)
 
     def test_membership_zero_rejected(self):
         f = make_ext_field(7, 15)
@@ -446,7 +461,7 @@ class TestPackedKernel:
 
     def test_equal_fields_from_distinct_objects_multiply(self):
         f = make_ext_field(7, 3)
-        twin = ExtField(7, 3, f.modulus)
+        twin = ExtField(7, f.modulus)
         assert twin is not f
         x, y = f.element([1, 2, 3]), twin.element([4, 5, 6])
         assert (x * y).coeffs == schoolbook_mulmod((1, 2, 3), (4, 5, 6), modulus_of(f), 7)

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from cyclokit import torus
-from cyclokit.cyclotomic import PrimePair, factorize
+from cyclokit.cyclotomic import PrimePair
 from cyclokit.finitefield import make_ext_field, random_nonzero
 from cyclokit.intpoly import IntPoly, ScaledPoly
 from cyclokit.inverses import verify_closed_forms
@@ -33,7 +33,6 @@ def _components():
 RECORDS = {
     "IntPoly": (lambda: IntPoly((1, 2)), "coeffs"),
     "ScaledPoly": (lambda: ScaledPoly(IntPoly((1, 2)), 3), "den"),
-    "Factorization": (lambda: factorize(12), "pairs"),
     "PrimePair": (lambda: PrimePair.of(3, 5), "p"),
     "InverseReport": (lambda: verify_closed_forms(PrimePair.of(2, 3))[0], "case_id"),
     "ExtFieldElement": (lambda: make_ext_field(5, 2).one, "packed"),
@@ -98,7 +97,6 @@ def test_pickle_round_trip(name):
 def test_repr_names_the_fields():
     assert repr(PrimePair.of(3, 5)) == "PrimePair(p=3, r=5)"
     assert repr(ScaledPoly(IntPoly((1, 1)), 3)) == "ScaledPoly(num=IntPoly('X + 1'), den=3)"
-    assert repr(factorize(12)) == "Factorization(pairs=((2, 2), (3, 1)))"
 
 
 def test_constructors_keep_their_parameters():

@@ -74,11 +74,6 @@ def test_no_bare_assert_in_src():
     assert not found, found
 
 
-# acceptance criterion 03 checks the ratio criterion against the resultant;
-# no code path in the package needs the criterion itself
-API_READER_EXEMPT = {"nontrivial_resultant"}
-
-
 def _readers(path: pathlib.Path) -> set[str]:
     """Names a module reads by Name or Attribute, outside the definition of the same name."""
     found = set()
@@ -116,4 +111,4 @@ def test_public_api_has_a_reader_outside_tests():
         if isinstance(node, ast.ImportFrom) and node.module == "cyclokit":
             read.update(alias.name for alias in node.names)
     assert exported, "no names found in cyclokit/__init__.py"
-    assert sorted(exported - read - API_READER_EXEMPT) == []
+    assert sorted(exported - read) == []

@@ -105,6 +105,15 @@ class TestDeriveParams:
         for k, e in params.norm_exponents.items():
             assert cyclotomic(k).evaluate(7) * e == 7**15 - 1
 
+    def test_wrong_subgroup_order_raises(self, monkeypatch):
+        # real exponent polynomials, then a Phi_15 off by one: only the product
+        # check Phi_1 Phi_3 Phi_5 Phi_15 = q^15 - 1 can catch it
+        exps = derive_exponent_polys(3, 5)
+        monkeypatch.setattr(torus, "derive_exponent_polys", lambda p, r: exps)
+        monkeypatch.setattr(torus, "cyclotomic", lambda k: cyclotomic(k) + IntPoly.one() if k == 15 else cyclotomic(k))
+        with pytest.raises(ArithmeticError, match="7\\^15 - 1"):
+            derive_params(7, 3, 5)
+
 
 class TestRoundTrip:
     def test_identity_roundtrip(self):
