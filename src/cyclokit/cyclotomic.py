@@ -139,25 +139,21 @@ def lam_leung_phi_pr(p: int, r: int) -> IntPoly:
     (sum_{i<=s} X^{ip})(sum_{j<=t} X^{jr})
       - X^{-pr} (sum_{i=s+1}^{r-1} X^{ip})(sum_{j=t+1}^{p-1} X^{jr}),
     where the second product only involves exponents > pr, so the shift
-    stays polynomial. The result equals cyclotomic(p*r).
+    stays polynomial. The exponents ip + jr (i < r, j < p) are pairwise distinct,
+    so each term of either product places its own +1 or -1. The result equals
+    cyclotomic(p*r).
     """
     s, t = lam_leung_split(p, r)
-
-    def comb(lo_i, hi_i, step_i, lo_j, hi_j, step_j):
-        a = [0] * (hi_i * step_i + 1)
-        for i in range(lo_i, hi_i + 1):
-            a[i * step_i] = 1
-        b = [0] * (hi_j * step_j + 1)
-        for j in range(lo_j, hi_j + 1):
-            b[j * step_j] = 1
-        return IntPoly(tuple(a)) * IntPoly(tuple(b))
-
-    first = comb(0, s, p, 0, t, r)
-    second = comb(s + 1, r - 1, p, t + 1, p - 1, r)
     n = p * r
-    if any(second.coeffs[:n]):
+    if (s + 1) * p + (t + 1) * r < n:
         raise ArithmeticError(f"second product does not start above X^{n} for ({p}, {r})")
-    return first - IntPoly(second.coeffs[n:])
+    out = [0] * ((p - 1) * (r - 1) + 1)
+    for i in range(s + 1):
+        out[i * p : i * p + (t + 1) * r : r] = [1] * (t + 1)
+    for i in range(s + 1, r):
+        lo = i * p + (t + 1) * r - n
+        out[lo : lo + (p - 1 - t) * r : r] = [-1] * (p - 1 - t)
+    return IntPoly(tuple(out))
 
 
 def resultant_apostol(m: int, n: int) -> int:

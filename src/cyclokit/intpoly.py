@@ -11,14 +11,14 @@ and keeps gcd(content, den) = 1, so every rational-coefficient result
 (Bezout cofactors, modular inverses) has exactly one representation.
 
 Arithmetic over Q never leaves Z[X]: one fraction-free pseudo-division,
-``_pseudo_divrem``, is the only long division. It has two evaluation orders,
-selected by cost from the inputs: a loop over the divisor's nonzero terms, and
-one packed bigint division, kept only under an exact certificate. It serves
-``divrem_exact`` (a monic divisor, scale 1), the subresultant ``resultant`` and
-the Bezout pairs of ``xgcd_rational``: Euclid on primitive int-list remainders,
-with one denominator per cofactor, carries only the short cofactor, and an
-exact residual division gives the other. ``_mul``, one packed bigint product
-(Kronecker substitution), is the only multiply in Z[X].
+``_pseudo_divrem``, is the only long division. It scales the dividend once, then divides
+it in one of two evaluation orders, selected by cost from the inputs: a loop over the
+divisor's nonzero terms, whose quotient digits are exact divisions by the leading
+coefficient, or one packed bigint division, kept only under an exact certificate. It
+serves ``divrem_exact`` (a monic divisor, scale 1), the subresultant ``resultant`` and
+the Bezout pairs of ``xgcd_rational``: Euclid on primitive int-list remainders, with one
+denominator per cofactor, carries only the short cofactor, and an exact residual division
+gives the other. ``_mul``, one packed bigint product, is the only multiply in Z[X].
 """
 
 from __future__ import annotations
@@ -285,30 +285,29 @@ def _pseudo_divrem(a, b) -> tuple[int, list[int], list[int]]:
 
     scale*a = Q*b + R with deg R < deg b and
     scale = lc(b)^max(deg a - deg b + 1, 0), so every step stays integral;
-    Q has one entry per step. b must be nonzero with a nonzero last entry; a
-    monic b skips the scaling.
+    Q has one entry per step. b must be nonzero with a nonzero last entry.
+    Both evaluation orders divide the same once-scaled dividend scale*a by b.
 
-    The loop makes steps*len(low) updates. From ``_PACKED_DIVISION_MIN_WORK`` of them
-    per dividend slot, a packed division comes first, at each w = 8, 16, 32, 64 bits
-    whose slots hold scale*a and b: Q and R are the balanced w-bit digits of
-    Qi = round(A/B) and A - Qi*B, for A, B the packed scale*a and b. They are kept
-    only if max|Q|*sum|b| + max|R| + max|scale*a| < 2^w: P = Q*b + R - scale*a is
-    zero at 2^w, so its lowest nonzero coefficient would be a multiple of 2^w, and
-    none is. Then P = 0, and Q, R are the unique pseudo-quotient and remainder.
+    The loop makes steps*len(low) updates and takes each quotient digit as an exact
+    division by lc(b). From ``_PACKED_DIVISION_MIN_WORK`` updates per dividend slot, a
+    packed division comes first, at each w = 8, 16, 32, 64 bits whose slots hold
+    scale*a and b: Q and R are the balanced w-bit digits of Qi = round(A/B) and
+    A - Qi*B, for A, B the packed scale*a and b. They are kept only if
+    max|Q|*sum|b| + max|R| + max|scale*a| < 2^w: P = Q*b + R - scale*a is zero at 2^w,
+    so its lowest nonzero coefficient would be a multiple of 2^w, and none is. Then
+    P = 0, and Q, R are the unique pseudo-quotient and remainder.
     """
     db = len(b) - 1
     lc = b[-1]
     steps = max(len(a) - db, 0)
-    if lc == -1:  # a = Q'*(-b) + R', so no step rescales the remainder
-        sign = (-1) ** steps
-        _, q, r = _pseudo_divrem(a, [-x for x in b])
-        return sign, [-sign * x for x in q], [sign * x for x in r]
+    scale = lc**steps
+    if scale != 1:
+        a = [scale * x for x in a]
     low = [(i, bc) for i, bc in enumerate(b[:-1]) if bc]  # cyclotomics and moduli are sparse
     if steps and steps * len(low) >= _PACKED_DIVISION_MIN_WORK * len(a):
-        scale = lc**steps
-        top, norm = abs(scale) * _height(a), sum(map(abs, b))
+        top, norm = _height(a), sum(map(abs, b))
         for size in (s for s in _SLOT_TYPES if (top + norm).bit_length() < 8 * s):
-            A, B = _pack(a if scale == 1 else [scale * x for x in a], size), _pack(b, size)
+            A, B = _pack(a, size), _pack(b, size)
             qi, ri = divmod(A + (B >> 1), B)  # qi = round(A/B), ri = A - qi*B + (B >> 1)
             q, r = _unpack(qi, size, steps), _unpack(ri - (B >> 1), size, db)
             if None not in (q, r) and _height(q) * norm + _height(r) + top < 1 << (8 * size):
@@ -316,22 +315,14 @@ def _pseudo_divrem(a, b) -> tuple[int, list[int], list[int]]:
     r = list(a)
     q = [0] * steps
     for k in range(steps - 1, -1, -1):
-        # lc*r - c*X^k*b cancels the top term c*X^(k+db)
+        # lc^(k+1) divides all of r: so it does scale*a, and subtracting (c/lc)*X^k*b,
+        # which cancels the top term c*X^(k+db), leaves a multiple of lc^k
         c = r.pop()
-        if lc != 1:
-            r = [x * lc for x in r]
         if c:
-            q[k] = c
+            q[k] = c = c // lc
             for i, bc in low:
                 r[k + i] -= c * bc
-    if lc == 1:
-        return 1, q, r
-    # q[k] was taken before the k later steps that scale everything by lc
-    power = 1
-    for k in range(steps):
-        q[k] *= power
-        power *= lc
-    return power, q, r
+    return scale, q, r
 
 
 def xgcd_rational(a: IntPoly, b: IntPoly) -> tuple[ScaledPoly, ScaledPoly]:

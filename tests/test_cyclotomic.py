@@ -126,6 +126,13 @@ class TestLamLeung:
         assert lam_leung_phi_pr(2, 3) == cyclotomic(6)
         assert lam_leung_phi_pr(7, 11) == cyclotomic(77)
 
+    def test_matches_cyclotomic_in_both_orders(self):
+        primes = primes_upto(61)
+        for p in primes:
+            for r in primes:
+                if p < r:
+                    assert lam_leung_phi_pr(p, r) == lam_leung_phi_pr(r, p) == cyclotomic(p * r)
+
     def test_coefficient_set_small_pairs(self):
         for p, r in [(2, 3), (2, 5), (3, 5), (3, 7), (5, 7), (5, 11)]:
             assert all(c in (-1, 0, 1) for c in lam_leung_phi_pr(p, r).coeffs)

@@ -220,6 +220,7 @@ class TestPseudoDivrem:
     @example(([], [1] * 13))  # an empty dividend takes no step
     @example(([5] * 12, [1] * 13))  # deg a < deg b
     @example(([3] * 80, [-1] * 13 + [2]))  # non-monic: scale 2^67 outgrows the 8-byte slots
+    @example(([7] * 20, [1, -2, 3, -(2**70 + 1)]))  # the loop's digits: exact 71-bit divisions
     def test_identity_and_degree(self, case):
         a, b = case
         scale, q, r = _pseudo_divrem(a, b)
@@ -231,7 +232,7 @@ class TestPseudoDivrem:
         "a, b, packed",
         [
             (cyclotomic(899).coeffs, cyclotomic(29).coeffs, True),  # the oracle's first Euclid step
-            (cyclotomic(899).coeffs, [-1] * 20 + [1], True),  # lc -1: the monic -b
+            (cyclotomic(899).coeffs, [-1] * 20 + [1], True),  # lc -1: scale (-1)^steps, packed like any lc
             ([1] * 60, [1] * 40 + [2], True),  # non-monic, scale 2^20 fits
             ((-1,) + (0,) * 898 + (1,), (-1, 1), False),  # X - 1 is sparse
             (cyclotomic(899).coeffs, (-1,) + (0,) * 28 + (1,), False),  # so is X^29 - 1
