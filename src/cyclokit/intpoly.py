@@ -315,8 +315,8 @@ def _pseudo_divrem(a, b) -> tuple[int, list[int], list[int]]:
     r = list(a)
     q = [0] * steps
     for k in range(steps - 1, -1, -1):
-        # lc^(k+1) divides all of r: so it does scale*a, and subtracting (c/lc)*X^k*b,
-        # which cancels the top term c*X^(k+db), leaves a multiple of lc^k
+        # lc^(k+1) divides every entry of r, as it does scale*a; subtracting (c/lc)*X^k*b
+        # cancels the top term c*X^(k+db) and leaves a multiple of lc^k
         c = r.pop()
         if c:
             q[k] = c = c // lc

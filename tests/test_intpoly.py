@@ -232,12 +232,13 @@ class TestPseudoDivrem:
         "a, b, packed",
         [
             (cyclotomic(899).coeffs, cyclotomic(29).coeffs, True),  # the oracle's first Euclid step
-            (cyclotomic(899).coeffs, [-1] * 20 + [1], True),  # lc -1: scale (-1)^steps, packed like any lc
+            (cyclotomic(899).coeffs, [-1] * 20 + [1], True),  # monic, every low term negative
             ([1] * 60, [1] * 40 + [2], True),  # non-monic, scale 2^20 fits
             ((-1,) + (0,) * 898 + (1,), (-1, 1), False),  # X - 1 is sparse
             (cyclotomic(899).coeffs, (-1,) + (0,) * 28 + (1,), False),  # so is X^29 - 1
             ([], cyclotomic(29).coeffs, False),  # no step
             ([1] * 28, cyclotomic(29).coeffs, False),
+            (cyclotomic(899).coeffs, [1] * 20 + [-1], True),  # lc -1: scale (-1)^steps
         ],
     )
     def test_dense_divisors_take_the_packed_division(self, monkeypatch, a, b, packed):
