@@ -12,9 +12,10 @@ and keeps gcd(content, den) = 1, so every rational-coefficient result
 
 Arithmetic over Q never leaves Z[X]: one fraction-free pseudo-division,
 ``_pseudo_divrem``, is the only long division. It scales the dividend once, then divides
-it in one of two evaluation orders, selected by cost from the inputs: a loop over the
-divisor's nonzero terms, whose quotient digits are exact divisions by the leading
-coefficient, or one packed bigint division, kept only under an exact certificate. It
+it in one of three evaluation orders, chosen from the inputs: Horner's rule as one
+``accumulate`` for a monic X - c; a loop over the divisor's nonzero terms, whose quotient
+digits are exact divisions by the leading coefficient; or one packed bigint division, at
+the slot width the operands' sizes predict, kept only under an exact certificate. It
 serves ``divrem_exact`` (a monic divisor, scale 1), the subresultant ``resultant`` and
 the Bezout pairs of ``xgcd_rational``: Euclid on primitive int-list remainders, with one
 denominator per cofactor, carries only the short cofactor, and an exact residual division
@@ -26,7 +27,8 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from itertools import repeat, zip_longest
+from itertools import accumulate, repeat, zip_longest
+from operator import add, mul, neg
 
 NEG_INF = float("-inf")
 
@@ -180,13 +182,16 @@ class IntPoly(_Record):
         return acc
 
     def scalar_div_exact(self, g: int) -> IntPoly:
-        if any(c % g for c in self.coeffs):
+        if not self.coeffs:
+            return self
+        quotients, remainders = zip(*map(divmod, self.coeffs, repeat(g)))
+        if any(remainders):
             raise ValueError(f"coefficients not divisible by {g}")
-        return IntPoly(tuple(c // g for c in self.coeffs))
+        return IntPoly(quotients)
 
     def to_decimal_strings(self) -> list[str]:
         """Little-endian decimal-string form used by the CLI."""
-        return [str(c) for c in self.coeffs]
+        return list(map(str, self.coeffs))
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -195,20 +200,17 @@ class IntPoly(_Record):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(tuple(out))
+        return IntPoly((*map(add, a, b), *a[len(b) :]))
 
     def __sub__(self, other: IntPoly) -> IntPoly:
         return self + (-other)
 
     def __neg__(self) -> IntPoly:
-        return IntPoly(tuple(-c for c in self.coeffs))
+        return IntPoly(tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other: IntPoly | int):
         if isinstance(other, int):
-            return IntPoly(tuple(c * other for c in self.coeffs))
+            return IntPoly(tuple(map(mul, self.coeffs, repeat(other))))
         if not isinstance(other, IntPoly):
             return NotImplemented
         return IntPoly(tuple(_mul(self.coeffs, other.coeffs)))
@@ -275,8 +277,9 @@ class ScaledPoly(_Record):
         return {"num": self.num.to_decimal_strings(), "den": str(self.den)}
 
 
-# Measured crossover on the theorem-1 sweep's divisions: below 8 loop updates per dividend
-# slot, as for X^d - 1 or Euclid's short, wide steps over Q, packing costs more than it saves.
+# Measured on the theorem-1 sweep's divisions by other than X - c: below 8 loop updates per
+# dividend slot, as in Euclid's short steps over Q, packing costs more than it saves; from 8
+# to 32 updates the packed division is 2-4 times faster.
 _PACKED_DIVISION_MIN_WORK = 8
 
 
@@ -286,12 +289,15 @@ def _pseudo_divrem(a, b) -> tuple[int, list[int], list[int]]:
     scale*a = Q*b + R with deg R < deg b and
     scale = lc(b)^max(deg a - deg b + 1, 0), so every step stays integral;
     Q has one entry per step. b must be nonzero with a nonzero last entry.
-    Both evaluation orders divide the same once-scaled dividend scale*a by b.
+    Every evaluation order divides the same once-scaled dividend scale*a by b.
 
-    The loop makes steps*len(low) updates and takes each quotient digit as an exact
-    division by lc(b). From ``_PACKED_DIVISION_MIN_WORK`` updates per dividend slot, a
-    packed division comes first, at each w = 8, 16, 32, 64 bits whose slots hold
-    scale*a and b: Q and R are the balanced w-bit digits of Qi = round(A/B) and
+    A monic X - c takes Horner's rule: the partial values of one ``accumulate`` from the
+    top of a are Q, top digit first, then R = a(c). Otherwise the loop makes steps*len(low)
+    updates and takes each quotient digit as an exact division by lc(b). From
+    ``_PACKED_DIVISION_MIN_WORK`` updates per dividend slot, a packed division comes first,
+    at w = 8, 16, 32 or 64 bits: from the narrowest whose slots hold (max|scale*a| +
+    sum|b|)*sum|b|, a guess at max|Q|*sum|b|, or else at the widest that holds
+    max|scale*a| + sum|b|. Q and R are the balanced w-bit digits of Qi = round(A/B) and
     A - Qi*B, for A, B the packed scale*a and b. They are kept only if
     max|Q|*sum|b| + max|R| + max|scale*a| < 2^w: P = Q*b + R - scale*a is zero at 2^w,
     so its lowest nonzero coefficient would be a multiple of 2^w, and none is. Then
@@ -299,14 +305,18 @@ def _pseudo_divrem(a, b) -> tuple[int, list[int], list[int]]:
     """
     db = len(b) - 1
     lc = b[-1]
+    if db == 1 and lc == 1:  # h_k = c*h_(k+1) + a_k for b = X - c
+        h = list(accumulate(reversed(a), add if b[0] == -1 else lambda acc, x: x - b[0] * acc))
+        return 1, h[-2::-1], h[-1:]
     steps = max(len(a) - db, 0)
     scale = lc**steps
     if scale != 1:
-        a = [scale * x for x in a]
+        a = list(map(mul, a, repeat(scale)))
     low = [(i, bc) for i, bc in enumerate(b[:-1]) if bc]  # cyclotomics and moduli are sparse
     if steps and steps * len(low) >= _PACKED_DIVISION_MIN_WORK * len(a):
         top, norm = _height(a), sum(map(abs, b))
-        for size in (s for s in _SLOT_TYPES if (top + norm).bit_length() < 8 * s):
+        fits = [s for s in _SLOT_TYPES if (top + norm).bit_length() < 8 * s]
+        for size in [s for s in fits if ((top + norm) * norm).bit_length() < 8 * s] or fits[-1:]:
             A, B = _pack(a, size), _pack(b, size)
             qi, ri = divmod(A + (B >> 1), B)  # qi = round(A/B), ri = A - qi*B + (B >> 1)
             q, r = _unpack(qi, size, steps), _unpack(ri - (B >> 1), size, db)
@@ -359,7 +369,8 @@ def xgcd_rational(a: IntPoly, b: IntPoly) -> tuple[ScaledPoly, ScaledPoly]:
     # deg s0 = deg b - deg r_{k-1} < deg b for the last remainder r_k = c,
     # so U = s0/c needs no reduction; b*V = den - a*U must divide exactly
     u = ScaledPoly(IntPoly(s0), d0 * r0[0])
-    residual = [c - x for c, x in zip_longest([u.den], _mul(a.coeffs, u.num.coeffs), fillvalue=0)]
+    residual = list(map(neg, _mul(a.coeffs, u.num.coeffs))) or [0]
+    residual[0] += u.den
     scale, q, rem = _pseudo_divrem(residual, b.coeffs)
     if any(rem):
         raise ArithmeticError("Bezout residual does not divide exactly")

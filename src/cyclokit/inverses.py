@@ -23,8 +23,11 @@ Case ids (m index vs modulus index):
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import eq
+
 from .cyclotomic import PrimePair, cyclotomic, euler_phi, is_prime
-from .intpoly import IntPoly, ScaledPoly, _Record, divrem_exact, xgcd_rational
+from .intpoly import NEG_INF, IntPoly, ScaledPoly, _height, _Record, divrem_exact, xgcd_rational
 
 CASE_IDS = ("i-a", "i-b", "ii-a", "ii-b", "iii-a", "iii-b", "iv")
 
@@ -57,15 +60,16 @@ def closed_form_i(p: int) -> tuple[ScaledPoly, ScaledPoly]:
 
 
 def closed_form_ii(pair: PrimePair) -> tuple[ScaledPoly, ScaledPoly]:
-    """Case ii: (U, V) with Phi_pr*U + (X-1)*V = 1: U = 1, V solved from (X-1)*V = 1 - Phi_pr.
+    """Case ii: (U, V) with Phi_pr*U + (X-1)*V = 1: U = 1, V = (1 - Phi_pr) / (X-1).
 
-    The prefix-sum structure of that triangular system keeps every
-    coefficient of V in {-1, 0, 1}.
+    With Phi_pr = a_0 + a_1 X + ..., coefficient i of V is the prefix sum
+    a_0 + ... + a_i - 1. The division is exact since Phi_pr(1) = 1: the last
+    prefix sum, a_0 + ... + a_{phi(pr)} - 1, is checked to be 0.
     """
-    v, rem = divrem_exact(IntPoly.one() - cyclotomic(pair.n), cyclotomic(1))
-    if not rem.is_zero:
+    sums = list(accumulate(cyclotomic(pair.n).coeffs, initial=-1))
+    if sums[-1]:
         raise ArithmeticError(f"X - 1 does not divide 1 - Phi_pr for ({pair.p}, {pair.r})")
-    return ScaledPoly(IntPoly.one(), 1), ScaledPoly(v, 1)
+    return ScaledPoly(IntPoly.one(), 1), ScaledPoly(IntPoly(tuple(sums[1:-1])), 1)
 
 
 def closed_form_iii(pair: PrimePair) -> tuple[ScaledPoly, ScaledPoly]:
@@ -112,22 +116,12 @@ def difference_inverse(p: int, r: int) -> IntPoly:
     du = (IntPoly.monomial(1) - IntPoly.one()) * u
     if du.degree >= r:
         raise ArithmeticError(f"difference inverse has degree {du.degree} >= {r}")
-    if any(c not in (-1, 0, 1) for c in du.coeffs):
+    if _height(du.coeffs) > 1:
         raise ValueError("difference inverse has a coefficient outside {-1, 0, 1}")
-    if not _signs_alternate(du):
+    signs = list(filter(None, du.coeffs))  # each -1 or 1 by now
+    if any(map(eq, signs, signs[1:])):
         raise ValueError(f"difference inverse signs do not alternate for ({p}, {r})")
     return du
-
-
-def _signs_alternate(poly: IntPoly) -> bool:
-    last = 0
-    for c in poly.coeffs:
-        if c == 0:
-            continue
-        if c * last > 0:
-            return False
-        last = c
-    return True
 
 
 class InverseReport(_Record):
@@ -161,12 +155,13 @@ def _bound_holds(case_id: str, pair: PrimePair, closed: ScaledPoly) -> bool:
     """The coefficient bound of a case; i-a, ii-a and iii-a have none beyond their formula."""
     p, r = pair.p, pair.r
     den, coeffs = closed.den, closed.num.coeffs
+    lo, hi = min(coeffs, default=-NEG_INF), max(coeffs, default=NEG_INF)  # empty: none fails
     if case_id == "i-b":
-        return den == p and all(-(p - 1) <= c <= -1 for c in coeffs)
+        return den == p and -(p - 1) <= lo and hi <= -1
     if case_id in ("ii-b", "iv"):
-        return den == 1 and all(c in (-1, 0, 1) for c in coeffs)
+        return den == 1 and -1 <= lo and hi <= 1
     if case_id == "iii-b":
-        return r % den == 0 and all(c * (r // den) < r for c in coeffs)
+        return r % den == 0 and hi * (r // den) < r  # r // den >= 1 once den divides r
     if case_id not in CASE_IDS:
         raise ValueError(f"unknown case id {case_id}")
     return True
@@ -200,7 +195,7 @@ def verify_closed_forms(pair: PrimePair) -> list[InverseReport]:
                 failed = "degree"
             else:
                 failed = None if _bound_holds(case_id, pair, closed) else "bound"
-            observed = closed.num * (r // closed.den) if case_id == "iii-b" else closed.num
-            extrema = min(observed.coeffs), max(observed.coeffs)
+            k = r // closed.den if case_id == "iii-b" else 1  # k >= 0 scales both extrema
+            extrema = k * min(closed.num.coeffs), k * max(closed.num.coeffs)
             reports.append(InverseReport(pair, case_id, closed, failed, *extrema))
     return reports

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclokit import intpoly
-from cyclokit.cyclotomic import cyclotomic
+from cyclokit.cyclotomic import PrimePair, cyclotomic, primes_upto
 from cyclokit.intpoly import (
     IntPoly,
     NotCoprimeError,
@@ -20,6 +20,7 @@ from cyclokit.intpoly import (
     resultant,
     xgcd_rational,
 )
+from cyclokit.inverses import verify_closed_forms
 
 X = IntPoly.monomial(1)
 ONE = IntPoly.one()
@@ -74,6 +75,30 @@ def long_dividends(draw, b):
 
 
 long_divisions = dense_divisors.flatmap(lambda b: st.tuples(long_dividends(b), st.just(b)))
+
+# X - 1, X + 1, X - c and non-monic linear divisors [b0, lc]
+linear_divisors = st.one_of(
+    st.sampled_from(([-1, 1], [1, 1])),
+    st.integers(-(10**12), 10**12).map(lambda c: [-c, 1]),
+    st.tuples(st.integers(-9, 9), st.integers(-5, 5).filter(lambda lc: lc not in (0, 1))).map(list),
+)
+linear_dividends = st.lists(st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30)), max_size=300)
+
+
+def reference_pseudo_divrem(a, b):
+    """Textbook pseudo-division: before each step, multiply the quotient and the
+    remainder by lc(b), then subtract the top coefficient times X^k * b."""
+    db, lc = len(b) - 1, b[-1]
+    steps = max(len(a) - db, 0)
+    q, r = [0] * steps, list(a)
+    for k in range(steps - 1, -1, -1):
+        c = r[k + db]
+        q = [lc * x for x in q]
+        q[k] = c
+        r = [lc * x for x in r]
+        for i, bc in enumerate(b):
+            r[k + i] -= c * bc
+    return lc**steps, q, r[:db]
 
 
 def schoolbook_product(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -228,6 +253,18 @@ class TestPseudoDivrem:
         assert IntPoly(tuple(scale * x for x in a)) == IntPoly(tuple(_mul(q, b))) + IntPoly(tuple(r))
         assert IntPoly(tuple(r)).degree < len(b) - 1
 
+    @given(linear_dividends, linear_divisors)
+    @settings(max_examples=150, deadline=None)
+    @example([], [-1, 1])  # no step
+    @example([7], [-1, 1])  # deg a < deg b
+    @example([3], [4, -2])
+    @example([1] * 300, [1, 1])
+    @example([0, 0], [128, 1])  # an all-zero quotient
+    def test_linear_divisors_match_the_textbook_division(self, a, b):
+        scale, q, r = _pseudo_divrem(a, b)
+        assert (scale, q, r) == reference_pseudo_divrem(a, b)
+        assert IntPoly(tuple(scale * x for x in a)) == IntPoly(tuple(q)) * IntPoly(tuple(b)) + IntPoly(tuple(r))
+
     @pytest.mark.parametrize(
         "a, b, packed",
         [
@@ -247,8 +284,44 @@ class TestPseudoDivrem:
         monkeypatch.setattr(intpoly, "_unpack", lambda *args: unpacked.append(args) or unpack(*args))
         scale, q, r = _pseudo_divrem(a, b)
         assert bool(unpacked) == packed
+        if (a, b) == (cyclotomic(899).coeffs, cyclotomic(29).coeffs):
+            assert len(unpacked) == 2  # Q and R decoded once: certified at the first width
         monkeypatch.setattr(intpoly, "_PACKED_DIVISION_MIN_WORK", math.inf)
         assert _pseudo_divrem(a, b) == (scale, q, r)
+
+    def test_sweep_divisions_take_one_pass(self, monkeypatch):
+        # one verify_closed_forms pass over the primes <= 31: each packed division decodes
+        # Q and R once, at its first width, and each X -+ 1 is one Horner accumulate
+        inside, done = [], []
+
+        def counted(f, i):
+            def call(*args):
+                if inside:
+                    inside[-1][i] += 1
+                return f(*args)
+
+            return call
+
+        def divide(a, b):
+            inside.append([tuple(b), 0, 0])  # divisor, _unpack calls, accumulate calls
+            try:
+                return pseudo_divrem(a, b)
+            finally:
+                done.append(inside.pop())
+
+        pseudo_divrem = intpoly._pseudo_divrem
+        monkeypatch.setattr(intpoly, "_unpack", counted(intpoly._unpack, 1))
+        monkeypatch.setattr(intpoly, "accumulate", counted(intpoly.accumulate, 2))
+        monkeypatch.setattr(intpoly, "_pseudo_divrem", divide)
+        primes = primes_upto(31)
+        for p in primes:
+            for r in primes:
+                if p != r:
+                    verify_closed_forms(PrimePair.of(p, r))
+        packed = [unpacks for _, unpacks, _ in done if unpacks]
+        by_x_pm_1 = [horner for b, _, horner in done if b in ((-1, 1), (1, 1))]
+        assert len(packed) > 100 and set(packed) == {2}
+        assert len(by_x_pm_1) > 100 and set(by_x_pm_1) == {1}
 
 
 class TestXgcd:
@@ -275,6 +348,11 @@ class TestXgcd:
     def test_zero_input(self):
         with pytest.raises(ValueError):
             xgcd_rational(IntPoly(()), PHI3)
+
+    def test_constant_inputs(self):
+        # a*U has no coefficient when U = 0, so the residual den - a*U is the constant den
+        assert xgcd_rational(ONE, ONE) == (ScaledPoly(IntPoly(()), 1), ScaledPoly(ONE, 1))
+        assert xgcd_rational(IntPoly((2,)), IntPoly((5,))) == (ScaledPoly(IntPoly(()), 1), ScaledPoly(ONE, 5))
 
     def test_non_monic_short_dividend(self):
         # deg a < deg b - 1, so the first pseudo-division takes no step, and

@@ -4,6 +4,8 @@ import builtins
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cyclokit import cli, inverses
 from cyclokit.cyclotomic import PrimePair, cyclotomic, euler_phi, primes_upto
@@ -23,6 +25,27 @@ from cyclokit.inverses import (
 
 def reduce_mod(a: IntPoly, n: int) -> IntPoly:
     return divrem_exact(a, cyclotomic(n))[1]
+
+
+def bound_holds_per_coefficient(case_id: str, pair: PrimePair, closed: ScaledPoly) -> bool:
+    """Reference for _bound_holds: each bound tested coefficient by coefficient."""
+    p, r = pair.p, pair.r
+    den, coeffs = closed.den, closed.num.coeffs
+    if case_id == "i-b":
+        return den == p and all(-(p - 1) <= c <= -1 for c in coeffs)
+    if case_id in ("ii-b", "iv"):
+        return den == 1 and all(c in (-1, 0, 1) for c in coeffs)
+    if case_id == "iii-b":
+        return r % den == 0 and all(c * (r // den) < r for c in coeffs)
+    return True
+
+
+@st.composite
+def bound_cases(draw):
+    p, r = draw(st.sampled_from([(p, r) for p in primes_upto(13) for r in primes_upto(13) if p != r]))
+    den = draw(st.one_of(st.sampled_from((1, p, r)), st.integers(1, 2 * r)))
+    coeffs = draw(st.lists(st.integers(-r - 1, r + 1), max_size=8))
+    return draw(st.sampled_from(CASE_IDS)), PrimePair.of(p, r), ScaledPoly(IntPoly(tuple(coeffs)), den)
 
 
 def assert_bezout_pair(m: int, n: int, u: ScaledPoly, v: ScaledPoly) -> None:
@@ -142,6 +165,12 @@ class TestClosedFormII:
             assert all(c in (-1, 0, 1) for c in rev.num.coeffs)
             assert rev == inverse_mod(1, p * r)
 
+    def test_inexact_division_raises(self, monkeypatch):
+        # Phi_3(1) = 3, not 1: X - 1 does not divide 1 - Phi_3
+        monkeypatch.setattr(inverses, "cyclotomic", lambda n: IntPoly((1, 1, 1)))
+        with pytest.raises(ArithmeticError, match=r"\(3, 5\)"):
+            closed_form_ii(PrimePair.of(3, 5))
+
 
 class TestClosedFormIII:
     def test_forward_examples(self):
@@ -210,6 +239,18 @@ class TestDifferenceInverse:
                 assert du.degree < r
                 assert all(c in (-1, 0, 1) for c in du.coeffs)
 
+    @pytest.mark.parametrize(
+        "u, message",
+        [
+            (IntPoly((2,)), "outside"),  # (X - 1) * 2 = -2 + 2X
+            (IntPoly((-1, -2, -1)), "alternate"),  # (X - 1) * -(1 + X)^2 = 1 + X - X^2 - X^3
+        ],
+    )
+    def test_rejects_a_wrong_coefficient_pattern(self, monkeypatch, u, message):
+        monkeypatch.setattr(inverses, "closed_form_iv", lambda p, r: u)
+        with pytest.raises(ValueError, match=message):
+            difference_inverse(3, 5)
+
 
 class TestVerifyClosedForms:
     def test_pair_3_5(self):
@@ -239,6 +280,10 @@ class TestVerifyClosedForms:
         d = rep.to_json_dict()
         assert set(d) == {"p", "r", "case", "num", "den", "bound_satisfied", "observed_min", "observed_max"}
         assert d["p"] == 2 and d["case"] == "i-a"
+
+    @given(bound_cases())
+    def test_bound_holds_matches_the_per_coefficient_definition(self, case):
+        assert inverses._bound_holds(*case) == bound_holds_per_coefficient(*case)
 
     def test_extrema_recorded(self):
         reports = {rep.case_id: rep for rep in verify_closed_forms(PrimePair.of(3, 5))}
