@@ -131,6 +131,17 @@ class TestBasicCommands:
         assert len(err.splitlines()) == 1 and err.startswith("error:") and "Traceback" not in err
         assert run_cli(capsys, "inv", "3", "3")[0] == 3
 
+    def test_membership_failure_is_precondition_failure(self, capsys, monkeypatch):
+        def broken(comps, params):
+            raise torus.TorusMembershipError("component t1 is not in T_1")
+
+        monkeypatch.setattr(cli, "recombine", broken)
+        code, out, err = run_cli(
+            capsys, "torus", "roundtrip", "--q", "7", "--p", "3", "--r", "5", "--count", "1"
+        )
+        assert code == 3 and not out
+        assert err == "error: component t1 is not in T_1\n"
+
     def test_index_at_ceiling_is_admitted(self, capsys):
         code, out, _ = run_cli(capsys, "phi", str(INDEX_CEILING))
         assert code == 0 and last_envelope(out)["params"] == {"n": INDEX_CEILING}
@@ -240,6 +251,12 @@ class TestTorus:
             capsys, "torus", "roundtrip", "--q", "101", "--p", "23", "--r", "29"
         )
         assert code == 3 and "error" in err
+
+    def test_composite_q_is_usage_error(self, capsys):
+        # a plain ValueError from the library, not one of the CLI's own errors
+        code, out, err = run_cli(capsys, "torus", "params", "--q", "4", "--p", "3", "--r", "5")
+        assert code == 2 and not out
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "prime" in err
 
     def test_symbolic_mode_only_for_params(self, capsys):
         code, _, err = run_cli(capsys, "torus", "roundtrip", "--q", "0", "--p", "3", "--r", "5")
@@ -431,6 +448,20 @@ class TestDeterminism:
             (
                 ("verify", "--mode", "theorem1", "--max", "31"),
                 "c8b6111538125656a9f1d11f5e4705036f252b397a94a2b7339d943bbdbe5d21",
+            ),
+            # the other three sweeps at their ceilings, recorded before the exit
+            # path and the prime-pair loops of the CLI were rewritten
+            (
+                ("verify", "--mode", "lamleung", "--max", "31"),
+                "b0309fa23efa43f203a4d58c96565c5a514edb67af0de79f952588b473f766e6",
+            ),
+            (
+                ("verify", "--mode", "alternation", "--max", "31"),
+                "6e70584f34f0e3be6045fd2cd20604079bfbf0efd463863bd2994b71e804e3db",
+            ),
+            (
+                ("verify", "--mode", "resultants", "--max", "30"),
+                "bc45a1166f8af13dc90d2fa945f89bfe644d48f774aaee215b34169e1e0f144a",
             ),
             # the largest admitted cyclotomic, recorded with the construction
             # by exact division by every lower-index cyclotomic

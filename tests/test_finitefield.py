@@ -427,6 +427,31 @@ class TestPackedKernel:
         assert x ** (-e) == (x**e).inv()
         assert x ** (-(f.order - 1)) == f.one
 
+    @given(
+        field_and_vectors(1),
+        st.one_of(st.integers(-(2**100), -1), st.just(0), st.integers(2**64, 2**100)),
+        st.integers(-3, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_power_depends_only_on_the_exponent_mod_group_order(self, case, e, k):
+        f, (a,) = case
+        x = f.element(a)
+        if x.is_zero:
+            return
+        assert x**e == x ** (e + k * (f.order - 1))
+
+    @pytest.mark.parametrize("q, n", [(2, 1), (7, 3), (3, 35)])
+    def test_powers_of_zero(self, q, n):
+        f = make_ext_field(q, n)
+        assert f.zero**0 == f.one
+        # multiples of q^n - 1 included: x^(q^n - 1) = 1 holds only for nonzero x
+        for e in (1, 2, f.order - 1, f.order, 2 * (f.order - 1), 2**100):
+            assert f.zero**e == f.zero
+        with pytest.raises(ZeroDivisionError):
+            f.zero ** (-1)
+        with pytest.raises(ZeroDivisionError):
+            f.zero.inv()
+
     def test_negative_power_of_zero_raises(self):
         for q, n in ((2, 1), (7, 3), (3, 35)):
             with pytest.raises(ZeroDivisionError):

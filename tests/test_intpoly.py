@@ -289,6 +289,13 @@ class TestPseudoDivrem:
         monkeypatch.setattr(intpoly, "_PACKED_DIVISION_MIN_WORK", math.inf)
         assert _pseudo_divrem(a, b) == (scale, q, r)
 
+    def test_quotient_that_outgrows_its_first_slots(self):
+        # X^300 / (X - 1)^9: a packed division is tried at 4-byte slots, where the
+        # quotient's binomial coefficients C(k + 8, 8) no longer fit
+        a = [0] * 300 + [1]
+        b = [math.comb(9, i) * (-1) ** (9 - i) for i in range(10)]
+        assert _pseudo_divrem(a, b) == reference_pseudo_divrem(a, b)
+
     def test_sweep_divisions_take_one_pass(self, monkeypatch):
         # one verify_closed_forms pass over the primes <= 31: each packed division decodes
         # Q and R once, at its first width, and each X -+ 1 is one Horner accumulate

@@ -2,8 +2,8 @@
 
 Each script in scripts/ runs on small arguments and prints its summary,
 every name the benchmark's traced run wraps still exists in src/, no
-module in src/ relies on a bare assert, and every name the package exports
-has a reader outside the tests.
+module in src/ relies on a bare assert, every name the package exports
+has a reader outside the tests, and the README's library example runs.
 """
 
 import ast
@@ -92,6 +92,15 @@ def _readers(path: pathlib.Path) -> set[str]:
     return found
 
 
+def _readme_example() -> str:
+    readme = (ROOT / "README.md").read_text()
+    return readme.split("## Library example", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_runs():
+    exec(compile(_readme_example(), "README.md", "exec"), {})
+
+
 def test_public_api_has_a_reader_outside_tests():
     # no public API that only the tests use: every name the package exports
     # is read in src/, scripts/ or perfbench/, or imported by the README example
@@ -105,9 +114,7 @@ def test_public_api_has_a_reader_outside_tests():
     sources = [p for p in (ROOT / "src" / "cyclokit").rglob("*.py") if p != init]
     sources += [*(ROOT / "scripts").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
     read = set().union(*map(_readers, sources))
-    readme = (ROOT / "README.md").read_text()
-    example = readme.split("## Library example", 1)[1].split("```python", 1)[1].split("```", 1)[0]
-    for node in ast.walk(ast.parse(example)):
+    for node in ast.walk(ast.parse(_readme_example())):
         if isinstance(node, ast.ImportFrom) and node.module == "cyclokit":
             read.update(alias.name for alias in node.names)
     assert exported, "no names found in cyclokit/__init__.py"
