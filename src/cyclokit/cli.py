@@ -23,6 +23,7 @@ import math
 import random
 import sys
 import time
+from itertools import combinations, permutations
 
 from .cyclotomic import (
     PrimePair,
@@ -76,7 +77,7 @@ class PreconditionError(ValueError):
 
 def _poly_payload(value: IntPoly | ScaledPoly) -> dict:
     if isinstance(value, IntPoly):
-        return {"num": value.to_decimal_strings(), "den": "1"}
+        value = ScaledPoly(value)
     return value.to_json_dict()
 
 
@@ -132,17 +133,13 @@ def _cmd_eval(args) -> tuple[dict, dict, int]:
 
 
 def _verify_theorem1(bound: int):
-    primes = primes_upto(bound)
-    for p in primes:
-        for r in primes:
-            if p == r:
-                continue
-            for report in verify_closed_forms(PrimePair.of(p, r)):
-                line = report.to_json_dict()
-                line["ok"] = report.bound_satisfied
-                if not line["ok"]:  # passing lines keep their bytes
-                    line["failed_check"] = report.failed_check
-                yield line
+    for p, r in permutations(primes_upto(bound), 2):
+        for report in verify_closed_forms(PrimePair.of(p, r)):
+            line = report.to_json_dict()
+            line["ok"] = report.bound_satisfied
+            if not line["ok"]:  # passing lines keep their bytes
+                line["failed_check"] = report.failed_check
+            yield line
 
 
 def _verify_resultants(bound: int):
@@ -163,27 +160,21 @@ def _verify_resultants(bound: int):
 
 
 def _verify_lamleung(bound: int):
-    primes = primes_upto(bound)
-    for i, p in enumerate(primes):
-        for r in primes[i + 1 :]:
-            built = lam_leung_phi_pr(p, r)
-            ok = built == cyclotomic(p * r) and _height(built.coeffs) <= 1
-            yield {"p": p, "r": r, "ok": ok}
+    for p, r in combinations(primes_upto(bound), 2):
+        built = lam_leung_phi_pr(p, r)
+        ok = built == cyclotomic(p * r) and _height(built.coeffs) <= 1
+        yield {"p": p, "r": r, "ok": ok}
 
 
 def _verify_alternation(bound: int):
-    primes = primes_upto(bound)
-    for p in primes:
-        for r in primes:
-            if p == r:
-                continue
-            try:
-                du = difference_inverse(p, r)
-                ok = True
-                coeffs = du.to_decimal_strings()
-            except ValueError:
-                ok, coeffs = False, []
-            yield {"p": p, "r": r, "ok": ok, "coeffs": coeffs}
+    for p, r in permutations(primes_upto(bound), 2):
+        try:
+            du = difference_inverse(p, r)
+            ok = True
+            coeffs = du.to_decimal_strings()
+        except ValueError:
+            ok, coeffs = False, []
+        yield {"p": p, "r": r, "ok": ok, "coeffs": coeffs}
 
 
 _VERIFY_MODES = {
@@ -265,12 +256,7 @@ def _torus_roundtrip_payload(args) -> tuple[dict, int]:
                 json.dumps(
                     {
                         "x": coeffs(x),
-                        "components": {
-                            "t1": coeffs(comps.t1),
-                            "tp": coeffs(comps.tp),
-                            "tr": coeffs(comps.tr),
-                            "tpr": coeffs(comps.tpr),
-                        },
+                        "components": {name: coeffs(getattr(comps, name)) for name in comps._fields},
                         "recombined": coeffs(back),
                         "ok": ok,
                     }
@@ -384,6 +370,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# the first row that matches gives the exit code, so a subclass comes before its base
+_EXIT_CODES = (
+    (UsageError, EXIT_USAGE),
+    ((NotCoprimeError, TorusMembershipError, PreconditionError, ZeroDivisionError), EXIT_PRECONDITION),
+    (ArithmeticError, EXIT_CHECK_FAILED),  # a load-bearing invariant failed
+    (ValueError, EXIT_USAGE),
+)
+
 _HANDLERS = {
     "phi": _cmd_phi,
     "res": _cmd_res,
@@ -400,25 +394,12 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         params, result, code = _HANDLERS[args.command](args)
-    except UsageError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NotCoprimeError, TorusMembershipError, PreconditionError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ArithmeticError as exc:  # a load-bearing invariant failed
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
     _emit(args.command, params, result, started)
     return code
 
 
 def entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

@@ -15,12 +15,12 @@ takes every slot mod q, and a Barrett step on polynomials, with
 mu = floor(X^(2n-2) / f) over F_q, reduces mod the modulus f. A reduced
 residue has every slot in [0, q) and nothing above slot n - 1, so equal
 elements hold equal integers. A product is one bigint product and one
-reduce; a power runs its ladder on the stored integer, and a negative
-exponent is first reduced mod q^n - 1, so x^(-e) is one ladder too. Inversion
-(Fermat: x^(-1) = x^(q^n - 2)) and the Rabin irreducibility test behind the
-modulus search run on the same kernel; coefficients are unpacked only when
-read. The only long division is intpoly's: it gives mu, and it reduces
-over-long input vectors mod the modulus.
+reduce. A power of a nonzero element reduces its exponent, of either sign,
+mod q^n - 1, then runs one ladder on the stored integer, so x^(-1) is Fermat's
+x^(q^n - 2); zero has 0^0 = 1, 0^e = 0 for e > 0 and no negative powers. The
+Rabin irreducibility test behind the modulus search runs on the same kernel;
+coefficients are unpacked only when read. The only long division is
+intpoly's: it gives mu, and it reduces over-long input vectors mod the modulus.
 """
 
 from __future__ import annotations
@@ -136,16 +136,13 @@ class ExtField:
             raise ValueError("modulus is reducible")
         self.q = q
         self.n = n
+        self.order = q**n
         self.modulus = IntPoly(mod)
         self._pack, self._unpack, self._reduce = kernel
 
     def __reduce__(self):
         # pickle by construction data; the kernel's functions are closures
         return ExtField, (self.q, self.modulus)
-
-    @property
-    def order(self) -> int:
-        return self.q**self.n
 
     def element(self, coeffs) -> ExtFieldElement:
         q = self.q
@@ -241,16 +238,15 @@ class ExtFieldElement(_Record):
         return ExtFieldElement(field, field._reduce(self.packed * other.packed))
 
     def inv(self) -> ExtFieldElement:
-        if self.is_zero:
-            raise ZeroDivisionError("inversion of zero")
-        return self ** (self.field.order - 2)  # Fermat: x^(q^n - 1) = 1
+        return self**-1
 
     def __pow__(self, e: int) -> ExtFieldElement:
         field = self.field
-        if e < 0:  # x^e = x^(e mod (q^n - 1)) on nonzero x: one ladder, no inversion
-            if self.is_zero:
+        if self.is_zero:
+            if e < 0:
                 raise ZeroDivisionError("negative power of zero")
-            e %= field.order - 1
+            return self if e else field.one
+        e %= field.order - 1  # x^(q^n - 1) = 1 on nonzero x, so x^(-1) = x^(q^n - 2)
         if e == 0:
             return field.one
         return ExtFieldElement(field, _packed_pow(self.packed, e, field._reduce))

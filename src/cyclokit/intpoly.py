@@ -15,11 +15,13 @@ Arithmetic over Q never leaves Z[X]: one fraction-free pseudo-division,
 it in one of three evaluation orders, chosen from the inputs: Horner's rule as one
 ``accumulate`` for a monic X - c; a loop over the divisor's nonzero terms, whose quotient
 digits are exact divisions by the leading coefficient; or one packed bigint division, at
-the slot width the operands' sizes predict, kept only under an exact certificate. It
+the one slot width the operands' sizes predict, kept only under an exact certificate. It
 serves ``divrem_exact`` (a monic divisor, scale 1), the subresultant ``resultant`` and
 the Bezout pairs of ``xgcd_rational``: Euclid on primitive int-list remainders, with one
 denominator per cofactor, carries only the short cofactor, and an exact residual division
-gives the other. ``_mul``, one packed bigint product, is the only multiply in Z[X].
+gives the other. ``_mul``, one packed bigint product, multiplies in Z[X], except that
+``cyclotomic`` multiplies by the sparse X^d - 1 by shift and subtract, as a dense product
+would be slower.
 """
 
 from __future__ import annotations
@@ -113,11 +115,11 @@ def _unpack(x: int, size: int, count: int) -> list[int] | None:
 
 
 def _mul(a, b) -> list[int]:
-    """Product of little-endian int lists by Kronecker substitution: one bigint
-    product of slots wide enough for any product coefficient and its sign."""
+    """Product of little-endian int lists by Kronecker substitution: one bigint product
+    of slots wide enough for any product coefficient and its sign, and for each factor."""
     if not a or not b:
         return []
-    bound = _height(a) * _height(b) * min(len(a), len(b))
+    bound = (_height(a) or 1) * (_height(b) or 1) * min(len(a), len(b))
     size = min((s for s in _SLOT_TYPES if 8 * s > bound.bit_length()), default=bound.bit_length() // 8 + 1)
     return _unpack(_pack(a, size) * _pack(b, size), size, len(a) + len(b) - 1)
 
@@ -294,10 +296,10 @@ def _pseudo_divrem(a, b) -> tuple[int, list[int], list[int]]:
     A monic X - c takes Horner's rule: the partial values of one ``accumulate`` from the
     top of a are Q, top digit first, then R = a(c). Otherwise the loop makes steps*len(low)
     updates and takes each quotient digit as an exact division by lc(b). From
-    ``_PACKED_DIVISION_MIN_WORK`` updates per dividend slot, a packed division comes first,
-    at w = 8, 16, 32 or 64 bits: from the narrowest whose slots hold (max|scale*a| +
-    sum|b|)*sum|b|, a guess at max|Q|*sum|b|, or else at the widest that holds
-    max|scale*a| + sum|b|. Q and R are the balanced w-bit digits of Qi = round(A/B) and
+    ``_PACKED_DIVISION_MIN_WORK`` updates per dividend slot, one packed division comes
+    first, at the narrowest w of 8, 16, 32 or 64 bits whose slots hold (max|scale*a| +
+    sum|b|)*sum|b|, a guess at max|Q|*sum|b|; if none does, or its certificate fails, the
+    loop runs. Q and R are the balanced w-bit digits of Qi = round(A/B) and
     A - Qi*B, for A, B the packed scale*a and b. They are kept only if
     max|Q|*sum|b| + max|R| + max|scale*a| < 2^w: P = Q*b + R - scale*a is zero at 2^w,
     so its lowest nonzero coefficient would be a multiple of 2^w, and none is. Then
@@ -315,8 +317,8 @@ def _pseudo_divrem(a, b) -> tuple[int, list[int], list[int]]:
     low = [(i, bc) for i, bc in enumerate(b[:-1]) if bc]  # cyclotomics and moduli are sparse
     if steps and steps * len(low) >= _PACKED_DIVISION_MIN_WORK * len(a):
         top, norm = _height(a), sum(map(abs, b))
-        fits = [s for s in _SLOT_TYPES if (top + norm).bit_length() < 8 * s]
-        for size in [s for s in fits if ((top + norm) * norm).bit_length() < 8 * s] or fits[-1:]:
+        bits = ((top + norm) * norm).bit_length()
+        if size := next((s for s in _SLOT_TYPES if bits < 8 * s), 0):
             A, B = _pack(a, size), _pack(b, size)
             qi, ri = divmod(A + (B >> 1), B)  # qi = round(A/B), ri = A - qi*B + (B >> 1)
             q, r = _unpack(qi, size, steps), _unpack(ri - (B >> 1), size, db)

@@ -171,9 +171,14 @@ class TestIntPoly:
     @example([2**31], [1])
     @example([2**63], [-1])
     @example([-(2**63)], [1])
+    # an all-zero factor, whose height would give no slot width of its own
+    @example([0], [128, 1])
+    @example([0, 0], [1, 1])
     def test_mul_matches_schoolbook(self, a, b):
-        a, b = IntPoly(tuple(a)), IntPoly(tuple(b))
-        assert a * b == schoolbook_product(a, b)
+        expected = schoolbook_product(IntPoly(tuple(a)), IntPoly(tuple(b))).coeffs
+        # untrimmed factors give the untrimmed product
+        assert _mul(a, b) == [*expected, *[0] * (len(a) + len(b) - 1 - len(expected))]
+        assert IntPoly(tuple(a)) * IntPoly(tuple(b)) == IntPoly(expected)
 
     # one coefficient at each signed limit of the 1-, 2-, 4- and 8-byte slots and a 9-byte one
     @pytest.mark.parametrize("size", [1, 2, 4, 8, 9])
