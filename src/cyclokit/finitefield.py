@@ -242,7 +242,7 @@ class ExtFieldElement(_Record):
 
     def __pow__(self, e: int) -> ExtFieldElement:
         field = self.field
-        if self.is_zero:
+        if not self.packed:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero")
             return self if e else field.one

@@ -449,6 +449,12 @@ class TestDeterminism:
                 ("verify", "--mode", "theorem1", "--max", "31"),
                 "c8b6111538125656a9f1d11f5e4705036f252b397a94a2b7339d943bbdbe5d21",
             ),
+            # the largest admitted cyclotomic, recorded with the construction
+            # by exact division by every lower-index cyclotomic
+            (
+                ("phi", "3003"),
+                "52167ed6ec3d309beafaef270e57107125bf08488e585eecc4f8a940c716ccb6",
+            ),
             # the other three sweeps at their ceilings, recorded before the exit
             # path and the prime-pair loops of the CLI were rewritten
             (
@@ -462,12 +468,6 @@ class TestDeterminism:
             (
                 ("verify", "--mode", "resultants", "--max", "30"),
                 "bc45a1166f8af13dc90d2fa945f89bfe644d48f774aaee215b34169e1e0f144a",
-            ),
-            # the largest admitted cyclotomic, recorded with the construction
-            # by exact division by every lower-index cyclotomic
-            (
-                ("phi", "3003"),
-                "52167ed6ec3d309beafaef270e57107125bf08488e585eecc4f8a940c716ccb6",
             ),
         ],
     )

@@ -441,16 +441,11 @@ class TestPackedKernel:
         assert x**e == x ** (e + k * (f.order - 1))
 
     @pytest.mark.parametrize("q, n", [(2, 1), (7, 3), (3, 35)])
-    def test_powers_of_zero(self, q, n):
-        f = make_ext_field(q, n)
-        assert f.zero**0 == f.one
+    def test_positive_powers_of_zero_are_zero(self, q, n):
         # multiples of q^n - 1 included: x^(q^n - 1) = 1 holds only for nonzero x
+        f = make_ext_field(q, n)
         for e in (1, 2, f.order - 1, f.order, 2 * (f.order - 1), 2**100):
             assert f.zero**e == f.zero
-        with pytest.raises(ZeroDivisionError):
-            f.zero ** (-1)
-        with pytest.raises(ZeroDivisionError):
-            f.zero.inv()
 
     def test_negative_power_of_zero_raises(self):
         for q, n in ((2, 1), (7, 3), (3, 35)):
