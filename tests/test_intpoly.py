@@ -175,10 +175,12 @@ class TestIntPoly:
     @example([0], [128, 1])
     @example([0, 0], [1, 1])
     def test_mul_matches_schoolbook(self, a, b):
-        expected = schoolbook_product(IntPoly(tuple(a)), IntPoly(tuple(b))).coeffs
+        pa, pb = IntPoly(tuple(a)), IntPoly(tuple(b))
+        expected = schoolbook_product(pa, pb)
+        assert pa * pb == expected
         # untrimmed factors give the untrimmed product
-        assert _mul(a, b) == [*expected, *[0] * (len(a) + len(b) - 1 - len(expected))]
-        assert IntPoly(tuple(a)) * IntPoly(tuple(b)) == IntPoly(expected)
+        zeros = [0] * (len(a) + len(b) - 1 - len(expected.coeffs))
+        assert _mul(a, b) == [*expected.coeffs, *zeros]
 
     # one coefficient at each signed limit of the 1-, 2-, 4- and 8-byte slots and a 9-byte one
     @pytest.mark.parametrize("size", [1, 2, 4, 8, 9])
