@@ -16,9 +16,10 @@ mu = floor(X^(2n-2) / f) over F_q, reduces mod the modulus f. A reduced
 residue has every slot in [0, q) and nothing above slot n - 1, so equal
 elements hold equal integers. A product is one bigint product and one
 reduce. A power of a nonzero element reduces its exponent, of either sign,
-mod q^n - 1, then runs one ladder on the stored integer, so x^(-1) is Fermat's
-x^(q^n - 2); zero has 0^0 = 1, 0^e = 0 for e > 0 and no negative powers. The
-Rabin irreducibility test behind the modulus search runs on the same kernel;
+mod q^n - 1, so x^(-1) is Fermat's x^(q^n - 2); zero has 0^0 = 1, 0^e = 0 for
+e > 0 and no negative powers. Every power runs one right-to-left ladder, whose
+squares x^(2^i) the powers of one base share (ExtFieldElement.powers). The Rabin
+irreducibility test behind the modulus search runs on the same kernel and ladder;
 coefficients are unpacked only when read. The only long division is
 intpoly's: it gives mu, and it reduces over-long input vectors mod the modulus.
 """
@@ -88,13 +89,18 @@ def _packed_kernel(q: int, f: tuple[int, ...]):
     return pack, unpack, reduce
 
 
-def _packed_pow(x: int, e: int, reduce) -> int:
-    """x^e for e >= 1 and a packed residue x: left-to-right square-and-multiply."""
-    acc = x
-    for bit in bin(e)[3:]:  # below the leading 1
-        acc = reduce(acc * acc)
+def _ladder(squares: list[int], e: int, reduce, acc: int = 1) -> int:
+    """acc * x^e for e >= 0 by right-to-left square-and-multiply: squares = [x, x^2,
+    x^4, ...] holds packed residues and grows in place to e's bit length, so the
+    exponents of one base share its squares, and e's bits pick the factors.
+    """
+    x = squares[-1]
+    for _ in range(e.bit_length() - len(squares)):
+        x = reduce(x * x)
+        squares.append(x)
+    for s, bit in zip(squares, bin(e)[:1:-1]):  # low bit first
         if bit == "1":
-            acc = reduce(acc * x)
+            acc = s if acc == 1 else reduce(acc * s)
     return acc
 
 
@@ -112,10 +118,10 @@ def _is_irreducible(q: int, n: int, kernel) -> bool:
     checkpoints = {n // ell for ell, _ in factorize(n)}
     b, prod = x, one
     for i in range(1, n + 1):
-        b = _packed_pow(b, q, reduce)  # X^{q^i}
+        b = _ladder([b], q, reduce)  # X^{q^i}
         if i in checkpoints:  # reduce takes X^{q^i} + (q-1)X, slots <= 2(q-1), to X^{q^i} - X
             prod = reduce(prod * reduce(b + (q - 1) * x))
-    return b == x and _packed_pow(prod, q**n - 1, reduce) == one
+    return b == x and _ladder([prod], q**n - 1, reduce) == one
 
 
 # -- field objects ----------------------------------------------------------
@@ -241,15 +247,18 @@ class ExtFieldElement(_Record):
         return self**-1
 
     def __pow__(self, e: int) -> ExtFieldElement:
+        return self.powers(e)[0]
+
+    def powers(self, *exps: int) -> list[ExtFieldElement]:
+        """[self ** e for e in exps] on one ladder: the squares of self are built once."""
         field = self.field
         if not self.packed:
-            if e < 0:
+            if any(e < 0 for e in exps):
                 raise ZeroDivisionError("negative power of zero")
-            return self if e else field.one
-        e %= field.order - 1  # x^(q^n - 1) = 1 on nonzero x, so x^(-1) = x^(q^n - 2)
-        if e == 0:
-            return field.one
-        return ExtFieldElement(field, _packed_pow(self.packed, e, field._reduce))
+            return [self if e else field.one for e in exps]
+        squares, group = [self.packed], field.order - 1
+        # x^(q^n - 1) = 1 on nonzero x, so x^(-1) = x^(q^n - 2)
+        return [ExtFieldElement(field, _ladder(squares, e % group, field._reduce)) for e in exps]
 
 
 # -- subgroup structure -----------------------------------------------------

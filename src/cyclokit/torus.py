@@ -36,10 +36,9 @@ from .cyclotomic import PrimePair, cyclotomic, divisors, euler_phi, is_prime, mo
 from .finitefield import (
     ExtField,
     ExtFieldElement,
-    _packed_pow,
+    _ladder,
     make_ext_field,
     random_nonzero,
-    torus_membership,
 )
 from .intpoly import IntPoly, _Record, divrem_exact, xgcd_rational
 from .inverses import closed_form_i, closed_form_ii, closed_form_iv
@@ -156,26 +155,38 @@ def decompose(x: ExtFieldElement, params: TorusParams) -> TorusComponents:
     _check_big_field(x, params)
     p, r, n = params.pair.p, params.pair.r, params.pair.n
     o = params.orders
-    a, b = x ** (o[1] * o[p]), x ** (o[r] * o[n])
-    return TorusComponents(t1=b ** o[p], tp=b ** o[1], tr=a ** o[n], tpr=a ** o[r])
+    a, b = x.powers(o[1] * o[p], o[r] * o[n])
+    (t1, tp), (tr, tpr) = b.powers(o[p], o[1]), a.powers(o[n], o[r])
+    return TorusComponents(t1=t1, tp=tp, tr=tr, tpr=tpr)
+
+
+def _member_squares(comp: ExtFieldElement, k: int, params: TorusParams) -> list[int]:
+    """The squares comp^(2^i) that give comp^{Phi_k(q)}, once that power is 1;
+    otherwise TorusMembershipError names Phi_k."""
+    field, order = _check_big_field(comp, params), params.orders[k]
+    squares = [comp.packed]
+    if _ladder(squares, order, field._reduce) != 1:  # zero, too, is no member
+        raise TorusMembershipError(f"component is outside the order-Phi_{k}(q) subgroup")
+    return squares
 
 
 def recombine(c: TorusComponents, params: TorusParams) -> ExtFieldElement:
     """Two-step reconstruction; recombine(decompose(x)) = x^{pr}.
 
-    Each T_k component is raised to its two-step exponent mod Phi_k(q).
+    Each T_k component is raised to its two-step exponent mod Phi_k(q), on the
+    squares its membership check built, and all four powers go into one product.
     Components must satisfy their subgroup memberships; violations raise
     TorusMembershipError.
     """
     p, r, n = params.pair.p, params.pair.r, params.pair.n
+    comps, ks = (c.t1, c.tp, c.tr, c.tpr), (1, p, r, n)
     # load-bearing: the reduced exponents act as the two-step ones only on
-    # members, so a non-member must be rejected here, not mapped to a wrong value
-    for comp, k in ((c.t1, 1), (c.tp, p), (c.tr, r), (c.tpr, n)):
-        _check_big_field(comp, params)
-        if not torus_membership(comp, k):
-            raise TorusMembershipError(f"component is outside the order-Phi_{k}(q) subgroup")
-    a = params.recombine_exponents
-    return c.t1 ** a[1] * c.tp ** a[p] * c.tr ** a[r] * c.tpr ** a[n]
+    # members, so a non-member must be rejected before any of them is read
+    tables = [_member_squares(comp, k, params) for comp, k in zip(comps, ks)]
+    a, acc = params.recombine_exponents, 1
+    for comp, squares, k in zip(comps, tables, ks):
+        acc = _ladder(squares, a[k], c.t1._same_field(comp)._reduce, acc)
+    return ExtFieldElement(c.t1.field, acc)
 
 
 # -- single-prime analogue ---------------------------------------------------
@@ -254,10 +265,10 @@ def _pdivmod(a: list[int], b: list[int], big: ExtField) -> tuple[list[int], list
 
 
 def _pgcd(a: list[int], b: list[int], big: ExtField) -> list[int]:
-    """Monic gcd; a leading coefficient is inverted by Fermat, x^(q^n - 2)."""
+    """Monic gcd; each leading coefficient is inverted by ExtFieldElement.inv."""
     reduce = big._reduce
     while b:
-        inv = _packed_pow(b[-1], big.order - 2, reduce)
+        inv = ExtFieldElement(big, b[-1]).inv().packed
         b = [reduce(c * inv) for c in b]
         a, b = b, _pdivmod(a, b, big)[1]
     return a
@@ -385,14 +396,9 @@ def theta(
         raise ValueError("third argument must live in a degree-r extension")
     ep = subfield_embed(xp, big)
     er = subfield_embed(xr, big)
-    x1_big = ep ** params.orders[p]
-    comps = TorusComponents(
-        t1=er ** params.orders[r],
-        tp=ep ** (q - 1),
-        tr=er ** (q - 1),
-        tpr=x,
-    )
-    xpr = recombine(comps, params)
+    x1_big, tp = ep.powers(params.orders[p], q - 1)
+    t1, tr = er.powers(params.orders[r], q - 1)
+    xpr = recombine(TorusComponents(t1=t1, tp=tp, tr=tr, tpr=x), params)
     if any(x1_big.coeffs[1:]):
         raise ArithmeticError("the T_1 output must be a prime-field constant")
     x1 = make_ext_field(q, 1).element((x1_big.coeffs[0],))

@@ -13,8 +13,8 @@ from cyclokit.cyclotomic import cyclotomic, divisors, factorize, moebius
 from cyclokit.finitefield import (
     ExtField,
     _is_irreducible,
+    _ladder,
     _packed_kernel,
-    _packed_pow,
     make_ext_field,
     random_nonzero,
     torus_membership,
@@ -120,7 +120,7 @@ class TestConstruction:
         kernel = _packed_kernel(2, f)
         pack, _, reduce = kernel
         x = pack((0, 1))
-        assert (_packed_pow(x, 2**6, reduce) == x) == fixes_x
+        assert (_ladder([x], 2**6, reduce) == x) == fixes_x
         assert not _is_irreducible(2, 6, kernel)
         with pytest.raises(ValueError):
             ExtField(2, IntPoly(f))
@@ -451,6 +451,32 @@ class TestPackedKernel:
         for q, n in ((2, 1), (7, 3), (3, 35)):
             with pytest.raises(ZeroDivisionError):
                 make_ext_field(q, n).zero ** (-1)
+
+    @given(field_and_vectors(1), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_shared_squares_match_single_powers(self, case, data):
+        # one exponent or several, short ones before long ones, on one set of squares
+        f, (a,) = case
+        x = f.element(a)
+        edges = st.sampled_from([0, 1, -1, f.order - 2, f.order - 1, f.order, 3 * f.order + 5])
+        exps = data.draw(st.lists(st.one_of(edges, st.integers(-(2**70), 2**70)), min_size=1, max_size=4))
+        if x.is_zero and min(exps) < 0:
+            with pytest.raises(ZeroDivisionError):
+                x.powers(*exps)
+            return
+        got = x.powers(*exps)
+        assert got == [x**e for e in exps]
+        for g, e in zip(got, exps):
+            e = e % (f.order - 1) if any(a) else e  # x^(q^n - 1) = 1 holds only for nonzero x
+            assert_canonical(g, f, schoolbook_pow(a, e, modulus_of(f), f.q))
+
+    @pytest.mark.parametrize("q, n", [(2, 1), (7, 3), (3, 35)])
+    def test_shared_squares_of_zero(self, q, n):
+        f = make_ext_field(q, n)
+        got = f.zero.powers(0, 1, f.order - 1, 0, 2**100)
+        assert got == [f.one, f.zero, f.zero, f.one, f.zero]
+        with pytest.raises(ZeroDivisionError):
+            f.zero.powers(2, -1)
 
     @given(field_and_vectors(1))
     @settings(max_examples=200, deadline=None)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cyclokit import torus
 from cyclokit.cyclotomic import cyclotomic, primes_upto
-from cyclokit.finitefield import ExtFieldElement, make_ext_field, random_nonzero, torus_membership
+from cyclokit.finitefield import ExtField, ExtFieldElement, make_ext_field, random_nonzero
 from cyclokit.intpoly import IntPoly, xgcd_rational
 from cyclokit.torus import (
     BezoutExponents,
@@ -139,6 +139,32 @@ class TestRoundTrip:
             x = random_nonzero(field, rng)
             comps = decompose(x, params)
             assert recombine(comps, params) == x**15
+
+    def test_field_reductions_per_roundtrip(self, monkeypatch):
+        # x, A and B in decompose and each component in recombine are squared
+        # once for all their exponents; one ladder per power took 244 here
+        params, field = derive_params(7, 3, 5), make_ext_field(7, 15)
+        x = field.element([(3 * i + 1) % 7 for i in range(15)])
+        reduce, calls = field._reduce, []
+        monkeypatch.setattr(field, "_reduce", lambda c: calls.append(c) or reduce(c))
+        back = recombine(decompose(x, params), params)
+        assert len(calls) == 188
+        assert back == x**15
+
+    def test_recombine_rejects_zero_component(self):
+        params, field = derive_params(5, 2, 3), make_ext_field(5, 6)
+        comps = decompose(field.one, params)
+        with pytest.raises(TorusMembershipError, match="Phi_6"):
+            recombine(TorusComponents(comps.t1, comps.tp, comps.tr, field.zero), params)
+
+    def test_recombine_rejects_members_of_another_modulus(self):
+        # same q and n, so each membership check passes; the product must still refuse
+        params, field = derive_params(5, 2, 3), make_ext_field(5, 6)
+        other = ExtField(5, IntPoly((2, 1, 0, 0, 0, 0, 1)))
+        assert other != field
+        comps = decompose(field.one, params)
+        with pytest.raises(ValueError, match="different fields"):
+            recombine(TorusComponents(comps.t1, other.one, comps.tr, comps.tpr), params)
 
     def test_decompose_zero_rejected(self):
         params = derive_params(5, 2, 3)
@@ -488,11 +514,13 @@ class TestTheta:
         params, big, fp, fr = setup_7_3_5
         checked = []
 
-        def recording(x, k):
-            checked.append(k)
-            return torus_membership(x, k)
+        member_squares = torus._member_squares
 
-        monkeypatch.setattr(torus, "torus_membership", recording)
+        def recording(x, k, *rest):
+            checked.append(k)
+            return member_squares(x, k, *rest)
+
+        monkeypatch.setattr(torus, "_member_squares", recording)
         theta(big.one, fp.one, fr.one, params)
         assert checked == [1, 3, 5, 15]
 
