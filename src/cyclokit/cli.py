@@ -59,7 +59,7 @@ VERIFY_CEILING = 31
 INDEX_CEILING = 3003  # phi/res/inv/eval; see _check_indices
 FIELD_ORDER_CEILING = 2**128
 # Measured cold on a 2-core Xeon VM: torus params --q 0 is slowest at p = 2, 3: 0.4-0.5 s at
-# (2, 7993) and (3, 5333), below the slowest inv's 7.8-12.3 s; q >= 2 has p*r <= 128 by the field ceiling.
+# (2, 7993) and (3, 5333), below the slowest inv's 7.3-7.9 s; q >= 2 has p*r <= 128 by the field ceiling.
 PR_CEILING = 16000
 # Measured cold on a 2-core Xeon VM: the slowest theta-demo op under the field
 # ceiling takes 21-24 ms (q=2, n=122), so 200 take 5.5-6.3 s with about 1.5 s of
@@ -93,8 +93,8 @@ def _emit(command: str, params: dict, result, started: float) -> None:
 
 def _check_indices(*indices: int) -> None:
     # Measured cold on a 2-core Xeon VM, the slowest under INDEX_CEILING: inv (3003, 2261)
-    # 12.1-12.4 s, (3003, 2431) 8.5-8.6 s, res 3.5-4.0 s, phi/eval 0.10-0.14 s (0.06-0.08 s
-    # start-up); inv (2002, 3003) 0.9-1.1 s. 3003 is the largest index the goldens and benchmark use.
+    # 7.3-7.9 s, (3003, 2431) 6.4-6.6 s, res 4.0 s, phi/eval 0.25-0.27 s; inv (2002, 3003)
+    # 0.7-1.1 s. 3003 is the largest index the goldens and benchmark use.
     if min(indices) < 1:
         raise UsageError("indices must be >= 1")
     if max(indices) > INDEX_CEILING:

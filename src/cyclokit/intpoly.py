@@ -19,9 +19,9 @@ the one slot width the operands' sizes predict, kept only under an exact certifi
 serves ``divrem_exact`` (a monic divisor, scale 1), the subresultant ``resultant`` and
 the Bezout pairs of ``xgcd_rational``: Euclid on primitive int-list remainders, with one
 denominator per cofactor, carries only the short cofactor, and an exact residual division
-gives the other. ``_mul``, one packed bigint product, multiplies in Z[X], except that
-``cyclotomic`` multiplies by the sparse X^d - 1 by shift and subtract, as a dense product
-would be slower.
+gives the other. ``_mul`` multiplies in Z[X]: one C pass per nonzero term of a factor of
+at most ``_SHORT_FACTOR`` terms (a Euclid quotient, a constant), else one packed bigint
+product; ``cyclotomic`` multiplies by the sparse X^d - 1 by shift and subtract instead.
 """
 
 from __future__ import annotations
@@ -114,12 +114,26 @@ def _unpack(x: int, size: int, count: int) -> list[int] | None:
     return [int.from_bytes(raw[i : i + size], "little", signed=True) for i in range(0, len(raw), size)]
 
 
+# Measured on inverse_sweep (2-core Xeon VM): 1 243 op/s, against 1 166 with every product
+# packed and 1 017 with none; 1 to 4 terms are even within noise.
+_SHORT_FACTOR = 3
+
+
 def _mul(a, b) -> list[int]:
-    """Product of little-endian int lists by Kronecker substitution: one bigint product
-    of slots wide enough for any product coefficient and its sign, and for each factor."""
+    """Product of little-endian int lists: for a factor of at most ``_SHORT_FACTOR`` terms, one
+    C pass over the other per nonzero term, added into a slice of the output; else Kronecker
+    substitution, one bigint product of slots that hold any product coefficient and each factor."""
     if not a or not b:
         return []
-    bound = (_height(a) or 1) * (_height(b) or 1) * min(len(a), len(b))
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) <= _SHORT_FACTOR:
+        out = [*map(mul, b, repeat(a[0])), *repeat(0, len(a) - 1)]
+        for i, c in enumerate(a[1:], 1):
+            if c:
+                out[i : i + len(b)] = map(add, out[i : i + len(b)], map(mul, b, repeat(c)))
+        return out
+    bound = (_height(a) or 1) * (_height(b) or 1) * len(a)
     size = min((s for s in _SLOT_TYPES if 8 * s > bound.bit_length()), default=bound.bit_length() // 8 + 1)
     return _unpack(_pack(a, size) * _pack(b, size), size, len(a) + len(b) - 1)
 

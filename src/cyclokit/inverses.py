@@ -27,7 +27,7 @@ from itertools import accumulate
 from operator import eq
 
 from .cyclotomic import PrimePair, cyclotomic, euler_phi, is_prime
-from .intpoly import NEG_INF, IntPoly, ScaledPoly, _height, _Record, divrem_exact, xgcd_rational
+from .intpoly import IntPoly, ScaledPoly, _height, _Record, divrem_exact, xgcd_rational
 
 CASE_IDS = ("i-a", "i-b", "ii-a", "ii-b", "iii-a", "iii-b", "iv")
 
@@ -151,11 +151,10 @@ class InverseReport(_Record):
         }
 
 
-def _bound_holds(case_id: str, pair: PrimePair, closed: ScaledPoly) -> bool:
-    """The coefficient bound of a case; i-a, ii-a and iii-a have none beyond their formula."""
+def _bound_holds(case_id: str, pair: PrimePair, den: int, lo: int, hi: int) -> bool:
+    """The coefficient bound of a case, from the denominator and the numerator's least and
+    greatest coefficient; i-a, ii-a and iii-a have none beyond their formula."""
     p, r = pair.p, pair.r
-    den, coeffs = closed.den, closed.num.coeffs
-    lo, hi = min(coeffs, default=-NEG_INF), max(coeffs, default=NEG_INF)  # empty: none fails
     if case_id == "i-b":
         return den == p and -(p - 1) <= lo and hi <= -1
     if case_id in ("ii-b", "iv"):
@@ -189,13 +188,14 @@ def verify_closed_forms(pair: PrimePair) -> list[InverseReport]:
     for case_ids, closed_pair, m_idx, n_idx in rows:
         oracle_pair, caps = inverse_pair(m_idx, n_idx), (euler_phi(n_idx), euler_phi(m_idx))
         for case_id, closed, oracle, cap in zip(case_ids, closed_pair, oracle_pair, caps):
+            coeffs = closed.num.coeffs or (0,)  # the zero numerator's one coefficient is 0
+            lo, hi = min(coeffs), max(coeffs)
             if closed != oracle:
                 failed = "oracle"
             elif closed.num.degree >= cap:
                 failed = "degree"
             else:
-                failed = None if _bound_holds(case_id, pair, closed) else "bound"
+                failed = None if _bound_holds(case_id, pair, closed.den, lo, hi) else "bound"
             k = r // closed.den if case_id == "iii-b" else 1  # k >= 0 scales both extrema
-            extrema = k * min(closed.num.coeffs), k * max(closed.num.coeffs)
-            reports.append(InverseReport(pair, case_id, closed, failed, *extrema))
+            reports.append(InverseReport(pair, case_id, closed, failed, k * lo, k * hi))
     return reports

@@ -469,6 +469,12 @@ class TestDeterminism:
                 ("verify", "--mode", "resultants", "--max", "30"),
                 "bc45a1166f8af13dc90d2fa945f89bfe644d48f774aaee215b34169e1e0f144a",
             ),
+            # products of a two-term quotient and a long cofactor, both with wide
+            # coefficients, recorded when every product was one packed product
+            (
+                ("inv", "2002", "3003"),
+                "a3ec88c4f5694c018f44484660f6b287dee70f83b0093e4702cd4c3728dbac33",
+            ),
         ],
     )
     def test_seeded_oracle_output_golden(self, capsys, argv, digest):

@@ -48,6 +48,7 @@ bezout_polys = st.one_of(nonzero_polys, wide_polys)
 # magnitudes at the edges of the packed product's 1-, 2-, 4- and 8-byte
 # slots, and past them into the wide path
 mul_magnitudes = st.sampled_from((1, 9, 2**7, 2**15, 2**31, 2**63, 10**40))
+SHORT = intpoly._SHORT_FACTOR  # the longest factor that _mul does not pack
 mul_operands = mul_magnitudes.flatmap(
     lambda m: st.lists(st.one_of(st.just(0), st.integers(-m, m)), min_size=1, max_size=300)
 )
@@ -174,6 +175,13 @@ class TestIntPoly:
     # an all-zero factor, whose height would give no slot width of its own
     @example([0], [128, 1])
     @example([0, 0], [1, 1])
+    # a factor of _SHORT_FACTOR terms, one with interior zeros and one a term longer,
+    # against a long one
+    @example([3] * SHORT, list(range(-50, 50)))
+    @example(list(range(-50, 50)), [-5, *[0] * (SHORT - 2), 7])
+    @example([-(2**40)] * (SHORT + 1), list(range(-50, 50)))
+    # a two-term Euclid quotient of about 800 bits times a cofactor of 1000 terms of about 400
+    @example([2**800 - 1, -(2**799)], [(-1) ** i * (2**400 - i) for i in range(1000)])
     def test_mul_matches_schoolbook(self, a, b):
         pa, pb = IntPoly(tuple(a)), IntPoly(tuple(b))
         expected = schoolbook_product(pa, pb)
@@ -181,6 +189,24 @@ class TestIntPoly:
         # untrimmed factors give the untrimmed product
         zeros = [0] * (len(a) + len(b) - 1 - len(expected.coeffs))
         assert _mul(a, b) == [*expected.coeffs, *zeros]
+
+    @pytest.mark.parametrize("short", [[2**800 - 1, -(2**799)], [-5, *[0] * (SHORT - 2), 7]])
+    def test_short_factor_is_never_packed(self, monkeypatch, short):
+        long = [(-1) ** i * (2**400 - i) for i in range(1000)]
+        expected = schoolbook_product(IntPoly(tuple(short)), IntPoly(tuple(long)))
+
+        def no_pack(xs, size):
+            raise AssertionError("a short factor was packed")
+
+        monkeypatch.setattr(intpoly, "_pack", no_pack)
+        assert IntPoly(tuple(_mul(short, long))) == IntPoly(tuple(_mul(long, short))) == expected
+
+    def test_long_factors_are_packed(self, monkeypatch):
+        packed, real = [], intpoly._pack
+        monkeypatch.setattr(intpoly, "_pack", lambda xs, size: packed.append(len(xs)) or real(xs, size))
+        a, b = list(range(1, SHORT + 2)), list(range(-40, 40))
+        assert IntPoly(tuple(_mul(a, b))) == schoolbook_product(IntPoly(tuple(a)), IntPoly(tuple(b)))
+        assert sorted(packed) == [SHORT + 1, 80]
 
     # one coefficient at each signed limit of the 1-, 2-, 4- and 8-byte slots and a 9-byte one
     @pytest.mark.parametrize("size", [1, 2, 4, 8, 9])

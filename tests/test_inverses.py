@@ -27,10 +27,17 @@ def reduce_mod(a: IntPoly, n: int) -> IntPoly:
     return divrem_exact(a, cyclotomic(n))[1]
 
 
+def bound_holds(case_id: str, pair: PrimePair, closed: ScaledPoly) -> bool:
+    """_bound_holds on the extrema that verify_closed_forms reads off the numerator."""
+    coeffs = closed.num.coeffs or (0,)
+    return inverses._bound_holds(case_id, pair, closed.den, min(coeffs), max(coeffs))
+
+
 def bound_holds_per_coefficient(case_id: str, pair: PrimePair, closed: ScaledPoly) -> bool:
-    """Reference for _bound_holds: each bound tested coefficient by coefficient."""
+    """Reference for _bound_holds: each bound tested coefficient by coefficient, the zero
+    numerator as the one coefficient 0."""
     p, r = pair.p, pair.r
-    den, coeffs = closed.den, closed.num.coeffs
+    den, coeffs = closed.den, closed.num.coeffs or (0,)
     if case_id == "i-b":
         return den == p and all(-(p - 1) <= c <= -1 for c in coeffs)
     if case_id in ("ii-b", "iv"):
@@ -131,18 +138,18 @@ class TestClosedFormI:
         # den = p and every numerator coefficient in [-(p-1), -1]
         pair = PrimePair.of(p, 3 if p == 2 else 2)
         r = pair.r
-        assert inverses._bound_holds("i-b", pair, closed_form_i(p)[1])
+        assert bound_holds("i-b", pair, closed_form_i(p)[1])
         too_low = ScaledPoly(IntPoly((-p, -1)), p)
-        assert too_low.den == p and not inverses._bound_holds("i-b", pair, too_low)
-        assert not inverses._bound_holds("i-b", pair, ScaledPoly(IntPoly((-1,)), p + 2))
+        assert too_low.den == p and not bound_holds("i-b", pair, too_low)
+        assert not bound_holds("i-b", pair, ScaledPoly(IntPoly((-1,)), p + 2))
         # ii-b and iv: integral, coefficients in {-1, 0, 1}
-        assert inverses._bound_holds("ii-b", pair, closed_form_ii(pair)[1])
-        assert not inverses._bound_holds("ii-b", pair, ScaledPoly(IntPoly((0, -1, 2)), 1))
-        assert inverses._bound_holds("iv", pair, ScaledPoly(closed_form_iv(p, r), 1))
-        assert not inverses._bound_holds("iv", pair, ScaledPoly(IntPoly((1,)), 2))
+        assert bound_holds("ii-b", pair, closed_form_ii(pair)[1])
+        assert not bound_holds("ii-b", pair, ScaledPoly(IntPoly((0, -1, 2)), 1))
+        assert bound_holds("iv", pair, ScaledPoly(closed_form_iv(p, r), 1))
+        assert not bound_holds("iv", pair, ScaledPoly(IntPoly((1,)), 2))
         # iii-b: written over the denominator r, every numerator coefficient < r
-        assert inverses._bound_holds("iii-b", pair, closed_form_iii(pair)[1])
-        assert not inverses._bound_holds("iii-b", pair, ScaledPoly(IntPoly((r, -1)), r))
+        assert bound_holds("iii-b", pair, closed_form_iii(pair)[1])
+        assert not bound_holds("iii-b", pair, ScaledPoly(IntPoly((r, -1)), r))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -283,7 +290,7 @@ class TestVerifyClosedForms:
 
     @given(bound_cases())
     def test_bound_holds_matches_the_per_coefficient_definition(self, case):
-        assert inverses._bound_holds(*case) == bound_holds_per_coefficient(*case)
+        assert bound_holds(*case) == bound_holds_per_coefficient(*case)
 
     def test_extrema_recorded(self):
         reports = {rep.case_id: rep for rep in verify_closed_forms(PrimePair.of(3, 5))}
@@ -320,21 +327,24 @@ class TestVerifyClosedForms:
         assert len(reports) == 6 and all(rep.bound_satisfied for rep in reports.values())
         assert all(rep.failed_check is None for rep in reports.values())
 
-    # a closed form at (3, 5) that fails each check first: its builder, the
-    # fake it returns (iii's as the first half of its pair), its case, and the
-    # indices at which the oracle is made to return the same fake (so that
-    # the later checks decide), if any
+    # a closed form at (3, 5) that fails a check first: the check, its builder,
+    # the fake it returns (ii's as the second half of its pair, iii's as the
+    # first), its case, and the indices at which the oracle is made to return
+    # the same fake (so that the later checks decide), if any
     FIRST_FAILED = {
-        "oracle": ("closed_form_iii", ScaledPoly(IntPoly((1,)), 7), "iii-a", None),
-        "degree": ("closed_form_iii", ScaledPoly(IntPoly((0, 0, 1)), 5), "iii-a", (15, 3)),
-        "bound": ("closed_form_iv", IntPoly((2,)), "iv", (3, 5)),
+        "oracle": ("oracle", "closed_form_iii", ScaledPoly(IntPoly((1,)), 7), "iii-a", None),
+        "degree": ("degree", "closed_form_iii", ScaledPoly(IntPoly((0, 0, 1)), 5), "iii-a", (15, 3)),
+        "bound": ("bound", "closed_form_iv", IntPoly((2,)), "iv", (3, 5)),
+        # a zero numerator has no coefficients to take extrema of
+        "zero": ("oracle", "closed_form_ii", ScaledPoly(IntPoly(()), 1), "ii-b", None),
     }
 
-    @pytest.mark.parametrize("check", sorted(FIRST_FAILED))
-    def test_failed_check_is_named(self, monkeypatch, capsys, check):
-        builder, fake, case_id, agree_at = self.FIRST_FAILED[check]
-        real_iii = closed_form_iii
+    @pytest.mark.parametrize("fault", sorted(FIRST_FAILED))
+    def test_failed_check_is_named(self, monkeypatch, capsys, fault):
+        check, builder, fake, case_id, agree_at = self.FIRST_FAILED[fault]
+        real_ii, real_iii = closed_form_ii, closed_form_iii
         fakes = {
+            "closed_form_ii": lambda pair: (real_ii(pair)[0], fake),
             "closed_form_iii": lambda pair: (fake, real_iii(pair)[1]),
             "closed_form_iv": lambda p, r: fake,
         }
