@@ -3,7 +3,6 @@ and subgroup decompositions of small finite fields."""
 
 from .cyclotomic import (
     PrimePair,
-    cyclotomic,
     divisors,
     euler_phi,
     factorize,

@@ -17,17 +17,9 @@ from .intpoly import IntPoly, _Record, _pseudo_divrem
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (desk-scale inputs)."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """True iff n > 1 is its own factorization. Desk-scale: ``factorize``'s cached
+    trial division runs to sqrt(n) for every n > 1, and a repeated test is a lookup."""
+    return n > 1 and factorize(n) == ((n, 1),)
 
 
 def primes_upto(bound: int) -> list[int]:

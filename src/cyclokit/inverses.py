@@ -143,8 +143,7 @@ class InverseReport(_Record):
             "p": self.pair.p,
             "r": self.pair.r,
             "case": self.case_id,
-            "num": self.inverse.num.to_decimal_strings(),
-            "den": str(self.inverse.den),
+            **self.inverse.to_json_dict(),
             "bound_satisfied": self.bound_satisfied,
             "observed_min": self.observed_min,
             "observed_max": self.observed_max,

@@ -40,7 +40,7 @@ from .finitefield import (
     make_ext_field,
     random_nonzero,
 )
-from .intpoly import IntPoly, _Record, divrem_exact, xgcd_rational
+from .intpoly import IntPoly, _Record, _trimmed, divrem_exact, xgcd_rational
 from .inverses import closed_form_i, closed_form_ii, closed_form_iv
 
 
@@ -229,16 +229,10 @@ def _rref(rows, q) -> tuple[list[list[int]], list[int]]:
 # input to the kernel's reduce, whose slot bound is n(q-1)^2.
 
 
-def _trim(a: list[int]) -> list[int]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
 def _padd(a: list[int], b: list[int], big: ExtField) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
-    return _trim([big._reduce(x + y) for x, y in zip(a, b)] + a[len(b):])
+    return list(_trimmed([big._reduce(x + y) for x, y in zip(a, b)] + a[len(b):]))
 
 
 def _pmul(a: list[int], b: list[int], big: ExtField) -> list[int]:
@@ -261,7 +255,7 @@ def _pdivmod(a: list[int], b: list[int], big: ExtField) -> tuple[list[int], list
         neg_c = reduce(c * minus_one)
         for j in range(m):
             rem[i + j] += reduce(neg_c * b[j])
-    return quo, _trim([reduce(c) for c in rem[:m]])
+    return quo, list(_trimmed(map(reduce, rem[:m])))
 
 
 def _pgcd(a: list[int], b: list[int], big: ExtField) -> list[int]:

@@ -1,10 +1,12 @@
 """Cyclotomic construction, totients, Moebius sums, closed-form resultants."""
 
-import importlib
 import math
+import sys
 
 import pytest
 
+import cyclokit
+import cyclokit.cyclotomic as cyclotomic_module
 from cyclokit.cyclotomic import (
     PrimePair,
     cyclotomic,
@@ -19,9 +21,7 @@ from cyclokit.cyclotomic import (
     primes_upto,
     resultant_apostol,
 )
-from cyclokit.intpoly import IntPoly, resultant
-
-cyclotomic_module = importlib.import_module("cyclokit.cyclotomic")
+from cyclokit.intpoly import IntPoly, _pseudo_divrem, resultant
 
 PHI15 = IntPoly((1, -1, 0, 1, -1, 1, 0, -1, 1))
 
@@ -30,6 +30,16 @@ class TestNumberTheory:
     def test_is_prime(self):
         assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
+
+    def test_is_prime_against_a_sieve(self):
+        bound = 10_000
+        sieve = [False, False] + [True] * (bound - 1)
+        for n in range(2, math.isqrt(bound) + 1):
+            if sieve[n]:
+                sieve[n * n :: n] = [False] * len(range(n * n, bound + 1, n))
+        assert [is_prime(n) for n in range(-50, bound + 1)] == [False] * 50 + sieve
+        assert is_prime(65537) and is_prime(2**31 - 1)
+        assert not is_prime(561) and not is_prime(2**32 + 1)
 
     def test_factorize_roundtrip(self):
         assert factorize(12) == ((2, 2), (3, 1))
@@ -99,6 +109,20 @@ class TestCyclotomic:
         monkeypatch.setattr(cyclotomic_module, "moebius", lambda k: -1 if k == 6 else moebius(k))
         with pytest.raises(ArithmeticError, match=r"X\^2 - 1 .* Phi_6"):
             cyclotomic.__wrapped__(6)
+
+    def test_package_attribute_is_the_module(self, monkeypatch):
+        # the package exports no function under its submodule's name, so a
+        # patch through the dotted path reaches the module's binomial divisions
+        assert cyclokit.cyclotomic is cyclotomic_module is sys.modules["cyclokit.cyclotomic"]
+        divisors_seen = []
+
+        def recording(a, b):
+            divisors_seen.append(len(b) - 1)
+            return _pseudo_divrem(a, b)
+
+        monkeypatch.setattr("cyclokit.cyclotomic._pseudo_divrem", recording)
+        assert cyclotomic.__wrapped__(15) == PHI15
+        assert divisors_seen == [3, 5]  # X^d - 1 for the d | 15 with mu(15/d) = -1
 
     def test_phi105_landmark(self):
         c = cyclotomic(105).coeffs

@@ -1,45 +1,15 @@
 """Smoke tests for the tooling around the package.
 
-Each script in scripts/ runs on small arguments and prints its summary,
-every name the benchmark's traced run wraps still exists in src/, no
+Every name the benchmark's traced run wraps still exists in src/, no
 module in src/ relies on a bare assert, every name the package exports
 has a reader outside the tests, and the README's library example runs.
 """
 
 import ast
 import importlib.util
-import os
 import pathlib
-import subprocess
-import sys
-
-import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-
-
-@pytest.mark.parametrize(
-    "script, args, last_line",
-    [
-        (
-            "theta_kernel_probe.py",
-            ["--q", "7", "--p", "3", "--r", "5"],
-            "least k with exponent | n^k  = 1  (n^k = 15)",
-        ),
-    ],
-)
-def test_script_runs(script, args, last_line):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == last_line
 
 
 def test_benchmark_trace_targets_exist():
@@ -103,7 +73,7 @@ def test_readme_library_example_runs():
 
 def test_public_api_has_a_reader_outside_tests():
     # no public API that only the tests use: every name the package exports
-    # is read in src/, scripts/ or perfbench/, or imported by the README example
+    # is read in src/ or perfbench/, or imported by the README example
     init = ROOT / "src" / "cyclokit" / "__init__.py"
     exported = {
         alias.asname or alias.name
@@ -112,7 +82,7 @@ def test_public_api_has_a_reader_outside_tests():
         for alias in node.names
     }
     sources = [p for p in (ROOT / "src" / "cyclokit").rglob("*.py") if p != init]
-    sources += [*(ROOT / "scripts").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+    sources += (ROOT / "perfbench").rglob("*.py")
     read = set().union(*map(_readers, sources))
     for node in ast.walk(ast.parse(_readme_example())):
         if isinstance(node, ast.ImportFrom) and node.module == "cyclokit":

@@ -2,7 +2,9 @@
 
 import functools
 import hashlib
+import itertools
 import json
+import math
 import random
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclokit import torus
-from cyclokit.cyclotomic import cyclotomic, primes_upto
+from cyclokit.cyclotomic import cyclotomic, divisors, primes_upto
 from cyclokit.finitefield import ExtField, ExtFieldElement, make_ext_field, random_nonzero
 from cyclokit.intpoly import IntPoly, xgcd_rational
 from cyclokit.torus import (
@@ -574,3 +576,52 @@ class TestTheta:
             assert back == (x**d_x, xp**d_p, xr**d_r)
         report = kernel_annihilator(params)
         assert 6 ** report.power % report.exponent == 0
+
+
+def _nonzero_elements(field: ExtField) -> list[ExtFieldElement]:
+    return [field.element(c) for c in itertools.product(range(field.q), repeat=field.n) if any(c)]
+
+
+def _order(x: ExtFieldElement) -> int:
+    return min(d for d in divisors(x.field.order - 1) if x**d == x.field.one)
+
+
+class TestExhaustiveOracle:
+    """The torus maps on every element of tiny fields: measured, not derived from
+    the exponent formulas that ``kernel_annihilator`` reads."""
+
+    @pytest.mark.parametrize("q, p, r, exponent", [(2, 2, 3, 3), (3, 2, 3, 8), (2, 2, 5, 1)])
+    def test_theta_kernel_and_image_by_enumeration(self, q, p, r, exponent):
+        params = derive_params(q, p, r)
+        n = p * r
+        big, fp, fr = make_ext_field(q, n), make_ext_field(q, p), make_ext_field(q, r)
+        torus_pr = [x for x in _nonzero_elements(big) if x ** params.orders[n] == big.one]
+        domain = list(itertools.product(torus_pr, _nonzero_elements(fp), _nonzero_elements(fr)))
+        identity = (big.one, fp.one, fr.one)
+        one_out = (make_ext_field(q, 1).one, big.one)
+        image, ker_theta, ker_composite = set(), 0, []
+        for slots in domain:
+            out = theta(*slots, params)
+            image.add(out)
+            ker_theta += out == one_out
+            if theta_reverse(*out, params) == identity:
+                ker_composite.append(slots)
+        assert ker_theta * len(image) == len(domain)
+        measured = math.lcm(*(_order(x) for slots in ker_composite for x in slots))
+        assert measured == kernel_annihilator(params).exponent == exponent
+
+    @pytest.mark.parametrize("q, p, r", [(2, 2, 3), (3, 2, 3), (2, 2, 5)])
+    def test_recombine_by_enumeration(self, q, p, r):
+        params = derive_params(q, p, r)
+        n = p * r
+        big = make_ext_field(q, n)
+        elements = _nonzero_elements(big)
+        for x in elements:
+            assert recombine(decompose(x, params), params) == x**n
+        for slot, k in zip(TorusComponents._fields, (1, p, r, n)):
+            outsiders = [x for x in elements if x ** params.orders[k] != big.one]
+            assert outsiders
+            for x in outsiders:
+                comps = dict.fromkeys(TorusComponents._fields, big.one) | {slot: x}
+                with pytest.raises(TorusMembershipError):
+                    recombine(TorusComponents(**comps), params)
