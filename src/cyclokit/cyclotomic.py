@@ -18,7 +18,7 @@ from .intpoly import IntPoly, _Record, _pseudo_divrem
 
 def is_prime(n: int) -> bool:
     """True iff n > 1 is its own factorization. Desk-scale: ``factorize``'s cached
-    trial division runs to sqrt(n) for every n > 1, and a repeated test is a lookup."""
+    trial division runs to sqrt(n) on a prime, and a repeated test is a lookup."""
     return n > 1 and factorize(n) == ((n, 1),)
 
 
@@ -31,15 +31,15 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """The prime factorization of n as (prime, exponent) pairs, primes increasing."""
     if n < 1:
         raise ValueError("factorize requires n >= 1")
-    pairs = []
-    m = n
-    for p in range(2, math.isqrt(n) + 1):
+    pairs, m, p = [], n, 2
+    while p * p <= m:  # after that, m < p^2 has no factor below p: it is 1 or a prime
         if m % p == 0:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
             pairs.append((p, e))
+        p += 1
     if m > 1:
         pairs.append((m, 1))
     return tuple(pairs)

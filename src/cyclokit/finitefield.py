@@ -22,11 +22,14 @@ squares x^(2^i) the powers of one base share (ExtFieldElement.powers). The Rabin
 irreducibility test behind the modulus search runs on the same kernel and ladder;
 coefficients are unpacked only when read. The only long division is
 intpoly's: it gives mu, and it reduces over-long input vectors mod the modulus.
+The Frobenius map y -> y^(q^j) is F_q-linear: a field keeps, per j, the n packed X^(i*q^j)
+mod f, so a step is one weighted sum and one reduce; torus.decompose takes norms with it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 from .cyclotomic import cyclotomic, factorize, is_prime
 from .intpoly import IntPoly, _Record, divrem_exact
@@ -145,10 +148,22 @@ class ExtField:
         self.order = q**n
         self.modulus = IntPoly(mod)
         self._pack, self._unpack, self._reduce = kernel
+        self._frobenius_tables: dict[int, list[int]] = {}
 
     def __reduce__(self):
         # pickle by construction data; the kernel's functions are closures
         return ExtField, (self.q, self.modulus)
+
+    def _frobenius(self, y: int, j: int) -> int:
+        """The packed y^(q^j): sigma^j(sum a_i X^i) = sum a_i X^(i*q^j), as each a_i is in F_q."""
+        table = self._frobenius_tables.get(j)
+        if table is None:  # X^(i*q^j), i < n: one ladder for X^(q^j), then n - 1 products
+            xqj, table = (self.element((0, 1)) ** self.q**j).packed, [1]
+            while len(table) < self.n:
+                table.append(self._reduce(table[-1] * xqj))
+            self._frobenius_tables[j] = table
+        # n terms (q-1)^2 and degree < n: inside reduce's slot bound n(q-1)^2
+        return self._reduce(sum(map(mul, self._unpack(y), table)))
 
     def element(self, coeffs) -> ExtFieldElement:
         q = self.q

@@ -50,6 +50,13 @@ class TestNumberTheory:
             assert all(is_prime(p) and e >= 1 for p, e in pairs)
             assert [p for p, _ in pairs] == sorted({p for p, _ in pairs})
 
+    def test_factorize_stops_once_the_cofactor_is_prime(self):
+        # trial division ends at sqrt of what is left: 3 after the twos, not sqrt(3 * 2^50)
+        assert factorize(3 * 2**50) == ((2, 50), (3, 1))
+        assert factorize(2**36) == ((2, 36),) and not is_prime(2**36)
+        assert factorize(2 * (2**31 - 1)) == ((2, 1), (2**31 - 1, 1))
+        assert factorize(65537**2) == ((65537, 2),)
+
     def test_divisors(self):
         assert divisors(15) == (1, 3, 5, 15)
         assert divisors(1) == (1,)

@@ -12,6 +12,7 @@ from cyclokit import finitefield
 from cyclokit.cyclotomic import cyclotomic, divisors, factorize, moebius
 from cyclokit.finitefield import (
     ExtField,
+    ExtFieldElement,
     _is_irreducible,
     _ladder,
     _packed_kernel,
@@ -512,3 +513,38 @@ class TestPackedKernel:
         x, y = f.element([1, 2, 3]), twin.element([4, 5, 6])
         assert (x * y).coeffs == schoolbook_mulmod((1, 2, 3), (4, 5, 6), modulus_of(f), 7)
         assert x * y == y * x
+
+
+class TestFrobenius:
+    @pytest.mark.parametrize("q, p, r", [(7, 3, 5), (3, 5, 7), (2, 3, 7), (5, 2, 3)])
+    def test_table_and_map_against_powers(self, q, p, r):
+        f, rng = make_ext_field(q, p * r), random.Random(q * p * r)
+        x = f.element((0, 1))
+        for j in (1, p, r):
+            assert f._frobenius(1, j) == 1  # and the table is built
+            assert f._frobenius_tables[j] == [(x ** (i * q**j)).packed for i in range(f.n)]
+            for _ in range(5):
+                y = random_nonzero(f, rng)
+                assert f._frobenius(y.packed, j) == (y ** q**j).packed
+
+    @pytest.mark.parametrize("q, n", KERNEL_FIELDS)
+    def test_map_at_every_slot_width(self, q, n):
+        # all slots at q - 1 sum n products (q-1)^2 into a slot: the kernel's bound
+        f = make_ext_field(q, n)
+        for vec in ([q - 1] * n, [1] + [0] * (n - 1), [0] * (n - 1) + [q - 1], [0] * n):
+            y = f.element(vec)
+            for j in (1, 2, n):
+                got = ExtFieldElement(f, f._frobenius(y.packed, j))
+                assert_canonical(got, f, (y ** q**j).coeffs)
+
+    def test_tables_are_kept_per_field_object(self):
+        f = make_ext_field(5, 6)
+        other, twin = ExtField(5, IntPoly((2, 1, 0, 0, 0, 0, 1))), ExtField(5, f.modulus)
+        assert other != f and twin == f
+        f._frobenius(1, 1)
+        assert 1 not in twin._frobenius_tables and 1 not in other._frobenius_tables
+        y = [1, 2, 3, 4, 0, 1]
+        for field in (twin, other):
+            assert field._frobenius(field.element(y).packed, 1) == (field.element(y) ** 5).packed
+        assert twin._frobenius_tables[1] == f._frobenius_tables[1] != other._frobenius_tables[1]
+

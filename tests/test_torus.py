@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclokit import torus
-from cyclokit.cyclotomic import cyclotomic, divisors, primes_upto
+from cyclokit.cyclotomic import PrimePair, cyclotomic, divisors, primes_upto
 from cyclokit.finitefield import ExtField, ExtFieldElement, make_ext_field, random_nonzero
-from cyclokit.intpoly import IntPoly, xgcd_rational
+from cyclokit.intpoly import IntPoly, divrem_exact, xgcd_rational
+from cyclokit.inverses import closed_form_ii, closed_form_iii
 from cyclokit.torus import (
     BezoutExponents,
     TorusComponents,
@@ -89,6 +90,22 @@ class TestExponentPolys:
         assert derive_exponent_polys(3, 5) == BezoutExponents(**GOLDEN_N15)
         assert calls == [(cyclotomic(3) * cyclotomic(5), cyclotomic(1) * cyclotomic(15))]
 
+    def test_v1_v2_from_cases_ii_and_iii_by_crt(self):
+        # case iii gives r/Phi_p and p/Phi_r mod Phi_pr as integer polynomials, so their
+        # product w is p*r/(Phi_p Phi_r) mod Phi_pr; the same value is 1 mod Phi_1, as
+        # Phi_p(1)*Phi_r(1) = p*r, and case ii's Phi_pr*u1 + Phi_1*u_pr = 1 joins the two
+        for p, r in itertools.permutations(primes_upto(31), 2):
+            n = p * r
+            phi1, phip, phir, phipr = (cyclotomic(k) for k in (1, p, r, n))
+            (_, vp), (_, vr) = closed_form_iii(PrimePair(p, r)), closed_form_iii(PrimePair(r, p))
+            w = divrem_exact(vp.num * (r // vp.den) * vr.num * (p // vr.den), phipr)[1]
+            u1, u_pr = (c.num for c in closed_form_ii(PrimePair(p, r)))
+            v1 = divrem_exact(phipr * u1 + phi1 * u_pr * w, phi1 * phipr)[1]
+            v2, rem = divrem_exact(IntPoly.constant(n) - phip * phir * v1, phi1 * phipr)
+            assert rem.is_zero
+            exps = derive_exponent_polys(p, r)
+            assert (v1, v2) == (exps.v1, exps.v2), (p, r)
+
     def test_degree_bounds(self):
         for p, r in [(3, 5), (5, 7), (2, 13)]:
             exps = derive_exponent_polys(p, r)
@@ -143,14 +160,20 @@ class TestRoundTrip:
             assert recombine(comps, params) == x**15
 
     def test_field_reductions_per_roundtrip(self, monkeypatch):
-        # x, A and B in decompose and each component in recombine are squared
-        # once for all their exponents; one ladder per power took 244 here
+        # decompose takes x^(Phi_5 Phi_15) and x^(Phi_3 Phi_15) as products of 5 and 3
+        # Frobenius conjugates, each step one reduce; x, A, B, C and each component in
+        # recombine are squared once for all their exponents. One ladder per power
+        # took 244 here, and one squaring chain per base without conjugates 188
         params, field = derive_params(7, 3, 5), make_ext_field(7, 15)
         x = field.element([(3 * i + 1) % 7 for i in range(15)])
-        reduce, calls = field._reduce, []
+        decompose(x, params)  # builds the field's Frobenius tables, kept for later calls
+        reduce, frobenius, calls, steps = field._reduce, field._frobenius, [], []
         monkeypatch.setattr(field, "_reduce", lambda c: calls.append(c) or reduce(c))
-        back = recombine(decompose(x, params), params)
-        assert len(calls) == 188
+        monkeypatch.setattr(field, "_frobenius", lambda y, j: steps.append(j) or frobenius(y, j))
+        comps = decompose(x, params)
+        assert (len(calls), steps) == (53, [3, 3, 3, 3, 5, 5])
+        back = recombine(comps, params)
+        assert len(calls) == 138
         assert back == x**15
 
     def test_recombine_rejects_zero_component(self):
@@ -428,6 +451,13 @@ def evaluated_exponents(params):
     return tuple(getattr(exps, name).evaluate(params.q) for name in exps._fields)
 
 
+def assert_norm_powers(x, comps, params):
+    """Each component is x to its norm exponent U_k(q), as the definition states."""
+    p, r = params.pair.p, params.pair.r
+    for k, comp in zip((1, p, r, p * r), (comps.t1, comps.tp, comps.tr, comps.tpr)):
+        assert comp == x ** params.norm_exponents[k]
+
+
 class _Untouchable(dict):
     def __getitem__(self, k):
         raise AssertionError("a reduced recombination exponent was read")
@@ -457,11 +487,33 @@ class TestReducedExponents:
         for _ in range(3):
             x = random_nonzero(field, rng)
             comps = decompose(x, params)
-            for k, comp in zip((1, p, r, n), (comps.t1, comps.tp, comps.tr, comps.tpr)):
-                assert comp == x ** params.norm_exponents[k]
+            assert_norm_powers(x, comps, params)
             back = recombine(comps, params)
             assert back == x**n
             assert back == two_step_recombine(comps, params)
+
+    @pytest.mark.parametrize("q, p, r", [(2, 3, 41), (2, 2, 61)])
+    def test_components_at_large_degree(self, q, p, r):
+        params, field, rng = derive_params(q, p, r), make_ext_field(q, p * r), random.Random(p * r)
+        for _ in range(2):
+            x = random_nonzero(field, rng)
+            assert_norm_powers(x, decompose(x, params), params)
+
+    @pytest.mark.parametrize("q, p, r", [(5, 2, 3), (7, 3, 5)])
+    def test_components_under_another_modulus(self, q, p, r):
+        # the monic reciprocal of the canonical modulus is irreducible too; each field
+        # keeps its own Frobenius tables, so reading the other's would show here
+        params, canonical = derive_params(q, p, r), make_ext_field(q, p * r)
+        f = canonical.modulus.coeffs
+        other = ExtField(q, IntPoly(tuple(c * pow(f[0], -1, q) for c in reversed(f))))
+        assert other != canonical
+        rng = random.Random(q * p * r)
+        for field in (canonical, other, canonical):
+            for _ in range(3):
+                x = random_nonzero(field, rng)
+                assert_norm_powers(x, decompose(x, params), params)
+        mine, theirs = other._frobenius_tables, canonical._frobenius_tables
+        assert all(mine[j] != theirs[j] for j in (p, r))
 
     def test_non_member_rejected_before_any_reduced_power(self):
         params = derive_params(7, 3, 5)
@@ -617,7 +669,9 @@ class TestExhaustiveOracle:
         big = make_ext_field(q, n)
         elements = _nonzero_elements(big)
         for x in elements:
-            assert recombine(decompose(x, params), params) == x**n
+            comps = decompose(x, params)
+            assert_norm_powers(x, comps, params)
+            assert recombine(comps, params) == x**n
         for slot, k in zip(TorusComponents._fields, (1, p, r, n)):
             outsiders = [x for x in elements if x ** params.orders[k] != big.one]
             assert outsiders
