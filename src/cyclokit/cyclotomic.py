@@ -1,7 +1,7 @@
 """Cyclotomic polynomials and the number theory around their resultants.
 
 The n-th cyclotomic polynomial is the product of the binomials
-(X^d - 1)^mu(n/d) over d | n, so everything stays in integer polynomials.
+(1 - X^d)^mu(n/d) over d | n, taken as a truncated integer power series.
 Resultants of two cyclotomics admit a divisor-product closed form
 (Apostol's theorem); ``resultant_apostol`` implements it in integer
 exponents, with no rational arithmetic, and ``nontrivial_resultant`` the
@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 
-from .intpoly import IntPoly, _Record, _pseudo_divrem
+from .intpoly import IntPoly, _Record
 
 
 def is_prime(n: int) -> bool:
@@ -70,25 +72,23 @@ def moebius(n: int) -> int:
 def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial: monic, degree phi(n), integer coefficients.
 
-    Computed as the product of (X^d - 1)^mu(n/d) over d | n: the mu = +1
-    binomials multiply in by shift-and-subtract, then each mu = -1 binomial
-    divides out exactly; it is a sparse monic divisor, so each division
-    costs O(deg). The lru_cache gives single-writer-consistent memoization.
+    The series prod_{d | n} (1 - X^d)^mu(n/d) to X^(phi(n)+1) (Arnold and Monagan, 2011): a
+    slice subtraction multiplies by 1 - X^d, a running sum per residue class mod d divides by
+    it. The term past X^phi(n) must be 0. Phi_1 = -(1 - X). The lru_cache memoizes.
     """
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    num = [1]
+    a = [1] + [0] * (euler_phi(n) + 1)
     for d in divisors(n):
         if moebius(n // d) == 1:
-            num = [0] * d + num
-            for i in range(len(num) - d):
-                num[i] -= num[i + d]
+            a[d:] = map(sub, a[d:], a[:-d])
     for d in divisors(n):
-        if moebius(n // d) == -1:
-            _, num, rem = _pseudo_divrem(num, [-1] + [0] * (d - 1) + [1])
-            if any(rem):
-                raise ArithmeticError(f"X^{d} - 1 does not divide the product for Phi_{n}")
-    return IntPoly(tuple(num))
+        if moebius(n // d) == -1 and d < len(a):
+            for s in range(d):
+                a[s::d] = accumulate(a[s::d])
+    if a.pop():
+        raise ArithmeticError(f"the series for Phi_{n} has a nonzero term past X^{len(a) - 1}")
+    return IntPoly(tuple(a) if n > 1 else (-1, 1))
 
 
 def lam_leung_split(p: int, r: int) -> tuple[int, int]:

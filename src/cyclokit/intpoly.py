@@ -19,9 +19,8 @@ the one slot width the operands' sizes predict, kept only under an exact certifi
 serves ``divrem_exact`` (a monic divisor, scale 1), the subresultant ``resultant`` and
 the Bezout pairs of ``xgcd_rational``: Euclid on primitive int-list remainders, with one
 denominator per cofactor, carries only the short cofactor, and an exact residual division
-gives the other. ``_mul`` multiplies in Z[X]: one C pass per nonzero term of a factor of
-at most ``_SHORT_FACTOR`` terms (a Euclid quotient, a constant), else one packed bigint
-product; ``cyclotomic`` multiplies by the sparse X^d - 1 by shift and subtract instead.
+gives the other. ``_mul`` multiplies in Z[X]: one C pass per nonzero term of a factor of at
+most ``_SHORT_FACTOR`` terms (a Euclid quotient, a constant), else one packed bigint product.
 """
 
 from __future__ import annotations

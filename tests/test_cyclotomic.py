@@ -7,6 +7,7 @@ import pytest
 
 import cyclokit
 import cyclokit.cyclotomic as cyclotomic_module
+from cyclokit import intpoly
 from cyclokit.cyclotomic import (
     PrimePair,
     cyclotomic,
@@ -21,7 +22,7 @@ from cyclokit.cyclotomic import (
     primes_upto,
     resultant_apostol,
 )
-from cyclokit.intpoly import IntPoly, _pseudo_divrem, resultant
+from cyclokit.intpoly import IntPoly, resultant
 
 PHI15 = IntPoly((1, -1, 0, 1, -1, 1, 0, -1, 1))
 
@@ -99,10 +100,10 @@ class TestCyclotomic:
         for n in range(1, 201):
             assert cyclotomic(n).degree == euler_phi(n)
 
-    # squarefree (3003 = 3*7*11*13) and not (4620, 9009, 864 = 2^5*3^3); the
-    # binomial construction never reads a lower-index cyclotomic, so the
-    # divisor product is an independent check
-    @pytest.mark.parametrize("n", [3003, 4620, 9009, 864])
+    # squarefree (3003 = 3*7*11*13, 15015 = 3*5*7*11*13) and not (4620, 9009,
+    # 864 = 2^5*3^3); the series construction never reads a lower-index
+    # cyclotomic, so the divisor product is an independent check
+    @pytest.mark.parametrize("n", [3003, 4620, 9009, 864, 15015])
     def test_large_composite_indices(self, n):
         prod = IntPoly.one()
         for d in divisors(n):
@@ -110,26 +111,66 @@ class TestCyclotomic:
         assert prod == IntPoly.monomial(n) - IntPoly.one()
         assert cyclotomic(n).degree == euler_phi(n)
 
+    # three identities the construction does not use, over every index <= 3003
+    def test_twice_an_odd_index_is_the_odd_one_at_minus_x(self):
+        for n in range(3, 1502, 2):  # Phi_2n(X) = Phi_n(-X)
+            c, c2 = cyclotomic(n).coeffs, cyclotomic(2 * n).coeffs
+            assert c2[::2] == c[::2] and c2[1::2] == tuple(-x for x in c[1::2])
+
+    def test_a_repeated_prime_substitutes_x_to_the_p(self):
+        for n in range(2, 1502):  # Phi_np(X) = Phi_n(X^p) for each prime p | n
+            for p, _ in factorize(n):
+                if n * p <= 3003:
+                    c = cyclotomic(n).coeffs
+                    spread = [0] * ((len(c) - 1) * p + 1)
+                    spread[::p] = c
+                    assert cyclotomic(n * p).coeffs == tuple(spread), (n, p)
+
+    def test_value_at_one(self):
+        for n in range(2, 3004):  # Phi_n(1) = p for n = p^k, else 1
+            p = next((k for k in range(2, math.isqrt(n) + 1) if n % k == 0), n)
+            power = p
+            while power < n:
+                power *= p
+            assert sum(cyclotomic(n).coeffs) == (p if power == n else 1), n
+
     def test_binomial_that_does_not_divide_raises(self, monkeypatch):
-        # mu(6) = +1 read as -1: X - 1 is divided out where it should multiply
-        # in, and X^2 - 1 then leaves a remainder
+        # mu(6) = +1 read as -1: 1 - X is divided out where it should multiply
+        # in, so the series does not end at X^phi(6) = X^2
         monkeypatch.setattr(cyclotomic_module, "moebius", lambda k: -1 if k == 6 else moebius(k))
-        with pytest.raises(ArithmeticError, match=r"X\^2 - 1 .* Phi_6"):
+        with pytest.raises(ArithmeticError, match=r"Phi_6 .* past X\^2"):
             cyclotomic.__wrapped__(6)
 
     def test_package_attribute_is_the_module(self, monkeypatch):
         # the package exports no function under its submodule's name, so a
-        # patch through the dotted path reaches the module's binomial divisions
+        # patch through the dotted path reaches the module's Moebius reads
         assert cyclokit.cyclotomic is cyclotomic_module is sys.modules["cyclokit.cyclotomic"]
-        divisors_seen = []
+        arguments_seen = []
 
-        def recording(a, b):
-            divisors_seen.append(len(b) - 1)
-            return _pseudo_divrem(a, b)
+        def recording(k):
+            arguments_seen.append(k)
+            return moebius(k)
 
-        monkeypatch.setattr("cyclokit.cyclotomic._pseudo_divrem", recording)
+        monkeypatch.setattr("cyclokit.cyclotomic.moebius", recording)
         assert cyclotomic.__wrapped__(15) == PHI15
-        assert divisors_seen == [3, 5]  # X^d - 1 for the d | 15 with mu(15/d) = -1
+        assert arguments_seen == [15, 5, 3, 1] * 2  # mu(15/d) for d | 15, once per pass
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 105, 3003])
+    def test_construction_does_no_long_division(self, n):
+        # a profiler sees every call, however the function was imported
+        entered = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is intpoly._pseudo_divrem.__code__:
+                entered.append(n)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            phi = cyclotomic.__wrapped__(n)
+        finally:
+            sys.setprofile(previous)
+        assert phi.degree == euler_phi(n) and entered == []
 
     def test_phi105_landmark(self):
         c = cyclotomic(105).coeffs
