@@ -41,7 +41,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 m //= p
                 e += 1
             pairs.append((p, e))
-        p += 1
+        p += 1 + (p > 2)  # 2, then odd candidates only
     if m > 1:
         pairs.append((m, 1))
     return tuple(pairs)

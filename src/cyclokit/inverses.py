@@ -1,15 +1,14 @@
 """Closed-form modular inverses between cyclotomic polynomials.
 
-For distinct primes p, r and indices m, n dividing p*r, the inverse of
-the m-th cyclotomic polynomial modulo the n-th has small, structured
-coefficients. Each builder below constructs its case from the closed form
-and raises ArithmeticError only when an identity of that construction
-fails, never on a bound. Cases i, ii and iii return the Bezout pair (U, V)
-with Phi_m*U + Phi_n*V = 1, ordered as ``inverse_pair(m, n)``; case iv is
-one inverse. ``_bound_holds`` states the bounds of i-b, ii-b, iii-b and iv;
-``verify_closed_forms`` checks all seven cases of a prime pair against the
-generic extended-GCD inverse and reports each verdict with the case's own
-closed form.
+For distinct primes p, r and indices m, n dividing p*r, the inverse of the m-th cyclotomic
+polynomial modulo the n-th has small, structured coefficients. Each builder constructs its case from
+the closed form and raises ArithmeticError only when an identity of that construction fails, never
+on a bound. Case ii divides by X - 1 and case iii, times X - 1, by X^p - 1, as running sums per
+residue class; case iv checks its inverse mod X^r - 1 = (X - 1)*Phi_r by a rotation, so none of them
+shares a division with the oracle. Cases i, ii and iii return the Bezout pair (U, V) with
+Phi_m*U + Phi_n*V = 1, ordered as ``inverse_pair(m, n)``; case iv is one inverse. ``_bound_holds``
+states the bounds of i-b, ii-b, iii-b and iv; ``verify_closed_forms`` checks all seven cases of a
+prime pair against the extended-GCD oracle and reports each verdict with the case's own closed form.
 
 Case ids (m index vs modulus index):
     i-a    p   mod 1          1/p
@@ -24,10 +23,10 @@ Case ids (m index vs modulus index):
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import eq
+from operator import eq, sub
 
 from .cyclotomic import PrimePair, cyclotomic, euler_phi, is_prime
-from .intpoly import IntPoly, ScaledPoly, _height, _Record, divrem_exact, xgcd_rational
+from .intpoly import IntPoly, ScaledPoly, _height, _Record, xgcd_rational
 
 CASE_IDS = ("i-a", "i-b", "ii-a", "ii-b", "iii-a", "iii-b", "iv")
 
@@ -73,36 +72,37 @@ def closed_form_ii(pair: PrimePair) -> tuple[ScaledPoly, ScaledPoly]:
 
 
 def closed_form_iii(pair: PrimePair) -> tuple[ScaledPoly, ScaledPoly]:
-    """Case iii: (U, V) with Phi_pr*U + Phi_p*V = 1.
+    """Case iii: (U, V) with Phi_pr*U + Phi_p*V = 1, U = (1/r)(1 + X + ... + X^d), d = (r-1) mod p.
 
-    U = (1/r)(1 + X + ... + X^d) with d = (r-1) mod p; V = (1 - Phi_pr*U) / Phi_p,
-    an exact division. ``_bound_holds`` judges the bound of V.
+    V = (1 - Phi_pr*U)/Phi_p. Times X - 1 on top and bottom, rV = (Phi_pr*(X^(d+1) - 1) - r(X - 1))
+    / (1 - X^p): a running sum per residue class mod p, exact iff its top p terms are 0.
     """
     p, r = pair.p, pair.r
-    ones = IntPoly((1,) * ((r - 1) % p + 1))
-    v, rem = divrem_exact(IntPoly.constant(r) - cyclotomic(pair.n) * ones, cyclotomic(p))
-    if not rem.is_zero:
-        raise ArithmeticError(f"Phi_{p} does not divide r - Phi_pr * U for ({p}, {r})")
-    return ScaledPoly(ones, r), ScaledPoly(v, r)
+    phi, e = cyclotomic(pair.n).coeffs, (r - 1) % p + 1
+    a = list(map(sub, (0,) * e + phi, (phi[0] - r, phi[1] + r, *phi[2:]) + (0,) * e))
+    for s in range(p):
+        a[s::p] = accumulate(a[s::p])
+    if any(a[-p:]):
+        raise ArithmeticError(f"X^p - 1 does not divide the numerator of V for ({p}, {r})")
+    return ScaledPoly(IntPoly((1,) * e), r), ScaledPoly(IntPoly(tuple(a[:-p])), r)
 
 
 def closed_form_iv(p: int, r: int) -> IntPoly:
     """Case iv: integer inverse of the p-th cyclotomic mod the r-th, coefficients in {-1,0,1}.
 
-    With k = p^{-1} mod r, U = sum_{i<k} X^{(ip mod r)} reduced mod Phi_r.
-    This works because Phi_p * (X-1) * sum_{i<k} X^{ip} = X^{pk} - 1, which
-    is X - 1 mod X^r - 1. The reduction is by a monic divisor, so U is
-    integral; that it inverts Phi_p mod Phi_r over Z is checked, and
-    ``_bound_holds`` judges its coefficient set.
+    With k = p^{-1} mod r, U is S = sum_{i<k} X^{(ip mod r)} mod Phi_r: S's first r - 1 coefficients
+    minus its last. (X^p - 1)*S = X^{pk} - 1 = X - 1 mod X^r - 1 = (X-1)*Phi_r, and Phi_r is monic, so
+    Phi_p*U = 1 mod Phi_r is checked as (X^p - 1)*U = X - 1 mod X^r - 1: U in r terms, rotated by p,
+    minus U is (-1, 1, 0, ..., 0). ``_bound_holds`` judges its coefficient set.
     """
     PrimePair.of(p, r)  # validates distinct primes
     powers = [0] * r
     for i in range(pow(p, -1, r)):
         powers[i * p % r] = 1
-    _, u = divrem_exact(IntPoly(tuple(powers)), cyclotomic(r))
-    if divrem_exact(cyclotomic(p) * u, cyclotomic(r))[1] != IntPoly.one():
+    u, s = [c - powers[-1] for c in powers[:-1]] + [0], p % r
+    if list(map(sub, u[-s:] + u[:-s], u)) != [-1, 1] + [0] * (r - 2):
         raise ArithmeticError(f"closed form iv is not an inverse of Phi_p mod Phi_r for ({p}, {r})")
-    return u
+    return IntPoly(tuple(u))
 
 
 def difference_inverse(p: int, r: int) -> IntPoly:

@@ -2,12 +2,13 @@
 
 import builtins
 import json
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cyclokit import cli, inverses
+from cyclokit import cli, intpoly, inverses
 from cyclokit.cyclotomic import PrimePair, cyclotomic, euler_phi, primes_upto
 from cyclokit.intpoly import IntPoly, NotCoprimeError, ScaledPoly, divrem_exact, xgcd_rational
 from cyclokit.inverses import (
@@ -179,6 +180,30 @@ class TestClosedFormII:
             closed_form_ii(PrimePair.of(3, 5))
 
 
+# (p, r) pairs whose builders are profiled or perturbed below
+PROBE_PAIRS = [(2, 3), (3, 2), (3, 5), (5, 3), (7, 13), (29, 31)]
+
+
+@pytest.mark.parametrize("p, r", PROBE_PAIRS)
+def test_construction_does_no_long_division(p, r):
+    # cases iii and iv divide only by binomials, never through intpoly's division or product
+    kernels = {f.__code__ for f in (intpoly._pseudo_divrem, intpoly.divrem_exact, intpoly._mul)}
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in kernels:
+            entered.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        closed_form_iii(PrimePair.of(p, r))
+        closed_form_iv(p, r)
+    finally:
+        sys.setprofile(previous)
+    assert entered == [] and not hasattr(inverses, "divrem_exact")
+
+
 class TestClosedFormIII:
     def test_forward_examples(self):
         assert closed_form_iii(PrimePair.of(3, 5))[0] == ScaledPoly(IntPoly((1, 1)), 5)
@@ -201,6 +226,15 @@ class TestClosedFormIII:
         assert v == ScaledPoly(IntPoly((2, -1)), 3)
         v = closed_form_iii(PrimePair.of(3, 5))[1]
         assert v.den == 5 and all(c < 5 for c in v.num.coeffs)
+
+    @pytest.mark.parametrize("p, r", PROBE_PAIRS)
+    def test_inexact_division_raises(self, monkeypatch, p, r):
+        # Phi_pr + 1 leaves r - Phi_pr*U off by U, which Phi_p does not divide: deg U < p - 1
+        real = inverses.cyclotomic
+        monkeypatch.setattr(inverses, "cyclotomic", lambda n: real(n) + IntPoly.one() if n == p * r else real(n))
+        with pytest.raises(ArithmeticError, match=rf"\({p}, {r}\)") as exc:
+            closed_form_iii(PrimePair.of(p, r))
+        assert type(exc.value) is ArithmeticError
 
     def test_reverse_is_oracle(self):
         for p in primes_upto(19):
@@ -423,3 +457,14 @@ class TestObservedEnvelopes:
         for pair in OBSERVED_PAIRS:
             coeffs = set(closed_form_iv(pair.p, pair.r).coeffs)
             assert coeffs <= {-1, 0} or coeffs <= {0, 1}, (pair.p, pair.r)
+
+
+class TestOraclePairs:
+    def test_iii_and_iv_are_the_oracle_pairs(self):
+        # both halves of case iii at (pr, p), and case iv with its swap at (p, r), for p < r
+        for pair in OBSERVED_PAIRS:
+            p, r = pair.p, pair.r
+            assert closed_form_iii(pair) == inverse_pair(p * r, p), (p, r)
+            if p < r:
+                iv = ScaledPoly(closed_form_iv(p, r)), ScaledPoly(closed_form_iv(r, p))
+                assert iv == inverse_pair(p, r), (p, r)
