@@ -93,8 +93,8 @@ def _emit(command: str, params: dict, result, started: float) -> None:
 
 def _check_indices(*indices: int) -> None:
     # Measured cold on a 2-core Xeon VM, the slowest under INDEX_CEILING: inv (3003, 2261) 7.3-7.9 s,
-    # (3003, 2431) 6.4-6.6 s, res 4.0 s, phi/eval 0.08-0.16 s (2-4 ms of it builds Phi_3003); inv
-    # (2002, 3003) 0.7-1.1 s. 3003 is the largest index the goldens and benchmark use.
+    # (3003, 2431) 6.4-6.6 s, res (3003, 2431) 2.2-2.4 s, phi/eval 0.08-0.16 s (2-4 ms of it builds
+    # Phi_3003); inv (2002, 3003) 0.7-1.1 s. 3003 is the largest index the goldens and benchmark use.
     if min(indices) < 1:
         raise UsageError("indices must be >= 1")
     if max(indices) > INDEX_CEILING:

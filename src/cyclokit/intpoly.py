@@ -16,11 +16,12 @@ it in one of three evaluation orders, chosen from the inputs: Horner's rule as o
 ``accumulate`` for a monic X - c; a loop over the divisor's nonzero terms, whose quotient
 digits are exact divisions by the leading coefficient; or one packed bigint division, at
 the one slot width the operands' sizes predict, kept only under an exact certificate. It
-serves ``divrem_exact`` (a monic divisor, scale 1), the subresultant ``resultant`` and
-the Bezout pairs of ``xgcd_rational``: Euclid on primitive int-list remainders, with one
-denominator per cofactor, carries only the short cofactor, and an exact residual division
-gives the other. ``_mul`` multiplies in Z[X]: one C pass per nonzero term of a factor of at
-most ``_SHORT_FACTOR`` terms (a Euclid quotient, a constant), else one packed bigint product.
+serves ``divrem_exact`` (a monic divisor, scale 1), the subresultant ``resultant`` on int
+lists, whose steps divide by ``_div_exact`` as ScaledPoly's content does, and the Bezout
+pairs of ``xgcd_rational``: Euclid on primitive int-list remainders, with one denominator
+per cofactor, carries only the short cofactor; an exact residual division gives the other.
+``_mul`` multiplies in Z[X]: one C pass per nonzero term of a factor of at most
+``_SHORT_FACTOR`` terms (a Euclid quotient, a constant), else one packed bigint product.
 """
 
 from __future__ import annotations
@@ -137,6 +138,14 @@ def _mul(a, b) -> list[int]:
     return _unpack(_pack(a, size) * _pack(b, size), size, len(a) + len(b) - 1)
 
 
+def _div_exact(xs, g: int) -> tuple[int, ...]:
+    """Each entry of xs divided by g, in one divmod pass; ArithmeticError if one leaves a remainder."""
+    quotients, remainders = [*zip(*map(divmod, xs, repeat(g)))] or [(), ()]
+    if any(remainders):
+        raise ArithmeticError(f"coefficients not divisible by {g}")
+    return quotients
+
+
 def _trimmed(coeffs) -> tuple[int, ...]:
     out = tuple(coeffs)
     end = len(out)
@@ -176,12 +185,6 @@ class IntPoly(_Record):
         return not self.coeffs
 
     @property
-    def leading(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -195,14 +198,6 @@ class IntPoly(_Record):
         for c in reversed(self.coeffs):
             acc = acc * q + c
         return acc
-
-    def scalar_div_exact(self, g: int) -> IntPoly:
-        if not self.coeffs:
-            return self
-        quotients, remainders = zip(*map(divmod, self.coeffs, repeat(g)))
-        if any(remainders):
-            raise ValueError(f"coefficients not divisible by {g}")
-        return IntPoly(quotients)
 
     def to_decimal_strings(self) -> list[str]:
         """Little-endian decimal-string form used by the CLI."""
@@ -277,7 +272,7 @@ class ScaledPoly(_Record):
             num, den = -num, -den
         g = math.gcd(num.content, den)
         if g > 1:
-            num = num.scalar_div_exact(g)
+            num = IntPoly(_div_exact(num.coeffs, g))
             den //= g
         self._assign(num, den)
 
@@ -396,44 +391,31 @@ def xgcd_rational(a: IntPoly, b: IntPoly) -> tuple[ScaledPoly, ScaledPoly]:
 def resultant(a: IntPoly, b: IntPoly) -> int:
     """Sylvester-matrix resultant of a and b, computed fraction-free.
 
-    Uses the subresultant remainder sequence, so all intermediates stay
-    integral; the sign agrees with the Sylvester determinant, and
-    resultant(a, b) == (-1)**(deg a * deg b) * resultant(b, a).
+    Runs the subresultant remainder sequence (Collins) on int lists, content
+    included, from g = h = 1: each pseudo-remainder divides by beta = g*h^delta,
+    then g becomes the divisor's leading coefficient and h becomes
+    g^delta/h^(delta-1), taken as g^delta*h/h^delta for every delta >= 0.
+    Once a remainder is constant, its own h-update is the resultant. Each
+    division is exact or raises ArithmeticError. The sign agrees with the
+    Sylvester determinant, and resultant(a, b) == (-1)**(deg a * deg b) *
+    resultant(b, a).
     """
     if a.is_zero or b.is_zero:
         raise ValueError("resultant requires nonzero inputs")
-    s = 1
-    A, B = a, b
-    if A.degree < B.degree:
-        if A.degree % 2 == 1 and B.degree % 2 == 1:
-            s = -1
+    A, B, s = a.coeffs, b.coeffs, 1
+    if len(A) < len(B):
         A, B = B, A
-    if B.degree == 0:
-        return s * B.coeffs[0] ** A.degree
-    ca, cb = A.content, B.content
-    A = A.scalar_div_exact(ca)
-    B = B.scalar_div_exact(cb)
-    t = ca**B.degree * cb**A.degree
+        s = -1 if len(A) % 2 == len(B) % 2 == 0 else 1  # both degrees odd
     g = h = 1
-    while B.degree > 0:
-        delta = A.degree - B.degree
-        if A.degree % 2 == 1 and B.degree % 2 == 1:
+    while len(B) > 1:
+        delta = len(A) - len(B)
+        if len(A) % 2 == len(B) % 2 == 0:
             s = -s
-        rem = IntPoly(_pseudo_divrem(A.coeffs, B.coeffs)[2])
-        A = B
-        if rem.is_zero:
+        rem = _trimmed(_pseudo_divrem(A, B)[2])
+        if not rem:
             return 0
-        B = rem.scalar_div_exact(g * h**delta)
-        g = A.leading
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h, r2 = divmod(g**delta, h ** (delta - 1))
-            if r2:
-                raise ArithmeticError("subresultant h-update does not divide exactly")
-    ell = B.coeffs[0]
-    dA = A.degree
-    hf, r2 = divmod(ell**dA, h ** (dA - 1))
-    if r2:
-        raise ArithmeticError("subresultant final step does not divide exactly")
-    return s * t * hf
+        A, B = B, _div_exact(rem, g * h**delta)
+        g = A[-1]
+        (h,) = _div_exact((g**delta * h,), h**delta)
+    (h,) = _div_exact((B[0] ** (len(A) - 1) * h,), h ** (len(A) - 1))
+    return s * h

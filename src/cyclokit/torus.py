@@ -503,14 +503,8 @@ def kernel_annihilator(params: TorusParams) -> KernelReport:
         math.gcd(abs(d_p), q**p - 1),
         math.gcd(abs(d_r), q**r - 1),
     )
-    # the least k with e | (p*r)^k is the larger of the p- and r-valuations of e
-    rest, power = e, 0
-    for ell in (p, r):
-        v = 0
-        while rest % ell == 0:
-            rest //= ell
-            v += 1
-        power = max(power, v)
-    if rest != 1:
+    # a valuation of e is below its bit length, so a p,r-smooth e divides (p*r)^k for some such k
+    power = next((k for k in range(e.bit_length()) if (p * r) ** k % e == 0), None)
+    if power is None:
         raise ArithmeticError(f"kernel exponent {e} is not {p},{r}-smooth")
     return KernelReport(d_x=d_x, d_p=d_p, d_r=d_r, exponent=e, power=power)

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclokit
-from cyclokit import cli, torus
+from cyclokit import cli, intpoly, torus
 from cyclokit.cli import COUNT_CEILING, INDEX_CEILING, PR_CEILING, main
+from cyclokit.cyclotomic import cyclotomic
 
 
 def run_cli(capsys, *argv):
@@ -141,6 +142,25 @@ class TestBasicCommands:
         )
         assert code == 3 and not out
         assert err == "error: component t1 is not in T_1\n"
+
+    def test_inexact_resultant_step_exits_1(self, capsys, monkeypatch):
+        # res 10 7 divides its third remainder by beta = 4; adding 1 to the second
+        # remainder's constant term (Phi_10 by the first remainder, of degree 3) makes
+        # that division inexact, which is a failed invariant, not a usage error
+        pseudo_divrem = intpoly._pseudo_divrem
+
+        def broken(a, b):
+            scale, q, r = pseudo_divrem(a, b)
+            if (len(a), len(b)) == (5, 4):
+                r = [r[0] + 1, *r[1:]]
+            return scale, q, r
+
+        monkeypatch.setattr(intpoly, "_pseudo_divrem", broken)
+        with pytest.raises(ArithmeticError, match="not divisible by 4"):
+            intpoly.resultant(cyclotomic(10), cyclotomic(7))
+        code, out, err = run_cli(capsys, "res", "10", "7")
+        assert code == 1 and not out
+        assert err == "error: coefficients not divisible by 4\n"
 
     def test_index_at_ceiling_is_admitted(self, capsys):
         code, out, _ = run_cli(capsys, "phi", str(INDEX_CEILING))

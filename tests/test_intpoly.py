@@ -45,6 +45,12 @@ wide_polys = st.tuples(
     st.sampled_from((1, -1)),
 ).map(lambda t: IntPoly(tuple(t[0]) + (t[1] * t[2],)))
 bezout_polys = st.one_of(nonzero_polys, wide_polys)
+# small, wide (degree <= 6 keeps the determinant quick) and content multiples c*a:
+# the subresultant sequence runs on its inputs as given, content included
+sylvester_polys = st.one_of(
+    st.lists(st.integers(-5, 5), max_size=7).map(lambda cs: IntPoly(tuple(cs))),
+    wide_polys.filter(lambda p: p.degree <= 6),
+).flatmap(lambda p: st.one_of(st.just(p), st.integers(2, 6).map(lambda c: p * c)))
 # magnitudes at the edges of the packed product's 1-, 2-, 4- and 8-byte
 # slots, and past them into the wide path
 mul_magnitudes = st.sampled_from((1, 9, 2**7, 2**15, 2**31, 2**63, 10**40))
@@ -459,10 +465,10 @@ class TestResultant:
         sign = -1 if (len(a.coeffs) - 1) % 2 == 1 and (len(b.coeffs) - 1) % 2 == 1 else 1
         assert resultant(a, b) == sign * resultant(b, a)
 
-    @given(
-        st.lists(st.integers(-5, 5), max_size=7).map(lambda cs: IntPoly(tuple(cs))),
-        st.lists(st.integers(-5, 5), max_size=7).map(lambda cs: IntPoly(tuple(cs))),
-    )
+    @given(sylvester_polys, sylvester_polys)
+    @example(IntPoly((1, 2, 3)), IntPoly((2, -1, 5)))  # equal degrees: delta = 0 first
+    # the first remainder drops from degree 3 to 1, so the next step has delta = 2
+    @example(IntPoly((4, 9, 1, 2, 2)), IntPoly((3, 1, 0, 2)))
     @settings(max_examples=150, deadline=None)
     def test_matches_sylvester_determinant(self, a, b):
         if a.is_zero or b.is_zero:
