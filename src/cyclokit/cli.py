@@ -38,7 +38,6 @@ from .finitefield import make_ext_field, random_nonzero
 from .intpoly import IntPoly, NotCoprimeError, ScaledPoly, _height, resultant
 from .inverses import difference_inverse, inverse_mod, verify_closed_forms
 from .torus import (
-    BezoutExponents,
     TorusMembershipError,
     decompose,
     derive_exponent_polys,
@@ -61,8 +60,8 @@ FIELD_ORDER_CEILING = 2**128
 # Measured cold on a 2-core Xeon VM: torus params --q 0 is slowest at p = 2, 3: 0.4-0.5 s at
 # (2, 7993) and (3, 5333), below the slowest inv's 7.3-7.9 s; q >= 2 has p*r <= 128 by the field ceiling.
 PR_CEILING = 16000
-# Measured cold on a 2-core Xeon VM: the slowest theta-demo op under the field
-# ceiling takes 21-24 ms (q=2, n=122), so 200 take 5.5-6.3 s with about 1.5 s of
+# Measured cold on a 2-core Xeon VM: theta-demo ops under the field ceiling are slowest
+# at q=2, n=122 and n=123, 12-22 ms each, so 200 take 3.2-5.5 s with 0.3-2.1 s of
 # set-up, below the slowest inv under INDEX_CEILING.
 COUNT_CEILING = 200
 
@@ -216,29 +215,21 @@ def _torus_guard(q: int, p: int, r: int) -> None:
 
 
 def _torus_params_payload(args) -> dict:
-    q = args.q
+    q, tail = args.q, {}
     if q == 0:  # symbolic mode: keep q as the indeterminate
         exps = derive_exponent_polys(args.p, args.r)
     else:
         params = derive_params(q, args.p, args.r)
         exps = params.exps
-    payload, evaluations = {"symbolic": q == 0}, {}
-    for name in BezoutExponents._fields:
-        poly = getattr(exps, name)
-        payload[name] = _poly_payload(poly)
-        evaluations[name] = str(poly.evaluate(q))
-    if q == 0:
-        return payload
-    payload["evaluations"] = evaluations
-    payload["norm_exponents"] = {str(k): str(v) for k, v in sorted(params.norm_exponents.items())}
-    return payload
+        tail = {
+            "evaluations": {name: str(getattr(exps, name).evaluate(q)) for name in exps._fields},
+            "norm_exponents": {str(k): str(v) for k, v in sorted(params.norm_exponents.items())},
+        }
+    polys = {name: _poly_payload(getattr(exps, name)) for name in exps._fields}
+    return {"symbolic": q == 0, **polys, **tail}
 
 
-def _torus_roundtrip_payload(args) -> tuple[dict, int]:
-    n = args.p * args.r
-    params = derive_params(args.q, args.p, args.r)
-    field = make_ext_field(args.q, n)
-    rng = random.Random(args.seed)
+def _roundtrip_trials(args, params, field, rng) -> tuple[int, dict]:
     passes = 0
 
     def coeffs(e):
@@ -248,7 +239,7 @@ def _torus_roundtrip_payload(args) -> tuple[dict, int]:
         x = random_nonzero(field, rng)
         comps = decompose(x, params)
         back = recombine(comps, params)
-        ok = back == x**n
+        ok = back == x**field.n
         if ok:
             passes += 1
         if i < args.vectors:  # regression-pinnable test vectors, one JSON line each
@@ -262,31 +253,23 @@ def _torus_roundtrip_payload(args) -> tuple[dict, int]:
                     }
                 )
             )
-    payload = {
-        "count": args.count,
-        "passes": passes,
-        "seed": args.seed,
+    return passes, {
         "field": {
             "q": str(args.q),
-            "n": n,
+            "n": field.n,
             "modulus": field.modulus.to_decimal_strings(),
         },
     }
-    return payload, EXIT_OK if passes == args.count else EXIT_CHECK_FAILED
 
 
-def _torus_theta_payload(args) -> tuple[dict, int]:
-    q, p, r = args.q, args.p, args.r
-    n = p * r
-    params = derive_params(q, p, r)
-    big = make_ext_field(q, n)
-    field_p = make_ext_field(q, p)
-    field_r = make_ext_field(q, r)
-    rng = random.Random(args.seed)
+def _theta_trials(args, params, big, rng) -> tuple[int, dict]:
+    p, r = args.p, args.r
+    field_p = make_ext_field(args.q, p)
+    field_r = make_ext_field(args.q, r)
     kern = kernel_annihilator(params)
     passes = 0
     for _ in range(args.count):
-        x = random_nonzero(big, rng) ** params.norm_exponents[n]
+        x = random_nonzero(big, rng) ** params.norm_exponents[big.n]
         xp = random_nonzero(field_p, rng)
         xr = random_nonzero(field_r, rng)
         x1, xpr = theta(x, xp, xr, params)
@@ -294,10 +277,7 @@ def _torus_theta_payload(args) -> tuple[dict, int]:
         if back == (x**kern.d_x, xp**kern.d_p, xr**kern.d_r):
             passes += 1
     ins, outs = theta_dimensions(p, r)
-    payload = {
-        "count": args.count,
-        "passes": passes,
-        "seed": args.seed,
+    return passes, {
         "dimensions": {
             "domain": list(ins),
             "codomain": list(outs),
@@ -305,7 +285,9 @@ def _torus_theta_payload(args) -> tuple[dict, int]:
         },
         "kernel": {"exponent": str(kern.exponent), "power": kern.power},
     }
-    return payload, EXIT_OK if passes == args.count else EXIT_CHECK_FAILED
+
+
+_TORUS_TRIALS = {"roundtrip": _roundtrip_trials, "theta-demo": _theta_trials}
 
 
 def _cmd_torus(args) -> tuple[dict, dict, int]:
@@ -323,11 +305,11 @@ def _cmd_torus(args) -> tuple[dict, dict, int]:
         raise PreconditionError(f"--count {args.count} exceeds the ceiling {COUNT_CEILING}")
     _torus_guard(args.q, args.p, args.r)
     params_desc.update({"count": args.count, "seed": args.seed})
-    if args.action == "roundtrip":
-        payload, code = _torus_roundtrip_payload(args)
-    else:
-        payload, code = _torus_theta_payload(args)
-    return params_desc, payload, code
+    params = derive_params(args.q, args.p, args.r)
+    big = make_ext_field(args.q, params.pair.n)
+    passes, tail = _TORUS_TRIALS[args.action](args, params, big, random.Random(args.seed))
+    payload = {"count": args.count, "passes": passes, "seed": args.seed, **tail}
+    return params_desc, payload, EXIT_OK if passes == args.count else EXIT_CHECK_FAILED
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -337,27 +319,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    p_phi = sub.add_parser("phi", help="coefficients of the n-th cyclotomic polynomial")
-    p_phi.add_argument("n", type=int)
-
-    p_res = sub.add_parser("res", help="resultant of two cyclotomic polynomials")
-    p_res.add_argument("m", type=int)
-    p_res.add_argument("n", type=int)
-
-    p_inv = sub.add_parser("inv", help="inverse of the m-th cyclotomic mod the n-th")
-    p_inv.add_argument("m", type=int)
-    p_inv.add_argument("n", type=int)
-
-    p_eval = sub.add_parser("eval", help="evaluate the n-th cyclotomic at an integer")
-    p_eval.add_argument("n", type=int)
-    p_eval.add_argument("q", type=int)
+    for name, handler, help_text, int_args in (
+        ("phi", _cmd_phi, "coefficients of the n-th cyclotomic polynomial", "n"),
+        ("res", _cmd_res, "resultant of two cyclotomic polynomials", "m n"),
+        ("inv", _cmd_inv, "inverse of the m-th cyclotomic mod the n-th", "m n"),
+        ("eval", _cmd_eval, "evaluate the n-th cyclotomic at an integer", "n q"),
+    ):
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(handler=handler)
+        for arg in int_args.split():
+            command.add_argument(arg, type=int)
 
     p_verify = sub.add_parser("verify", help="verification sweeps (line-delimited JSON)")
+    p_verify.set_defaults(handler=_cmd_verify)
     p_verify.add_argument("--mode", choices=sorted(_VERIFY_MODES), required=True)
     p_verify.add_argument("--max", type=int, default=13)
 
     p_torus = sub.add_parser("torus", help="subgroup decomposition demos")
-    p_torus.add_argument("action", choices=["params", "roundtrip", "theta-demo"])
+    p_torus.set_defaults(handler=_cmd_torus)
+    p_torus.add_argument("action", choices=["params", *_TORUS_TRIALS])
     p_torus.add_argument("--q", type=int, required=True, help="prime base (0 = symbolic params)")
     p_torus.add_argument("--p", type=int, required=True)
     p_torus.add_argument("--r", type=int, required=True)
@@ -378,22 +358,13 @@ _EXIT_CODES = (
     (ValueError, EXIT_USAGE),
 )
 
-_HANDLERS = {
-    "phi": _cmd_phi,
-    "res": _cmd_res,
-    "inv": _cmd_inv,
-    "eval": _cmd_eval,
-    "verify": _cmd_verify,
-    "torus": _cmd_torus,
-}
-
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        params, result, code = _HANDLERS[args.command](args)
+        params, result, code = args.handler(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for types, code in _EXIT_CODES if isinstance(exc, types))

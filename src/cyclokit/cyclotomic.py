@@ -151,17 +151,14 @@ def lam_leung_phi_pr(p: int, r: int) -> IntPoly:
 def resultant_apostol(m: int, n: int) -> int:
     """Closed-form |resultant| of the m-th and n-th cyclotomic polynomials, m > n >= 1.
 
-    For n = 1 this is p when m is a power of the prime p and 1 otherwise.
-    For m > n > 1 it is the product of p^(mu(n/d) * phi(m)/phi(p^a)) over
-    divisors d | n with m/gcd(m, d) = p^a a prime power. Each term is an
+    It is the product of p^(mu(n/d) * phi(m)/phi(p^a)) over divisors d | n
+    with m/gcd(m, d) = p^a a prime power; for n = 1 that is p when m is a
+    power of the prime p and 1 otherwise. Each term is an
     integer, since p^a | m gives phi(p^a) | phi(m); a remainder raises, and
     the exponents accumulated per prime must total a nonnegative integer.
     """
     if m <= n or n < 1:
         raise ValueError("requires m > n >= 1")
-    if n == 1:
-        f = factorize(m)
-        return f[0][0] if len(f) == 1 else 1
     phim = euler_phi(m)
     exponents: dict[int, int] = {}
     for d in divisors(n):

@@ -143,6 +143,40 @@ class TestBasicCommands:
         assert code == 3 and not out
         assert err == "error: component t1 is not in T_1\n"
 
+    def test_failed_roundtrip_trial_exits_1(self, capsys, monkeypatch):
+        real, calls = cli.recombine, []
+
+        def wrong_second(comps, params):
+            calls.append(comps)
+            back = real(comps, params)
+            return back + back.field.one if len(calls) == 2 else back
+
+        monkeypatch.setattr(cli, "recombine", wrong_second)
+        code, out, err = run_cli(
+            capsys, "torus", "roundtrip", "--q", "7", "--p", "3", "--r", "5",
+            "--count", "3", "--vectors", "3",
+        )
+        *vectors, envelope = map(json.loads, out.splitlines())
+        assert code == 1 and not err
+        assert [line["ok"] for line in vectors] == [True, False, True]
+        assert envelope["result"]["passes"] == 2 and envelope["result"]["count"] == 3
+
+    def test_failed_theta_trial_exits_1(self, capsys, monkeypatch):
+        real, calls = cli.theta_reverse, []
+
+        def wrong_first(x1, xpr, params):
+            calls.append(x1)
+            x, xp, xr = real(x1, xpr, params)
+            return (x, xp, xr + xr.field.one) if len(calls) == 1 else (x, xp, xr)
+
+        monkeypatch.setattr(cli, "theta_reverse", wrong_first)
+        code, out, err = run_cli(
+            capsys, "torus", "theta-demo", "--q", "5", "--p", "2", "--r", "3", "--count", "2"
+        )
+        result = last_envelope(out)["result"]
+        assert code == 1 and not err and len(out.splitlines()) == 1
+        assert result["passes"] == 1 < result["count"] == 2
+
     def test_inexact_resultant_step_exits_1(self, capsys, monkeypatch):
         # res 10 7 divides its third remainder by beta = 4; adding 1 to the second
         # remainder's constant term (Phi_10 by the first remainder, of degree 3) makes

@@ -223,6 +223,11 @@ class TestApostol:
         assert resultant_apostol(2, 1) == 2
         assert resultant_apostol(128, 1) == 2
 
+    def test_index_one_is_the_value_at_one(self):
+        # Res(Phi_m, X - 1) = +-Phi_m(1), evaluated without the divisor product
+        for m in range(2, 1001):
+            assert resultant_apostol(m, 1) == abs(cyclotomic(m).evaluate(1)), m
+
     def test_two_index_case(self):
         assert resultant_apostol(6, 3) == 4
         assert resultant_apostol(15, 3) == 25
