@@ -10,16 +10,16 @@ ScaledPoly pairs an IntPoly numerator with a positive integer denominator
 and keeps gcd(content, den) = 1, so every rational-coefficient result
 (Bezout cofactors, modular inverses) has exactly one representation.
 
-Arithmetic over Q never leaves Z[X]: one fraction-free pseudo-division,
-``_pseudo_divrem``, is the only long division. It scales the dividend once, then divides
-it in one of three evaluation orders, chosen from the inputs: Horner's rule as one
-``accumulate`` for a monic X - c; a loop over the divisor's nonzero terms, whose quotient
-digits are exact divisions by the leading coefficient; or one packed bigint division, at
-the one slot width the operands' sizes predict, kept only under an exact certificate. It
-serves ``divrem_exact`` (a monic divisor, scale 1), the subresultant ``resultant`` on int
-lists, whose steps divide by ``_div_exact`` as ScaledPoly's content does, and the Bezout
-pairs of ``xgcd_rational``: Euclid on primitive int-list remainders, with one denominator
-per cofactor, carries only the short cofactor; an exact residual division gives the other.
+Arithmetic over Q never leaves Z[X]: one fraction-free pseudo-division, ``_pseudo_divrem``,
+is the only long division. It scales the dividend once and divides it in one of three orders
+chosen from the inputs: Horner's rule as one ``accumulate`` for a monic X - c; a loop over the
+divisor's nonzero terms, whose quotient digits are exact divisions by the leading coefficient;
+or one packed bigint division, at the one slot width the operands' sizes predict, kept only
+under an exact certificate. It serves ``divrem_exact`` (a monic divisor, scale 1), the
+subresultant ``resultant`` on int lists, whose steps divide by ``_div_exact`` as ScaledPoly's
+content does, and the Bezout pairs of ``xgcd_rational``: Euclid on primitive int-list
+remainders, one denominator per cofactor, carries only the short cofactor and stops at the
+first constant remainder, whose cofactor is U; an exact residual division gives the other.
 ``_mul`` multiplies in Z[X]: one C pass per nonzero term of a factor of at most
 ``_SHORT_FACTOR`` terms (a Euclid quotient, a constant), else one packed bigint product.
 """
@@ -30,7 +30,7 @@ import math
 import sys
 from array import array
 from itertools import accumulate, repeat, zip_longest
-from operator import add, mul, neg
+from operator import add, floordiv, mul, neg
 
 NEG_INF = float("-inf")
 
@@ -351,12 +351,13 @@ def xgcd_rational(a: IntPoly, b: IntPoly) -> tuple[ScaledPoly, ScaledPoly]:
     The returned pair satisfies deg U < deg b and deg V < deg a, which pins
     it uniquely; inputs must be nonzero and coprime over Q.
 
-    Fraction-free: Euclid runs on primitive integer remainders r_i, each
-    pseudo-remainder divided by its content, and carries cofactors
-    s_i = num_i/den_i with s_i*a = r_i (mod b), all as int lists; the
-    cofactor is kept reduced by gcd(content, den) at every step. Inputs with
-    deg a < deg b are swapped first, so s_i is the short cofactor, of degree
-    below the smaller input degree; the residual division gives the other.
+    Fraction-free: Euclid runs on primitive integer remainders r_i, each pseudo-remainder
+    divided by its content, and carries cofactors s_i = num_i/den_i with s_i*a = r_i (mod b),
+    as int lists reduced by gcd(content, den) at every step. Inputs with deg a < deg b are
+    swapped first, so s_i is the short cofactor, of degree below the smaller input degree.
+    Euclid stops at the first constant remainder r_k = c, whose cofactor gives U = s_k/c; an
+    empty remainder before it means a common factor. The exact division of den - a*U by b
+    gives V and certifies U.
     """
     if a.is_zero or b.is_zero:
         raise ValueError("xgcd_rational requires nonzero inputs")
@@ -365,21 +366,20 @@ def xgcd_rational(a: IntPoly, b: IntPoly) -> tuple[ScaledPoly, ScaledPoly]:
         a, b = b, a
     r0, r1 = a.coeffs, b.coeffs
     s0, d0, s1, d1 = [1], 1, [], 1
-    while r1:
+    while len(r1) > 1:
         scale, q, rem = _pseudo_divrem(r0, r1)
         g = math.gcd(*rem) or 1
         # s2 = (scale*s0 - q*s1) / g over the common denominator d0*d1
         k, d2 = scale * d1, d0 * d1 * g
         s2 = [k * x - d0 * y for x, y in zip_longest(s0, _mul(q, s1), fillvalue=0)]
         h = math.gcd(d2, *s2)
-        r0, r1 = r1, _trimmed(c // g for c in rem)
-        s0, d0, s1, d1 = s1, d1, [c // h for c in s2], d2 // h
-    if len(r0) != 1:
+        r0, r1 = r1, _trimmed(map(floordiv, rem, repeat(g)))
+        s0, d0, s1, d1 = s1, d1, [*map(floordiv, s2, repeat(h))], d2 // h
+    if not r1:
         raise NotCoprimeError("inputs share a factor of positive degree")
-    # deg s0 = deg b - deg r_{k-1} < deg b for the last remainder r_k = c,
-    # so U = s0/c needs no reduction; b*V = den - a*U must divide exactly
-    u = ScaledPoly(IntPoly(s0), d0 * r0[0])
-    residual = list(map(neg, _mul(a.coeffs, u.num.coeffs))) or [0]
+    # a further step would only divide by c = r1; b*V = den - a*U must divide exactly
+    u = ScaledPoly(IntPoly(s1), d1 * r1[0])
+    residual = _mul(a.coeffs, [*map(neg, u.num.coeffs)]) or [0]
     residual[0] += u.den
     scale, q, rem = _pseudo_divrem(residual, b.coeffs)
     if any(rem):

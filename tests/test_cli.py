@@ -196,6 +196,28 @@ class TestBasicCommands:
         assert code == 1 and not out
         assert err == "error: coefficients not divisible by 4\n"
 
+    def test_inexact_bezout_residual_exits_1(self, capsys, monkeypatch):
+        # the residual den - a*U of xgcd_rational(Phi_899, Phi_29) is the only dividend other
+        # than Phi_899 divided by Phi_29; a remainder left there is a failed certificate
+        pseudo_divrem = intpoly._pseudo_divrem
+        phi899, phi29 = cyclotomic(899).coeffs, cyclotomic(29).coeffs
+        broken_calls = []
+
+        def broken(a, b):
+            scale, q, r = pseudo_divrem(a, b)
+            broken_calls.append(tuple(b) == phi29 and tuple(a) != phi899)
+            if broken_calls[-1]:
+                r = [r[0] + 1, *r[1:]]
+            return scale, q, r
+
+        monkeypatch.setattr(intpoly, "_pseudo_divrem", broken)
+        with pytest.raises(ArithmeticError, match="Bezout residual"):
+            intpoly.xgcd_rational(cyclotomic(899), cyclotomic(29))
+        assert broken_calls[-1] and broken_calls.count(True) == 1  # the last division only
+        code, out, err = run_cli(capsys, "inv", "899", "29")
+        assert code == 1 and not out
+        assert err == "error: Bezout residual does not divide exactly\n"
+
     def test_index_at_ceiling_is_admitted(self, capsys):
         code, out, _ = run_cli(capsys, "phi", str(INDEX_CEILING))
         assert code == 0 and last_envelope(out)["params"] == {"n": INDEX_CEILING}

@@ -51,6 +51,10 @@ class TestNumberTheory:
             assert all(is_prime(p) and e >= 1 for p, e in pairs)
             assert [p for p, _ in pairs] == sorted({p for p, _ in pairs})
 
+    def test_factorize_rejects_zero(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            factorize(0)
+
     def test_factorize_stops_once_the_cofactor_is_prime(self):
         # trial division ends at sqrt of what is left: 3 after the twos, not sqrt(3 * 2^50)
         assert factorize(3 * 2**50) == ((2, 50), (3, 1))
@@ -251,6 +255,11 @@ class TestCoprimality:
         assert nontrivial_resultant(15, 3)  # ratio 5 is a prime power
         assert not nontrivial_resultant(15, 1)
         assert not nontrivial_resultant(5, 3)
+
+    @pytest.mark.parametrize("m, n", [(3, 3), (3, 5), (1, 0)])
+    def test_nontrivial_resultant_rejects_bad_order(self, m, n):
+        with pytest.raises(ValueError, match="m > n >= 1"):
+            nontrivial_resultant(m, n)
 
     def test_matches_apostol(self):
         for m in range(2, 41):

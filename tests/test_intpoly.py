@@ -239,6 +239,10 @@ class TestIntPoly:
         assert "X" in repr(PHI15)
         assert repr(IntPoly(())) == "IntPoly('0')"
 
+    def test_negative_monomial_degree_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            IntPoly.monomial(-1)
+
     @pytest.mark.parametrize("bad", [(1, 2.0), (1, "2"), (1.5,), (None,), (1, 2, Fraction(3))])
     def test_non_int_coefficient_rejected(self, bad):
         with pytest.raises(TypeError, match="integers"):
@@ -370,6 +374,13 @@ class TestPseudoDivrem:
         assert len(by_x_pm_1) > 100 and set(by_x_pm_1) == {1}
 
 
+def counted_divisions(monkeypatch) -> list:
+    """Patch _pseudo_divrem to append one entry per call to the returned list."""
+    calls, pseudo_divrem = [], intpoly._pseudo_divrem
+    monkeypatch.setattr(intpoly, "_pseudo_divrem", lambda a, b: calls.append(b) or pseudo_divrem(a, b))
+    return calls
+
+
 class TestXgcd:
     def test_phi3_phi5(self):
         u, v = xgcd_rational(PHI3, PHI5)
@@ -394,6 +405,27 @@ class TestXgcd:
     def test_zero_input(self):
         with pytest.raises(ValueError):
             xgcd_rational(IntPoly(()), PHI3)
+
+    # Phi_7 by X - 1 leaves the constant 7, so Euclid takes one step and the residual one
+    # division; (899, 29) takes two steps. Dividing on past the constant would add one each.
+    @pytest.mark.parametrize("m, n, divisions", [(7, 1, 2), (899, 29, 3)])
+    def test_euclid_stops_at_the_first_constant_remainder(self, monkeypatch, m, n, divisions):
+        a, b = cyclotomic(m), cyclotomic(n)
+        calls = counted_divisions(monkeypatch)
+        u, v = xgcd_rational(a, b)
+        assert len(calls) == divisions and tuple(calls[-1]) == b.coeffs  # the residual's divisor
+        assert a * u.num * v.den + b * v.num * u.den == IntPoly.constant(u.den * v.den)
+
+    def test_sweep_divisions(self, monkeypatch):
+        # one verify_closed_forms pass over the primes <= 31: 440 oracle calls, each one
+        # division fewer than a Euclid that runs to the zero remainder (1 623 divisions)
+        calls = counted_divisions(monkeypatch)
+        primes = primes_upto(31)
+        for p in primes:
+            for r in primes:
+                if p != r:
+                    verify_closed_forms(PrimePair.of(p, r))
+        assert len(calls) == 1183
 
     def test_constant_inputs(self):
         # a*U has no coefficient when U = 0, so the residual den - a*U is the constant den

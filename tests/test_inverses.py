@@ -326,6 +326,10 @@ class TestVerifyClosedForms:
     def test_bound_holds_matches_the_per_coefficient_definition(self, case):
         assert bound_holds(*case) == bound_holds_per_coefficient(*case)
 
+    def test_bound_holds_rejects_an_unknown_case(self):
+        with pytest.raises(ValueError, match="unknown case id v"):
+            inverses._bound_holds("v", PrimePair.of(3, 5), 1, 0, 0)
+
     def test_extrema_recorded(self):
         reports = {rep.case_id: rep for rep in verify_closed_forms(PrimePair.of(3, 5))}
         assert reports["i-b"].observed_min == -2  # -(1/3)(X + 2)

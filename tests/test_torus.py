@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from cyclokit import torus
 from cyclokit.cyclotomic import PrimePair, cyclotomic, divisors, primes_upto
 from cyclokit.finitefield import ExtField, ExtFieldElement, make_ext_field, random_nonzero
-from cyclokit.intpoly import IntPoly, divrem_exact, xgcd_rational
+from cyclokit.intpoly import IntPoly, ScaledPoly, divrem_exact, xgcd_rational
 from cyclokit.inverses import closed_form_ii, closed_form_iii
 from cyclokit.torus import (
     BezoutExponents,
@@ -77,6 +77,13 @@ class TestExponentPolys:
             for r in primes_upto(13):
                 if p != r:
                     derive_exponent_polys(p, r)  # raises if v1, v2 were fractional
+
+    def test_fractional_scaled_cofactors_raise(self, monkeypatch):
+        # p*r = 15 times the halves 1/2 is 15/2, so v1 and v2 would not be integral
+        half = ScaledPoly(IntPoly.one(), 2)
+        monkeypatch.setattr(torus, "xgcd_rational", lambda a, b: (half, half))
+        with pytest.raises(ValueError, match=r"not integral for \(3, 5\)"):
+            derive_exponent_polys(3, 5)
 
     def test_only_v1_v2_come_from_the_oracle(self, monkeypatch):
         # u1, u_pr and u_p, u_r are the closed forms of cases ii and iv
