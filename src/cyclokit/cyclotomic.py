@@ -131,14 +131,12 @@ def lam_leung_phi_pr(p: int, r: int) -> IntPoly:
     (sum_{i<=s} X^{ip})(sum_{j<=t} X^{jr})
       - X^{-pr} (sum_{i=s+1}^{r-1} X^{ip})(sum_{j=t+1}^{p-1} X^{jr}),
     where the second product only involves exponents > pr, so the shift
-    stays polynomial. The exponents ip + jr (i < r, j < p) are pairwise distinct,
-    so each term of either product places its own +1 or -1. The result equals
-    cyclotomic(p*r).
+    stays polynomial: its lowest is (s+1)p + (t+1)r = pr + 1. The exponents ip + jr
+    (i < r, j < p) are pairwise distinct, so each term of either product places its
+    own +1 or -1. The result equals cyclotomic(p*r).
     """
     s, t = lam_leung_split(p, r)
     n = p * r
-    if (s + 1) * p + (t + 1) * r < n:
-        raise ArithmeticError(f"second product does not start above X^{n} for ({p}, {r})")
     out = [0] * ((p - 1) * (r - 1) + 1)
     for i in range(s + 1):
         out[i * p : i * p + (t + 1) * r : r] = [1] * (t + 1)
@@ -154,8 +152,8 @@ def resultant_apostol(m: int, n: int) -> int:
     It is the product of p^(mu(n/d) * phi(m)/phi(p^a)) over divisors d | n
     with m/gcd(m, d) = p^a a prime power; for n = 1 that is p when m is a
     power of the prime p and 1 otherwise. Each term is an
-    integer, since p^a | m gives phi(p^a) | phi(m); a remainder raises, and
-    the exponents accumulated per prime must total a nonnegative integer.
+    integer, since p^a | m and phi is multiplicative, and the exponents
+    accumulated per prime must total a nonnegative integer.
     """
     if m <= n or n < 1:
         raise ValueError("requires m > n >= 1")
@@ -167,10 +165,7 @@ def resultant_apostol(m: int, n: int) -> int:
         if len(f) != 1:
             continue
         p, a = f[0]
-        term, rem = divmod(phim, euler_phi(p**a))
-        if rem:
-            raise ArithmeticError(f"phi({p}^{a}) does not divide phi({m})")
-        exponents[p] = exponents.get(p, 0) + moebius(n // d) * term
+        exponents[p] = exponents.get(p, 0) + moebius(n // d) * (phim // euler_phi(p**a))
     out = 1
     for p, e in exponents.items():
         if e < 0:

@@ -248,9 +248,6 @@ class ExtFieldElement(_Record):
     def __add__(self, other: ExtFieldElement) -> ExtFieldElement:
         return self._same_field(other).element([x + y for x, y in zip(self.coeffs, other.coeffs)])
 
-    def __sub__(self, other: ExtFieldElement) -> ExtFieldElement:
-        return self._same_field(other).element([x - y for x, y in zip(self.coeffs, other.coeffs)])
-
     def __neg__(self) -> ExtFieldElement:
         return self.field.element([-x for x in self.coeffs])
 

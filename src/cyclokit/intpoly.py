@@ -167,10 +167,6 @@ class IntPoly(_Record):
         return cls((1,))
 
     @classmethod
-    def constant(cls, c: int) -> IntPoly:
-        return cls((c,))
-
-    @classmethod
     def monomial(cls, degree: int) -> IntPoly:
         if degree < 0:
             raise ValueError("monomial degree must be nonnegative")
@@ -226,24 +222,6 @@ class IntPoly(_Record):
         return IntPoly(tuple(_mul(self.coeffs, other.coeffs)))
 
     __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "IntPoly('0')"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            sign = ("-" if c < 0 else "") if not parts else (" - " if c < 0 else " + ")
-            mag = abs(c)
-            if i == 0:
-                term = str(mag)
-            else:
-                var = "X" if i == 1 else f"X^{i}"
-                term = var if mag == 1 else f"{mag}{var}"
-            parts.append(sign + term)
-        return f"IntPoly('{''.join(parts)}')"
 
 
 def divrem_exact(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:

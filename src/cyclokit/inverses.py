@@ -106,7 +106,7 @@ def closed_form_iv(p: int, r: int) -> IntPoly:
 
 
 def difference_inverse(p: int, r: int) -> IntPoly:
-    """(X-1) times the case-iv inverse; degree < r.
+    """(X-1) times the case-iv inverse; degree < r, since closed_form_iv has r - 1 coefficients.
 
     Asserts coefficients lie in {-1, 0, 1} and that the nonzero ones
     strictly alternate in sign when read from the constant term up (zeros
@@ -114,8 +114,6 @@ def difference_inverse(p: int, r: int) -> IntPoly:
     """
     u = closed_form_iv(p, r)
     du = (IntPoly.monomial(1) - IntPoly.one()) * u
-    if du.degree >= r:
-        raise ArithmeticError(f"difference inverse has degree {du.degree} >= {r}")
     if _height(du.coeffs) > 1:
         raise ValueError("difference inverse has a coefficient outside {-1, 0, 1}")
     signs = list(filter(None, du.coeffs))  # each -1 or 1 by now

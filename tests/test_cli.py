@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -15,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclokit
+import cyclokit.cyclotomic as cyclotomic_module
 from cyclokit import cli, intpoly, torus
 from cyclokit.cli import COUNT_CEILING, INDEX_CEILING, PR_CEILING, main
 from cyclokit.cyclotomic import cyclotomic
+from cyclokit.finitefield import make_ext_field
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +220,42 @@ class TestBasicCommands:
         code, out, err = run_cli(capsys, "inv", "899", "29")
         assert code == 1 and not out
         assert err == "error: Bezout residual does not divide exactly\n"
+
+    def test_negative_apostol_exponent_exits_1(self, capsys, monkeypatch):
+        # mu(1) = +1 read as -1 makes the closed form 2^-1 for Res(Phi_2, Phi_1); Phi_1 and
+        # Phi_2 are built, and cached, first, as their own series read mu(1) too
+        cyclotomic(1), cyclotomic(2)
+        moebius = cyclotomic_module.moebius
+        monkeypatch.setattr(cyclotomic_module, "moebius", lambda k: -1 if k == 1 else moebius(k))
+        message = "exponent -1 of 2 in Res(Phi_2, Phi_1) is negative"
+        with pytest.raises(ArithmeticError, match=re.escape(message)):
+            cyclotomic_module.resultant_apostol(2, 1)
+        code, out, err = run_cli(capsys, "verify", "--mode", "resultants", "--max", "2")
+        assert code == 1 and not out
+        assert err == f"error: {message}\n"
+
+    def test_theta_norm_outside_the_prime_field_exits_1(self, capsys, monkeypatch):
+        # the p-slot embeds as the generator X of F_{q^pr}, outside F_{q^p}, so its norm
+        # X^Phi_p(q) is no constant. recombine's T_p check runs first and already rules
+        # this out (tp = ep^(q-1) in T_p gives ep^(q^p - 1) = 1), so it is skipped here
+        embed, member_squares = torus.subfield_embed, torus._member_squares
+
+        def leaving_the_subfield(x, big):
+            return big.element((0, 1)) if x.field.n == 3 else embed(x, big)
+
+        def unchecked_tp(comp, k, params):
+            return [comp.packed] if k == 3 else member_squares(comp, k, params)
+
+        monkeypatch.setattr(torus, "subfield_embed", leaving_the_subfield)
+        monkeypatch.setattr(torus, "_member_squares", unchecked_tp)
+        params, big = torus.derive_params(7, 3, 5), make_ext_field(7, 15)
+        with pytest.raises(ArithmeticError, match="prime-field constant"):
+            torus.theta(big.one, make_ext_field(7, 3).one, make_ext_field(7, 5).one, params)
+        code, out, err = run_cli(
+            capsys, "torus", "theta-demo", "--q", "7", "--p", "3", "--r", "5", "--count", "1"
+        )
+        assert code == 1 and not out
+        assert err == "error: the T_1 output must be a prime-field constant\n"
 
     def test_index_at_ceiling_is_admitted(self, capsys):
         code, out, _ = run_cli(capsys, "phi", str(INDEX_CEILING))
@@ -498,6 +537,16 @@ class TestDeterminism:
                 ("torus", "roundtrip", "--q", "2", "--p", "3", "--r", "41",
                  "--count", "2", "--seed", "1", "--vectors", "2"),
                 "31b67af16b22ef6840d1a20a157cf021d8472710205d47fcaaecc82ba8e6448d",
+            ),
+            # the two largest derivations under PR_CEILING, recorded while
+            # derive_exponent_polys still checked its three Bezout identities
+            (
+                ("torus", "params", "--q", "0", "--p", "3", "--r", "5333"),
+                "0a10bd4b592f98362688c02ae3ea544aa84aac73c4cb5a9601e9177515d1efdd",
+            ),
+            (
+                ("torus", "params", "--q", "0", "--p", "2", "--r", "7993"),
+                "09ccaba1df3c99cee4a48b38008958d2bfea42fdde676e965ddb11371728c17b",
             ),
         ],
     )

@@ -217,6 +217,13 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             a * b
 
+    def test_non_element_operand_rejected(self):
+        a = make_ext_field(5, 2).one
+        with pytest.raises(TypeError, match="extension field element"):
+            a * 2
+        with pytest.raises(TypeError, match="extension field element"):
+            a + a.coeffs
+
     def test_element_reduction(self):
         f = make_ext_field(2, 2)
         # X^2 reduces to X + 1 under X^2 + X + 1

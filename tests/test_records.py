@@ -96,7 +96,7 @@ def test_pickle_round_trip(name):
 
 def test_repr_names_the_fields():
     assert repr(PrimePair.of(3, 5)) == "PrimePair(p=3, r=5)"
-    assert repr(ScaledPoly(IntPoly((1, 1)), 3)) == "ScaledPoly(num=IntPoly('X + 1'), den=3)"
+    assert repr(ScaledPoly(IntPoly((1, 1)), 3)) == "ScaledPoly(num=IntPoly(coeffs=(1, 1)), den=3)"
 
 
 def test_constructors_keep_their_parameters():

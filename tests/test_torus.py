@@ -55,14 +55,19 @@ class TestExponentPolys:
         assert exps.v2 == GOLDEN_N15["v2"]
 
     def test_identities_exact(self):
-        for p, r in [(2, 3), (3, 5), (5, 7), (2, 7), (11, 2)]:
+        # derive_exponent_polys checks none of these: each follows from the checks
+        # that built its pair, and these asserts keep them under test
+        for p, r in itertools.permutations(primes_upto(31), 2):
             exps = derive_exponent_polys(p, r)
-            one = IntPoly.one()
+            one, pr = IntPoly.one(), IntPoly((p * r,))
             phi1, phip = cyclotomic(1), cyclotomic(p)
             phir, phipr = cyclotomic(r), cyclotomic(p * r)
-            assert phipr * exps.u1 + phi1 * exps.u_pr == one
-            assert phir * exps.u_p + phip * exps.u_r == one
-            assert phip * phir * exps.v1 + phi1 * phipr * exps.v2 == IntPoly.constant(p * r)
+            assert phipr * exps.u1 + phi1 * exps.u_pr == one, (p, r)
+            assert phir * exps.u_p + phip * exps.u_r == one, (p, r)
+            assert phip * phir * exps.v1 + phi1 * phipr * exps.v2 == pr, (p, r)
+            # composite_exponents' T_pr slot: U_pr * u_pr * v1 = p*r mod Phi_pr
+            witness = phi1 * phip * phir * exps.u_pr * exps.v1 - pr
+            assert divrem_exact(witness, phipr)[1].is_zero, (p, r)
 
     def test_evaluated_identity_over_q_range(self):
         exps = derive_exponent_polys(3, 5)
@@ -108,7 +113,7 @@ class TestExponentPolys:
             w = divrem_exact(vp.num * (r // vp.den) * vr.num * (p // vr.den), phipr)[1]
             u1, u_pr = (c.num for c in closed_form_ii(PrimePair(p, r)))
             v1 = divrem_exact(phipr * u1 + phi1 * u_pr * w, phi1 * phipr)[1]
-            v2, rem = divrem_exact(IntPoly.constant(n) - phip * phir * v1, phi1 * phipr)
+            v2, rem = divrem_exact(IntPoly((n,)) - phip * phir * v1, phi1 * phipr)
             assert rem.is_zero
             exps = derive_exponent_polys(p, r)
             assert (v1, v2) == (exps.v1, exps.v2), (p, r)
@@ -237,7 +242,7 @@ class TestSinglePrime:
 
     def test_broken_identity_raises_arithmetic_error(self, monkeypatch):
         # an explicit raise, not an assert, so the check also runs under -O
-        monkeypatch.setattr(torus, "cyclotomic", lambda k: IntPoly.constant(2))
+        monkeypatch.setattr(torus, "cyclotomic", lambda k: IntPoly((2,)))
         with pytest.raises(ArithmeticError):
             torus._single_prime_cofactor(3, 5)
 
@@ -272,6 +277,10 @@ class TestSubfieldEmbedding:
         small = make_ext_field(5, 4)
         with pytest.raises(ValueError):
             subfield_embed(small.one, big)
+
+    def test_rejects_another_characteristic(self):
+        with pytest.raises(ValueError, match="different characteristics"):
+            subfield_embed(make_ext_field(3, 1).one, make_ext_field(5, 2))
 
     def test_extract_roundtrip(self):
         big = make_ext_field(5, 6)
@@ -589,6 +598,20 @@ class TestTheta:
         params, big, fp, fr = setup_7_3_5
         with pytest.raises(ValueError):
             theta(big.one, fp.zero, fr.one, params)
+
+    def test_rejects_subfield_inputs_of_the_wrong_degree(self, setup_7_3_5):
+        params, big, fp, fr = setup_7_3_5
+        with pytest.raises(ValueError, match="second argument must live in a degree-p"):
+            theta(big.one, fr.one, fr.one, params)
+        with pytest.raises(ValueError, match="third argument must live in a degree-r"):
+            theta(big.one, fp.one, fp.one, params)
+
+    def test_reverse_rejects_a_bad_first_argument(self, setup_7_3_5):
+        params, big, fp, _ = setup_7_3_5
+        with pytest.raises(ValueError, match="must be a prime-field element"):
+            theta_reverse(fp.one, big.one, params)
+        with pytest.raises(ValueError, match="must be nonzero"):
+            theta_reverse(make_ext_field(7, 1).zero, big.one, params)
 
     def test_composition_is_fixed_powers(self, setup_7_3_5):
         params, big, fp, fr = setup_7_3_5
