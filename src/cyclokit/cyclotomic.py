@@ -92,17 +92,15 @@ def cyclotomic(n: int) -> IntPoly:
 
 
 def lam_leung_split(p: int, r: int) -> tuple[int, int]:
-    """The unique (s, t) with (p-1)(r-1) = s*p + t*r, 0 <= s <= r-2, 0 <= t <= p-2.
+    """The unique (s, t) with (p-1)(r-1) = s*p + t*r, 0 <= s <= r-2, 0 <= t <= p-2:
+    s = p^-1 mod r - 1 and t = r^-1 mod p - 1.
 
-    Found by scanning s; the scan doubles as a runtime existence proof.
+    Both sides agree mod p (each is 1 - r) and mod r (each is 1 - p), so mod pr.
+    s*p + t*r lies in [0, 2pr - 2p - 2r], so it differs from (p-1)(r-1) = pr - p - r + 1
+    by at most pr - p - r + 1 < pr, and the two are equal.
     """
     PrimePair.of(p, r)  # validates distinct primes
-    phi = (p - 1) * (r - 1)
-    for s in range(r - 1):
-        rest = phi - s * p
-        if rest >= 0 and rest % r == 0 and rest // r <= p - 2:
-            return s, rest // r
-    raise ValueError(f"no Lam-Leung split for ({p}, {r})")
+    return pow(p, -1, r) - 1, pow(r, -1, p) - 1
 
 
 class PrimePair(_Record):

@@ -23,7 +23,8 @@ irreducibility test behind the modulus search runs on the same kernel and ladder
 coefficients are unpacked only when read. The only long division is
 intpoly's: it gives mu, and it reduces over-long input vectors mod the modulus.
 The Frobenius map y -> y^(q^j) is F_q-linear: a field keeps, per j, the n packed X^(i*q^j)
-mod f, so a step is one weighted sum and one reduce; torus.decompose takes norms with it.
+mod f, so a step is one weighted sum and one reduce. Every norm y^(1 + q^j + ... + q^(j(k-1)))
+in torus runs on it, as one doubling chain of such steps (ExtField._norm).
 """
 
 from __future__ import annotations
@@ -164,6 +165,18 @@ class ExtField:
             self._frobenius_tables[j] = table
         # n terms (q-1)^2 and degree < n: inside reduce's slot bound n(q-1)^2
         return self._reduce(sum(map(mul, self._unpack(y), table)))
+
+    def _norm(self, y: int, j: int, k: int) -> int:
+        """The packed y^(1 + q^j + ... + q^(j(k-1))) by the Itoh-Tsujii doubling chain:
+        from N_1 = y, N_2m = N_m * sigma^(jm)(N_m) and N_(m+1) = y * sigma^j(N_m), as k's
+        bits after the leading one say, so floor(log2 k) + popcount(k) - 1 Frobenius steps.
+        """
+        acc, m = y, 1
+        for bit in bin(k)[3:]:
+            acc, m = self._reduce(acc * self._frobenius(acc, j * m)), 2 * m
+            if bit == "1":
+                acc, m = self._reduce(y * self._frobenius(acc, j)), m + 1
+        return acc
 
     def element(self, coeffs) -> ExtFieldElement:
         q = self.q

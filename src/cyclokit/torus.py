@@ -18,9 +18,9 @@ same machinery as a near-bijection
 whose kernel is annihilated by a power of p*r; ``kernel_annihilator``
 measures that power from the composite exponents of theta_reverse o theta.
 
-``decompose`` takes its two long norm powers, to F_{q^p} and F_{q^r}, as products of
-Frobenius conjugates, as torus-based cryptography does (Rubin-Silverberg, CRYPTO 2003).
-Every other power is short, or lost to the ladder when measured, and stays on it.
+``decompose`` takes its two long norm powers, to F_{q^p} and F_{q^r}, from Frobenius
+conjugates, as torus-based cryptography does (Rubin-Silverberg, CRYPTO 2003), on the
+doubling chain of ExtField._norm. Every other power is short or no norm, and stays on the ladder.
 
 The subfield embeddings theta uses are F_q-linear: each is stored, once built, as
 the packed powers beta^j and a packed left inverse from one elimination on those
@@ -141,36 +141,21 @@ def _check_big_field(x: ExtFieldElement, params: TorusParams) -> ExtField:
     return field
 
 
-# A Frobenius step and the product after it, in ladder steps (one reduce each): a step
-# took 3.2-4.5 reduces' time at n = 6-35 and 2.5 at n = 122 (2-core Xeon VM, Python 3.11).
-_FROBENIUS_STEP = 4.4
-
-
 def decompose(x: ExtFieldElement, params: TorusParams) -> TorusComponents:
     """Project x onto (T_1, T_p, T_r, T_pr) via the four norm powers U_k(q).
 
     They share factors: with A = x^{Phi_1 Phi_p}, B = x^{Phi_r Phi_pr} and C = x^{Phi_p Phi_pr},
-    t_pr = A^{Phi_r}, t_r = C^{Phi_1}, t_p = B^{Phi_1} and t_1 = B^{Phi_p}. The norms B and C are
-    products of conjugates, sigma^{ip}(x) for i < r and sigma^{ir}(x) for i < p, unless the
-    ladder, costed as the exponent's bit length plus popcount, is cheaper.
+    t_pr = A^{Phi_r}, t_r = C^{Phi_1}, t_p = B^{Phi_1} and t_1 = B^{Phi_p}. B and C are the norms
+    x^(1 + q^p + ... + q^(p(r-1))) and x^(1 + q^r + ... + q^(r(p-1))), taken by ExtField._norm.
     """
     if x.is_zero:
         raise ValueError("cannot decompose zero")
     field = _check_big_field(x, params)
-    p, r, n = params.pair.p, params.pair.r, params.pair.n
-    o, reduce, squares = params.orders, field._reduce, [x.packed]
-
-    def norm(e: int, j: int, k: int) -> list[int]:  # [x^e] for e = 1 + q^j + ... + q^(j(k-1))
-        if e.bit_length() + e.bit_count() < _FROBENIUS_STEP * (k - 1):
-            return [_ladder(squares, e, reduce)]
-        acc = y = x.packed
-        for _ in range(k - 1):
-            y = field._frobenius(y, j)
-            acc = reduce(acc * y)
-        return [acc]
-
-    b, c = norm(o[r] * o[n], p, r), norm(o[p] * o[n], r, p)
-    comps = ((b, o[p]), (b, o[1]), (c, o[1]), ([_ladder(squares, o[1] * o[p], reduce)], o[r]))
+    p, r = params.pair.p, params.pair.r
+    o, reduce = params.orders, field._reduce
+    b, c = [field._norm(x.packed, p, r)], [field._norm(x.packed, r, p)]
+    a = [_ladder([x.packed], o[1] * o[p], reduce)]
+    comps = ((b, o[p]), (b, o[1]), (c, o[1]), (a, o[r]))
     return TorusComponents(*(ExtFieldElement(field, _ladder(s, e, reduce)) for s, e in comps))
 
 
@@ -315,7 +300,8 @@ def _embedding(small: ExtField, big: ExtField) -> tuple[tuple[int, ...], tuple[t
 
     The d roots of f_s are the conjugates beta^(q^i) in the degree-d subfield
     S. Equal-degree splitting finds one; each delta is the norm
-    y^((q^n - 1)/(q^d - 1)) of a nonzero y from a fixed seed, uniform in S^x.
+    y^((q^n - 1)/(q^d - 1)) of a nonzero y from a fixed seed, uniform in S^x,
+    taken by ExtField._norm.
     It recurses into the smaller factor until that is linear, and raises
     after _SPLIT_TRIES tries. The lex minimum over the conjugates is the root
     a lex-order scan of S meets first, so the map does not depend on the draws.
@@ -326,12 +312,12 @@ def _embedding(small: ExtField, big: ExtField) -> tuple[tuple[int, ...], tuple[t
     if n % d:
         raise ValueError(f"degree {d} does not divide {n}")
     rng = random.Random(0)  # a fixed seed: the same tries on every build
-    norm = (q**n - 1) // (q**d - 1)  # y -> y^norm maps F_{q^n}^x onto S^x, each fiber one size
     f = list(small.modulus.coeffs)  # a reduced constant c < q is its own packed residue
     for _ in range(_SPLIT_TRIES):
         if len(f) == 2:
             break
-        delta = (random_nonzero(big, rng) ** norm).packed
+        # the norm maps F_{q^n}^x onto S^x, each fiber one size
+        delta = big._norm(random_nonzero(big, rng).packed, d, n // d)
         factor = _split(f, delta, d, big)
         if 1 < len(factor) < len(f):
             f = min(factor, _pdivmod(f, factor, big)[0], key=len)
@@ -340,15 +326,13 @@ def _embedding(small: ExtField, big: ExtField) -> tuple[tuple[int, ...], tuple[t
     conjugates = [-ExtFieldElement(big, f[0])]
     for _ in range(d - 1):
         conjugates.append(conjugates[-1] ** q)
-    beta = min(conjugates, key=lambda e: e.coeffs)
-    value = big.zero
-    for c in reversed(small.modulus.coeffs):
-        value = value * beta + big.element((c,))
-    if not value.is_zero:
+    beta, powers = min(conjugates, key=lambda e: e.coeffs).packed, [1]
+    for _ in range(d):
+        powers.append(big._reduce(powers[-1] * beta))
+    top = powers.pop()
+    # f_s(beta) = 0 iff beta^d = sum_{i<d} -f_i beta^i: d terms (q-1)^2, inside reduce's bound
+    if top != big._reduce(sum((-c % q) * pw for c, pw in zip(small.modulus.coeffs, powers))):
         raise ArithmeticError(f"the split gave a non-root of the modulus (q={q}, d={d}, n={n})")
-    powers = [1]
-    for _ in range(d - 1):
-        powers.append(big._reduce(powers[-1] * beta.packed))
     # rref([B | I_d]) = [R | M], R = M*B: y = x*B gives x = sum_k y[i_k]*M[k] at R's pivots i_k
     red, pivots = _rref([[*big._unpack(pw), *(i == j for j in range(d))] for i, pw in enumerate(powers)], q)
     if sum(c < n for c in pivots) != d:
@@ -392,7 +376,10 @@ def theta(
 
     xp's norm to T_1 becomes the standalone first output; the tuple
     (xr^{Phi_r(q)}, xp^{q-1}, xr^{q-1}, x) is recombined into the second,
-    whose checks reject x outside T_pr. Counts balance: phi(pr) + p + r = 1 + pr.
+    whose checks reject x outside T_pr. The T_p check makes the first a
+    constant: with ep the embedded xp, ep^{q-1} in T_p gives ep^{q^p - 1} = 1,
+    so the norm ep^{Phi_p(q)} has (q-1)-th power 1 and lies in F_q.
+    Counts balance: phi(pr) + p + r = 1 + pr.
     """
     q, p, r = params.q, params.pair.p, params.pair.r
     big = _check_big_field(x, params)
@@ -407,8 +394,6 @@ def theta(
     x1_big, tp = ep.powers(params.orders[p], q - 1)
     t1, tr = er.powers(params.orders[r], q - 1)
     xpr = recombine(TorusComponents(t1=t1, tp=tp, tr=tr, tpr=x), params)
-    if any(x1_big.coeffs[1:]):
-        raise ArithmeticError("the T_1 output must be a prime-field constant")
     x1 = make_ext_field(q, 1).element((x1_big.coeffs[0],))
     return x1, xpr
 

@@ -20,7 +20,6 @@ import cyclokit.cyclotomic as cyclotomic_module
 from cyclokit import cli, intpoly, torus
 from cyclokit.cli import COUNT_CEILING, INDEX_CEILING, PR_CEILING, main
 from cyclokit.cyclotomic import cyclotomic
-from cyclokit.finitefield import make_ext_field
 
 
 def run_cli(capsys, *argv):
@@ -233,29 +232,6 @@ class TestBasicCommands:
         code, out, err = run_cli(capsys, "verify", "--mode", "resultants", "--max", "2")
         assert code == 1 and not out
         assert err == f"error: {message}\n"
-
-    def test_theta_norm_outside_the_prime_field_exits_1(self, capsys, monkeypatch):
-        # the p-slot embeds as the generator X of F_{q^pr}, outside F_{q^p}, so its norm
-        # X^Phi_p(q) is no constant. recombine's T_p check runs first and already rules
-        # this out (tp = ep^(q-1) in T_p gives ep^(q^p - 1) = 1), so it is skipped here
-        embed, member_squares = torus.subfield_embed, torus._member_squares
-
-        def leaving_the_subfield(x, big):
-            return big.element((0, 1)) if x.field.n == 3 else embed(x, big)
-
-        def unchecked_tp(comp, k, params):
-            return [comp.packed] if k == 3 else member_squares(comp, k, params)
-
-        monkeypatch.setattr(torus, "subfield_embed", leaving_the_subfield)
-        monkeypatch.setattr(torus, "_member_squares", unchecked_tp)
-        params, big = torus.derive_params(7, 3, 5), make_ext_field(7, 15)
-        with pytest.raises(ArithmeticError, match="prime-field constant"):
-            torus.theta(big.one, make_ext_field(7, 3).one, make_ext_field(7, 5).one, params)
-        code, out, err = run_cli(
-            capsys, "torus", "theta-demo", "--q", "7", "--p", "3", "--r", "5", "--count", "1"
-        )
-        assert code == 1 and not out
-        assert err == "error: the T_1 output must be a prime-field constant\n"
 
     def test_index_at_ceiling_is_admitted(self, capsys):
         code, out, _ = run_cli(capsys, "phi", str(INDEX_CEILING))

@@ -191,6 +191,15 @@ class TestLamLeung:
         assert lam_leung_split(2, 3) == (1, 0)
         assert lam_leung_split(5, 3) == (1, 1)
 
+    def test_split_meets_its_definition(self):
+        primes = [p for p in range(2, 60) if is_prime(p)]
+        for p in primes:
+            for r in primes:
+                if p != r:
+                    s, t = lam_leung_split(p, r)
+                    assert s * p + t * r == (p - 1) * (r - 1)
+                    assert 0 <= s <= r - 2 and 0 <= t <= p - 2
+
     def test_split_rejects_bad_pairs(self):
         with pytest.raises(ValueError):
             lam_leung_split(3, 3)

@@ -544,6 +544,19 @@ class TestFrobenius:
                 got = ExtFieldElement(f, f._frobenius(y.packed, j))
                 assert_canonical(got, f, (y ** q**j).coeffs)
 
+    @pytest.mark.parametrize("q, n", [(2, 122), (7, 15), (3, 35), (65537, 6)])
+    def test_norm_chain_against_powers(self, q, n, monkeypatch):
+        # floor(log2 k) + popcount(k) - 1 Frobenius steps; k = 1 takes none
+        f, rng = make_ext_field(q, n), random.Random(q * n)
+        frobenius, steps = f._frobenius, []
+        monkeypatch.setattr(f, "_frobenius", lambda y, j: steps.append(j) or frobenius(y, j))
+        for j in (1, 3):
+            for k in (1, 2, 3, 4, 5, 7, 8, 61):
+                y = random_nonzero(f, rng)
+                steps.clear()
+                assert f._norm(y.packed, j, k) == (y ** sum(q ** (j * i) for i in range(k))).packed
+                assert len(steps) == k.bit_length() + k.bit_count() - 2
+
     def test_tables_are_kept_per_field_object(self):
         f = make_ext_field(5, 6)
         other, twin = ExtField(5, IntPoly((2, 1, 0, 0, 0, 0, 1))), ExtField(5, f.modulus)

@@ -172,10 +172,12 @@ class TestRoundTrip:
             assert recombine(comps, params) == x**15
 
     def test_field_reductions_per_roundtrip(self, monkeypatch):
-        # decompose takes x^(Phi_5 Phi_15) and x^(Phi_3 Phi_15) as products of 5 and 3
-        # Frobenius conjugates, each step one reduce; x, A, B, C and each component in
-        # recombine are squared once for all their exponents. One ladder per power
-        # took 244 here, and one squaring chain per base without conjugates 188
+        # decompose takes x^(Phi_5 Phi_15) and x^(Phi_3 Phi_15) as norms on doubling chains
+        # of 3 and 2 Frobenius steps (sigma^3, sigma^6, sigma^3; sigma^5 twice), each step
+        # and the product after it one reduce; x, A, B, C and each component in recombine
+        # are squared once for all their exponents. One ladder per power took 244 here,
+        # one squaring chain per base without conjugates 188, and linear products of
+        # 4 and 2 conjugates 138
         params, field = derive_params(7, 3, 5), make_ext_field(7, 15)
         x = field.element([(3 * i + 1) % 7 for i in range(15)])
         decompose(x, params)  # builds the field's Frobenius tables, kept for later calls
@@ -183,9 +185,9 @@ class TestRoundTrip:
         monkeypatch.setattr(field, "_reduce", lambda c: calls.append(c) or reduce(c))
         monkeypatch.setattr(field, "_frobenius", lambda y, j: steps.append(j) or frobenius(y, j))
         comps = decompose(x, params)
-        assert (len(calls), steps) == (53, [3, 3, 3, 3, 5, 5])
+        assert (len(calls), steps) == (51, [3, 6, 3, 5, 5])
         back = recombine(comps, params)
-        assert len(calls) == 138
+        assert len(calls) == 136
         assert back == x**15
 
     def test_recombine_rejects_zero_component(self):
