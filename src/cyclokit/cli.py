@@ -8,11 +8,10 @@ Verification sweeps additionally stream one JSON line per checked
 instance before the summary envelope. Polynomials always serialize as
 little-endian decimal-string arrays with an explicit denominator field.
 
-Exit codes: 0 success; 1 a mathematical check failed; 2 usage error;
-3 a mathematical precondition or resource ceiling was violated, such as
-the torus ceiling p*r <= 16000, which alone bounds `torus params --q 0`.
-The sweep ceiling is the exception: `verify --max` outside [2, 31] is a
-usage error and exits 2.
+Exit codes: 0 success; 1 a mathematical check failed; 2 usage error, such as
+`verify --max` outside [2, 31] or an option that the torus action does not read;
+3 a mathematical precondition or resource ceiling was violated, such as the
+torus ceiling p*r <= 16000, which alone bounds `torus params --q 0`.
 """
 
 from __future__ import annotations
@@ -240,8 +239,7 @@ def _roundtrip_trials(args, params, field, rng) -> tuple[int, dict]:
         comps = decompose(x, params)
         back = recombine(comps, params)
         ok = back == x**field.n
-        if ok:
-            passes += 1
+        passes += ok
         if i < args.vectors:  # regression-pinnable test vectors, one JSON line each
             print(
                 json.dumps(
@@ -287,27 +285,33 @@ def _theta_trials(args, params, big, rng) -> tuple[int, dict]:
     }
 
 
-_TORUS_TRIALS = {"roundtrip": _roundtrip_trials, "theta-demo": _theta_trials}
+_TORUS_ACTIONS = {  # trial driver (None for params); option read past --q --p --r: its default
+    "params": (None, {}),
+    "roundtrip": (_roundtrip_trials, {"count": 100, "seed": 0, "vectors": 0}),
+    "theta-demo": (_theta_trials, {"count": 100, "seed": 0}),
+}
 
 
 def _cmd_torus(args) -> tuple[dict, dict, int]:
     if args.p < 2 or args.r < 2 or args.q < 0:
         raise UsageError("p and r must be >= 2 and q >= 0 (q = 0 gives symbolic params)")
     params_desc = {"action": args.action, "q": args.q, "p": args.p, "r": args.r}
-    if args.action == "params":
+    trials, options = _TORUS_ACTIONS[args.action]
+    if trials is None:
         _torus_guard(args.q, args.p, args.r)
         return params_desc, _torus_params_payload(args), EXIT_OK
     if args.q == 0:
         raise UsageError("this action needs a prime q")
-    if args.count < 0 or args.vectors < 0:
-        raise UsageError("--count and --vectors must be >= 0")
+    sizes = [name for name in ("count", "vectors") if name in options]  # --seed may be negative
+    if any(getattr(args, name) < 0 for name in sizes):
+        raise UsageError(" and ".join(f"--{name}" for name in sizes) + " must be >= 0")
     if args.count > COUNT_CEILING:
         raise PreconditionError(f"--count {args.count} exceeds the ceiling {COUNT_CEILING}")
     _torus_guard(args.q, args.p, args.r)
     params_desc.update({"count": args.count, "seed": args.seed})
     params = derive_params(args.q, args.p, args.r)
     big = make_ext_field(args.q, params.pair.n)
-    passes, tail = _TORUS_TRIALS[args.action](args, params, big, random.Random(args.seed))
+    passes, tail = trials(args, params, big, random.Random(args.seed))
     payload = {"count": args.count, "passes": passes, "seed": args.seed, **tail}
     return params_desc, payload, EXIT_OK if passes == args.count else EXIT_CHECK_FAILED
 
@@ -337,16 +341,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_torus = sub.add_parser("torus", help="subgroup decomposition demos")
     p_torus.set_defaults(handler=_cmd_torus)
-    p_torus.add_argument("action", choices=["params", *_TORUS_TRIALS])
-    p_torus.add_argument("--q", type=int, required=True, help="prime base (0 = symbolic params)")
-    p_torus.add_argument("--p", type=int, required=True)
-    p_torus.add_argument("--r", type=int, required=True)
-    p_torus.add_argument("--count", type=int, default=100)
-    p_torus.add_argument("--seed", type=int, default=0)
-    p_torus.add_argument(
-        "--vectors", type=int, default=0,
-        help="for roundtrip: emit the first N trials as JSON vector lines",
-    )
+    actions = p_torus.add_subparsers(dest="action", required=True)
+    for action, (trials, options) in _TORUS_ACTIONS.items():
+        p_action = actions.add_parser(action)
+        q_help = "prime base" if trials else "prime base (0 = symbolic params)"
+        for flag, help_text in (("--q", q_help), ("--p", None), ("--r", None)):
+            p_action.add_argument(flag, type=int, required=True, help=help_text)
+        for name, default in options.items():
+            help_text = "emit the first N trials as JSON vector lines" if name == "vectors" else None
+            p_action.add_argument(f"--{name}", type=int, default=default, help=help_text)
     return top
 
 

@@ -187,10 +187,6 @@ class ExtField:
         return ExtFieldElement(self, self._pack(vec))
 
     @property
-    def zero(self) -> ExtFieldElement:
-        return ExtFieldElement(self, 0)
-
-    @property
     def one(self) -> ExtFieldElement:
         return ExtFieldElement(self, 1)
 

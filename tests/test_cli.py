@@ -447,6 +447,79 @@ class TestTorus:
         )
         assert code == 2 and not out and "error" in err
 
+    # the options each torus action reads past --q --p --r
+    ACTION_OPTIONS = {
+        "params": set(),
+        "roundtrip": {"--count", "--seed", "--vectors"},
+        "theta-demo": {"--count", "--seed"},
+    }
+
+    @pytest.mark.parametrize("option", ["--count", "--seed", "--vectors"])
+    @pytest.mark.parametrize("action", ["params", "roundtrip", "theta-demo"])
+    def test_option_accepted_exactly_when_the_action_reads_it(
+        self, capsys, monkeypatch, action, option
+    ):
+        argv = ["torus", action, "--q", "5", "--p", "2", "--r", "3", option, "1"]
+        if option in self.ACTION_OPTIONS[action]:
+            code, out, err = run_cli(capsys, *argv)
+            *lines, envelope = map(json.loads, out.splitlines())
+            assert code == 0 and not err
+            read = {
+                "--count": envelope["result"]["count"] == 1,
+                "--seed": envelope["params"]["seed"] == 1,
+                "--vectors": len(lines) == 1,
+            }
+            assert read[option]
+            return
+
+        def nothing_built(*args):
+            raise AssertionError("the command ran past argparse")
+
+        monkeypatch.setattr(cli, "make_ext_field", nothing_built)
+        monkeypatch.setattr(cli, "derive_exponent_polys", nothing_built)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and not out
+        assert f"unrecognized arguments: {option} 1" in err
+
+    @pytest.mark.parametrize("vectors", ["-1", "0", "5"])
+    def test_theta_demo_rejects_vectors_of_any_value(self, capsys, vectors):
+        argv = ["torus", "theta-demo", "--q", "5", "--p", "2", "--r", "3", "--vectors", vectors]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and not out
+        assert "unrecognized arguments: --vectors" in err and "must be >= 0" not in err
+
+    @pytest.mark.parametrize(
+        "action, message",
+        [
+            ("roundtrip", "--count and --vectors must be >= 0"),
+            ("theta-demo", "--count must be >= 0"),
+        ],
+    )
+    def test_negative_check_names_only_the_options_read(self, capsys, action, message):
+        code, out, err = run_cli(
+            capsys, "torus", action, "--q", "5", "--p", "2", "--r", "3", "--count", "-1"
+        )
+        assert code == 2 and not out and err == f"error: {message}\n"
+
+    def test_option_before_the_action_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["torus", "--q", "7", "params", "--p", "3", "--r", "5"])
+        assert exc.value.code == 2 and not capsys.readouterr().out
+
+    @pytest.mark.parametrize("action", ["params", "roundtrip", "theta-demo"])
+    def test_action_help_lists_only_the_options_read(self, capsys, action):
+        with pytest.raises(SystemExit) as exc:
+            main(["torus", action, "--help"])
+        help_text = capsys.readouterr().out
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z]+", help_text)) - {"--help"}
+        assert listed == {"--q", "--p", "--r"} | self.ACTION_OPTIONS[action]
+        assert ("0 = symbolic params" in help_text) == (action == "params")
+
 
 class TestDeterminism:
     def test_repeat_run_identical_modulo_elapsed(self, capsys):
@@ -602,6 +675,7 @@ FUZZ_VALUES = st.sampled_from(
 
 @st.composite
 def fuzz_argv(draw):
+    stray = False  # whether argv carries an option its torus action does not read
     command = draw(st.sampled_from(["phi", "res", "inv", "eval", "verify", "torus"]))
     if command == "phi":
         argv = [command, draw(FUZZ_VALUES)]
@@ -611,19 +685,26 @@ def fuzz_argv(draw):
         mode = draw(st.sampled_from(["theorem1", "resultants", "lamleung", "alternation", "x"]))
         argv = [command, "--mode", mode, "--max", draw(FUZZ_VALUES)]
     else:
-        argv = [command, draw(st.sampled_from(["params", "roundtrip", "theta-demo"]))]
+        action = draw(st.sampled_from(sorted(cli._TORUS_ACTIONS)))
+        options = cli._TORUS_ACTIONS[action][1]
+        argv = [command, action]
         for flag in ("--q", "--p", "--r"):  # lean to primes so more calls build a field
             argv += [flag, draw(st.one_of(st.sampled_from("2357"), FUZZ_VALUES))]
-        for flag in ("--count", "--vectors", "--seed"):
-            argv += [flag, draw(FUZZ_VALUES)]
+        for name in options:
+            argv += [f"--{name}", draw(FUZZ_VALUES)]
+        if draw(st.booleans()):  # an option this action does not read, from another one or verify
+            unread = [name for name in ("count", "seed", "vectors", "max") if name not in options]
+            argv += [f"--{draw(st.sampled_from(unread))}", draw(FUZZ_VALUES)]
+            stray = True
     if draw(st.booleans()) and draw(st.booleans()):
         argv = argv[:-1]  # a missing operand or option value
-    return argv
+    return argv, stray
 
 
 @given(fuzz_argv())
 @settings(max_examples=150, deadline=None)
-def test_argv_fuzz_reaches_a_documented_exit(argv):
+def test_argv_fuzz_reaches_a_documented_exit(case):
+    argv, stray = case
     out, err = io.StringIO(), io.StringIO()
     started = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -633,6 +714,7 @@ def test_argv_fuzz_reaches_a_documented_exit(argv):
             code = exc.code
     assert time.perf_counter() - started < 2.0, argv
     assert code in (0, 1, 2, 3), argv
+    assert code == 2 or not stray, argv
     assert "Traceback" not in err.getvalue(), argv
 
 

@@ -1,8 +1,9 @@
 """Smoke tests for the tooling around the package.
 
 Every name the benchmark's traced run wraps still exists in src/, no
-module in src/ relies on a bare assert, every name the package exports
-has a reader outside the tests, and the README's library example runs.
+module in src/ relies on a bare assert, every name the package exports and
+every public attribute of an exported class has a reader outside the tests,
+and the README's library example runs.
 """
 
 import ast
@@ -44,8 +45,8 @@ def test_no_bare_assert_in_src():
     assert not found, found
 
 
-def _readers(path: pathlib.Path) -> set[str]:
-    """Names a module reads by Name or Attribute, outside the definition of the same name."""
+def _readers(source: str) -> set[str]:
+    """Names a source text reads by Name or Attribute, outside the definition of the same name."""
     found = set()
 
     def visit(node, enclosing):
@@ -58,7 +59,7 @@ def _readers(path: pathlib.Path) -> set[str]:
         for child in ast.iter_child_nodes(node):
             visit(child, enclosing)
 
-    visit(ast.parse(path.read_text(), filename=str(path)), frozenset())
+    visit(ast.parse(source), frozenset())
     return found
 
 
@@ -71,21 +72,48 @@ def test_readme_library_example_runs():
     exec(compile(_readme_example(), "README.md", "exec"), {})
 
 
-def test_public_api_has_a_reader_outside_tests():
-    # no public API that only the tests use: every name the package exports
-    # is read in src/ or perfbench/, or imported by the README example
+def _exported() -> set[str]:
     init = ROOT / "src" / "cyclokit" / "__init__.py"
-    exported = {
+    return {
         alias.asname or alias.name
         for node in ast.parse(init.read_text()).body
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    sources = [p for p in (ROOT / "src" / "cyclokit").rglob("*.py") if p != init]
+
+
+def _read_outside_tests() -> set[str]:
+    """Names read in src/ outside __init__.py, in perfbench/, or by the README example,
+    which also reads every name it imports from cyclokit."""
+    sources = [p for p in (ROOT / "src" / "cyclokit").rglob("*.py") if p.name != "__init__.py"]
     sources += (ROOT / "perfbench").rglob("*.py")
-    read = set().union(*map(_readers, sources))
-    for node in ast.walk(ast.parse(_readme_example())):
+    example = _readme_example()
+    read = set().union(_readers(example), *(_readers(p.read_text()) for p in sources))
+    for node in ast.walk(ast.parse(example)):
         if isinstance(node, ast.ImportFrom) and node.module == "cyclokit":
             read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_public_api_has_a_reader_outside_tests():
+    # no public API that only the tests use: every name the package exports
+    # is read in src/ or perfbench/, or imported by the README example
+    exported = _exported()
     assert exported, "no names found in cyclokit/__init__.py"
-    assert sorted(exported - read) == []
+    assert sorted(exported - _read_outside_tests()) == []
+
+
+def test_public_class_attributes_have_a_reader_outside_tests():
+    # the same rule one level down: every public attribute that an exported
+    # class defines (method, property or class attribute) is read by name there
+    package = importlib.import_module("cyclokit")
+    classes = [obj for obj in map(package.__dict__.get, _exported()) if isinstance(obj, type)]
+    assert classes, "no classes among the exported names"
+    read = _read_outside_tests()
+    unread = {
+        f"{cls.__name__}.{attr}"
+        for cls in classes
+        for attr in vars(cls)
+        if not attr.startswith("_") and attr not in read
+    }
+    assert sorted(unread) == []

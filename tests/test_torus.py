@@ -192,9 +192,9 @@ class TestRoundTrip:
 
     def test_recombine_rejects_zero_component(self):
         params, field = derive_params(5, 2, 3), make_ext_field(5, 6)
-        comps = decompose(field.one, params)
+        comps, zero = decompose(field.one, params), ExtFieldElement(field, 0)
         with pytest.raises(TorusMembershipError, match="Phi_6"):
-            recombine(TorusComponents(comps.t1, comps.tp, comps.tr, field.zero), params)
+            recombine(TorusComponents(comps.t1, comps.tp, comps.tr, zero), params)
 
     def test_recombine_rejects_members_of_another_modulus(self):
         # same q and n, so each membership check passes; the product must still refuse
@@ -208,7 +208,7 @@ class TestRoundTrip:
     def test_decompose_zero_rejected(self):
         params = derive_params(5, 2, 3)
         with pytest.raises(ValueError):
-            decompose(make_ext_field(5, 6).zero, params)
+            decompose(ExtFieldElement(make_ext_field(5, 6), 0), params)
 
     def test_decompose_wrong_field_rejected(self):
         params = derive_params(5, 2, 3)
@@ -342,7 +342,7 @@ def scan_root(small, big):
     then tried in lex order.
     """
     q, d = big.q, small.n
-    span = {big.zero.coeffs}
+    span = {ExtFieldElement(big, 0).coeffs}
     for j in range(big.n):
         if len(span) == q**d:
             break
@@ -358,7 +358,7 @@ def scan_root(small, big):
             }
     assert len(span) == q**d
     for vec in sorted(span):
-        x, acc = big.element(vec), big.zero
+        x, acc = big.element(vec), ExtFieldElement(big, 0)
         for c in reversed(small.modulus.coeffs):
             acc = acc * x + big.element((c,))
         if acc.is_zero:
@@ -599,7 +599,7 @@ class TestTheta:
     def test_rejects_zero_subfield_input(self, setup_7_3_5):
         params, big, fp, fr = setup_7_3_5
         with pytest.raises(ValueError):
-            theta(big.one, fp.zero, fr.one, params)
+            theta(big.one, ExtFieldElement(fp, 0), fr.one, params)
 
     def test_rejects_subfield_inputs_of_the_wrong_degree(self, setup_7_3_5):
         params, big, fp, fr = setup_7_3_5
@@ -613,7 +613,7 @@ class TestTheta:
         with pytest.raises(ValueError, match="must be a prime-field element"):
             theta_reverse(fp.one, big.one, params)
         with pytest.raises(ValueError, match="must be nonzero"):
-            theta_reverse(make_ext_field(7, 1).zero, big.one, params)
+            theta_reverse(ExtFieldElement(make_ext_field(7, 1), 0), big.one, params)
 
     def test_composition_is_fixed_powers(self, setup_7_3_5):
         params, big, fp, fr = setup_7_3_5
