@@ -56,11 +56,11 @@ EXIT_PRECONDITION = 3
 VERIFY_CEILING = 31
 INDEX_CEILING = 3003  # phi/res/inv/eval; see _check_indices
 FIELD_ORDER_CEILING = 2**128
-# Measured cold on a 2-core Xeon VM: torus params --q 0 is slowest at p = 2, 3: 0.4-0.5 s at
-# (2, 7993) and (3, 5333), below the slowest inv's 7.3-7.9 s; q >= 2 has p*r <= 128 by the field ceiling.
+# Measured cold on a 2-core Xeon VM: torus params --q 0 is slowest at p = 2, 3: 0.35-0.43 s at
+# (2, 7993) and (3, 5333), below the slowest inv's 5.8-8.4 s; q >= 2 has p*r <= 128 by the field ceiling.
 PR_CEILING = 16000
 # Measured cold on a 2-core Xeon VM: theta-demo ops under the field ceiling are slowest
-# at q=2, n=122 and n=123, 12-22 ms each, so 200 take 3.2-5.5 s with 0.3-2.1 s of
+# at q=2, n=122 and n=123, 13-20 ms each, so 200 take 3.0-5.7 s with 0.4-1.9 s of
 # set-up, below the slowest inv under INDEX_CEILING.
 COUNT_CEILING = 200
 
@@ -90,9 +90,9 @@ def _emit(command: str, params: dict, result, started: float) -> None:
 
 
 def _check_indices(*indices: int) -> None:
-    # Measured cold on a 2-core Xeon VM, the slowest under INDEX_CEILING: inv (3003, 2261) 7.3-7.9 s,
-    # (3003, 2431) 6.4-6.6 s, res (3003, 2431) 2.2-2.4 s, phi/eval 0.08-0.16 s (2-4 ms of it builds
-    # Phi_3003); inv (2002, 3003) 0.7-1.1 s. 3003 is the largest index the goldens and benchmark use.
+    # Measured cold on a 2-core Xeon VM, the slowest under INDEX_CEILING: inv (3003, 2261) 5.8-8.4 s,
+    # (3003, 2431) 5.4-6.2 s, res (3003, 2431) 3.2-3.3 s, phi/eval 0.12-0.13 s (2-3 ms of it builds
+    # Phi_3003); inv (2002, 3003) 0.6-0.7 s. 3003 is the largest index the goldens and benchmark use.
     if min(indices) < 1:
         raise UsageError("indices must be >= 1")
     if max(indices) > INDEX_CEILING:
@@ -330,20 +330,24 @@ def _build_parser() -> argparse.ArgumentParser:
         ("eval", _cmd_eval, "evaluate the n-th cyclotomic at an integer", "n q"),
     ):
         command = sub.add_parser(name, help=help_text)
-        command.set_defaults(handler=handler)
+        command.set_defaults(handler=handler, parser=command)
         for arg in int_args.split():
             command.add_argument(arg, type=int)
 
     p_verify = sub.add_parser("verify", help="verification sweeps (line-delimited JSON)")
-    p_verify.set_defaults(handler=_cmd_verify)
+    p_verify.set_defaults(handler=_cmd_verify, parser=p_verify)
     p_verify.add_argument("--mode", choices=sorted(_VERIFY_MODES), required=True)
     p_verify.add_argument("--max", type=int, default=13)
 
-    p_torus = sub.add_parser("torus", help="subgroup decomposition demos")
+    # the usage shows the options after the action, for one given before it
+    usage = "%(prog)s {" + ",".join(_TORUS_ACTIONS) + "} --q Q --p P --r R [action options]"
+    p_torus = sub.add_parser("torus", help="subgroup decomposition demos", usage=usage)
     p_torus.set_defaults(handler=_cmd_torus)
-    actions = p_torus.add_subparsers(dest="action", required=True)
+    # each action's usage starts with prog, not with the usage above
+    actions = p_torus.add_subparsers(dest="action", required=True, prog=p_torus.prog)
     for action, (trials, options) in _TORUS_ACTIONS.items():
         p_action = actions.add_parser(action)
+        p_action.set_defaults(parser=p_action)
         q_help = "prime base" if trials else "prime base (0 = symbolic params)"
         for flag, help_text in (("--q", q_help), ("--p", None), ("--r", None)):
             p_action.add_argument(flag, type=int, required=True, help=help_text)
@@ -363,8 +367,9 @@ _EXIT_CODES = (
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extras = _build_parser().parse_known_args(argv)
+    if extras:  # against the command's own usage, which lists the options it reads
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     started = time.perf_counter()
     try:
         params, result, code = args.handler(args)

@@ -20,8 +20,7 @@ mod q^n - 1, so x^(-1) is Fermat's x^(q^n - 2); zero has 0^0 = 1, 0^e = 0 for
 e > 0 and no negative powers. Every power runs one right-to-left ladder, whose
 squares x^(2^i) the powers of one base share (ExtFieldElement.powers). The Rabin
 irreducibility test behind the modulus search runs on the same kernel and ladder;
-coefficients are unpacked only when read. The only long division is
-intpoly's: it gives mu, and it reduces over-long input vectors mod the modulus.
+coefficients are unpacked only when read. The only long division is intpoly's, for mu.
 The Frobenius map y -> y^(q^j) is F_q-linear: a field keeps, per j, the n packed X^(i*q^j)
 mod f, so a step is one weighted sum and one reduce. Every norm y^(1 + q^j + ... + q^(j(k-1)))
 in torus runs on it, as one doubling chain of such steps (ExtField._norm).
@@ -132,7 +131,8 @@ def _is_irreducible(q: int, n: int, kernel) -> bool:
 
 
 class ExtField:
-    """F_{q^n} in polynomial basis modulo a fixed monic irreducible polynomial of degree n."""
+    """F_{q^n} in polynomial basis modulo a fixed monic irreducible polynomial of degree n;
+    fields compare by identity, and make_ext_field returns one per (q, n)."""
 
     def __init__(self, q: int, modulus: IntPoly):
         if not is_prime(q):
@@ -151,14 +151,13 @@ class ExtField:
         self._pack, self._unpack, self._reduce = kernel
         self._frobenius_tables: dict[int, list[int]] = {}
 
-    def __reduce__(self):
-        # pickle by construction data; the kernel's functions are closures
-        return ExtField, (self.q, self.modulus)
-
     def _frobenius(self, y: int, j: int) -> int:
         """The packed y^(q^j): sigma^j(sum a_i X^i) = sum a_i X^(i*q^j), as each a_i is in F_q."""
         table = self._frobenius_tables.get(j)
-        if table is None:  # X^(i*q^j), i < n: one ladder for X^(q^j), then n - 1 products
+        # X^(i*q^j), i < n: one ladder for X^(q^j), then n - 1 products. X = element((0, 1))
+        # needs n >= 2, and the one caller, _norm, runs on decompose's field of degree pr and
+        # on the big field of an _embedding split, which splits only for d >= 2 with d | n
+        if table is None:
             xqj, table = (self.element((0, 1)) ** self.q**j).packed, [1]
             while len(table) < self.n:
                 table.append(self._reduce(table[-1] * xqj))
@@ -179,30 +178,14 @@ class ExtField:
         return acc
 
     def element(self, coeffs) -> ExtFieldElement:
-        q = self.q
-        vec = [c % q for c in coeffs]
+        vec = [c % self.q for c in coeffs]
         if len(vec) > self.n:
-            _, rem = divrem_exact(IntPoly(tuple(vec)), self.modulus)
-            vec = [c % q for c in rem.coeffs]
+            raise ValueError(f"{len(vec)} coefficients for F_{self.q}^{self.n}, more than its degree")
         return ExtFieldElement(self, self._pack(vec))
 
     @property
     def one(self) -> ExtFieldElement:
         return ExtFieldElement(self, 1)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExtField)
-            and self.q == other.q
-            and self.n == other.n
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.n, self.modulus.coeffs))
-
-    def __repr__(self) -> str:
-        return f"ExtField(q={self.q}, n={self.n}, modulus={self.modulus!r})"
 
 
 @lru_cache(maxsize=None)
@@ -250,15 +233,9 @@ class ExtFieldElement(_Record):
     def _same_field(self, other: ExtFieldElement) -> ExtField:
         if not isinstance(other, ExtFieldElement):
             raise TypeError("expected an extension field element")
-        if self.field is not other.field and self.field != other.field:
+        if self.field is not other.field:
             raise ValueError("operands belong to different fields")
         return self.field
-
-    def __add__(self, other: ExtFieldElement) -> ExtFieldElement:
-        return self._same_field(other).element([x + y for x, y in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> ExtFieldElement:
-        return self.field.element([-x for x in self.coeffs])
 
     def __mul__(self, other: ExtFieldElement) -> ExtFieldElement:
         field = self._same_field(other)

@@ -192,11 +192,9 @@ def recombine(c: TorusComponents, params: TorusParams) -> ExtFieldElement:
 
 
 def _single_prime_cofactor(p: int, q: int) -> int:
-    """Integer b with Phi_p(q)*1 + (q-1)*b = p: closed form i-b's numerator at q."""
-    b = closed_form_i(p)[1].num.evaluate(q)
-    if cyclotomic(p).evaluate(q) + (q - 1) * b != p:
-        raise ArithmeticError(f"Phi_{p}(q) + (q-1)*b != {p} for q = {q}")
-    return b
+    """Integer b with Phi_p(q)*1 + (q-1)*b = p: closed form i-b's numerator at q, since
+    (X - 1) times -(X^(p-2) + 2X^(p-3) + ... + (p-1)) is p - Phi_p, term by term."""
+    return closed_form_i(p)[1].num.evaluate(q)
 
 
 # -- subfield embeddings -----------------------------------------------------
@@ -323,7 +321,7 @@ def _embedding(small: ExtField, big: ExtField) -> tuple[tuple[int, ...], tuple[t
             f = min(factor, _pdivmod(f, factor, big)[0], key=len)
     if len(f) != 2:
         raise ArithmeticError(f"no root split off in {_SPLIT_TRIES} tries (q={q}, d={d}, n={n})")
-    conjugates = [-ExtFieldElement(big, f[0])]
+    conjugates = [ExtFieldElement(big, big._reduce(f[0] * (q - 1)))]  # Y + f[0]'s root: q - 1 is -1
     for _ in range(d - 1):
         conjugates.append(conjugates[-1] ** q)
     beta, powers = min(conjugates, key=lambda e: e.coeffs).packed, [1]
@@ -333,10 +331,9 @@ def _embedding(small: ExtField, big: ExtField) -> tuple[tuple[int, ...], tuple[t
     # f_s(beta) = 0 iff beta^d = sum_{i<d} -f_i beta^i: d terms (q-1)^2, inside reduce's bound
     if top != big._reduce(sum((-c % q) * pw for c, pw in zip(small.modulus.coeffs, powers))):
         raise ArithmeticError(f"the split gave a non-root of the modulus (q={q}, d={d}, n={n})")
-    # rref([B | I_d]) = [R | M], R = M*B: y = x*B gives x = sum_k y[i_k]*M[k] at R's pivots i_k
+    # rref([B | I_d]) = [R | M], R = M*B: y = x*B gives x = sum_k y[i_k]*M[k] at R's pivots i_k;
+    # B has rank d, as f_s (irreducible by ExtField's Rabin test) is beta's minimal polynomial
     red, pivots = _rref([[*big._unpack(pw), *(i == j for j in range(d))] for i, pw in enumerate(powers)], q)
-    if sum(c < n for c in pivots) != d:
-        raise ArithmeticError("embedding powers must be independent")
     return tuple(powers), tuple((i, small._pack(row[n:])) for i, row in zip(pivots, red))
 
 

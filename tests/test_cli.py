@@ -151,7 +151,8 @@ class TestBasicCommands:
         def wrong_second(comps, params):
             calls.append(comps)
             back = real(comps, params)
-            return back + back.field.one if len(calls) == 2 else back
+            wrong = back.field.element((back.coeffs[0] + 1, *back.coeffs[1:]))  # back + 1
+            return wrong if len(calls) == 2 else back
 
         monkeypatch.setattr(cli, "recombine", wrong_second)
         code, out, err = run_cli(
@@ -169,7 +170,8 @@ class TestBasicCommands:
         def wrong_first(x1, xpr, params):
             calls.append(x1)
             x, xp, xr = real(x1, xpr, params)
-            return (x, xp, xr + xr.field.one) if len(calls) == 1 else (x, xp, xr)
+            wrong = xr.field.element((xr.coeffs[0] + 1, *xr.coeffs[1:]))  # xr + 1
+            return (x, xp, wrong) if len(calls) == 1 else (x, xp, xr)
 
         monkeypatch.setattr(cli, "theta_reverse", wrong_first)
         code, out, err = run_cli(
@@ -508,7 +510,20 @@ class TestTorus:
     def test_option_before_the_action_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["torus", "--q", "7", "params", "--p", "3", "--r", "5"])
-        assert exc.value.code == 2 and not capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and not out
+        usage, message = err.splitlines()  # the usage shows where the options go
+        assert usage == "usage: cyclokit torus {params,roundtrip,theta-demo} --q Q --p P --r R [action options]"
+        assert message.startswith("cyclokit torus: error: argument action: invalid choice: '7'")
+
+    def test_unread_option_is_refused_against_the_action_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["torus", "params", "--q", "7", "--p", "3", "--r", "5", "--count", "1"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and not out
+        *usage, message = err.splitlines()  # argparse wraps the usage to the terminal's width
+        assert " ".join(" ".join(usage).split()) == "usage: cyclokit torus params [-h] --q Q --p P --r R"
+        assert message == "cyclokit torus params: error: unrecognized arguments: --count 1"
 
     @pytest.mark.parametrize("action", ["params", "roundtrip", "theta-demo"])
     def test_action_help_lists_only_the_options_read(self, capsys, action):
