@@ -367,9 +367,13 @@ _EXIT_CODES = (
 
 
 def main(argv=None) -> int:
-    args, extras = _build_parser().parse_known_args(argv)
-    if extras:  # against the command's own usage, which lists the options it reads
-        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, extras = (top := _build_parser()).parse_known_args(argv)
+    if extras:  # against the usage of the parser that read the first: top reads the words before the
+        # command, the torus parser (in top's last action) those before its action, args.parser the rest
+        upper = top._actions[-1].choices[args.command] if argv[0] == args.command else top
+        leaf = argv[:2] == [args.command, getattr(args, "action", argv[1])]
+        (args.parser if leaf else upper).error(f"unrecognized arguments: {' '.join(extras)}")
     started = time.perf_counter()
     try:
         params, result, code = args.handler(args)

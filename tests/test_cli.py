@@ -32,14 +32,6 @@ def last_envelope(out: str) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
-def without_elapsed(out: str) -> str:
-    """stdout with the envelope's elapsed_ms dropped; every other byte kept."""
-    *lines, last = out.splitlines()
-    env = json.loads(last)
-    del env["elapsed_ms"]
-    return "\n".join(lines + [json.dumps(env)]) + "\n"
-
-
 def run_python(*args):
     """A fresh interpreter with this checkout's package on its path."""
     src = str(Path(cyclokit.__file__).resolve().parents[1])
@@ -277,6 +269,25 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--mode", "alternation", "--max", "7")
         env = last_envelope(out)
         assert code == 0 and env["result"]["failed"] == 0
+
+    def test_alternation_failure_is_reported_and_exits_1(self, capsys, monkeypatch):
+        difference_inverse = cli.difference_inverse
+
+        def broken(p, r):
+            if (p, r) == (3, 5):
+                raise ValueError("difference inverse signs do not alternate for (3, 5)")
+            return difference_inverse(p, r)
+
+        monkeypatch.setattr(cli, "difference_inverse", broken)
+        code, out, err = run_cli(capsys, "verify", "--mode", "alternation", "--max", "5")
+        *lines, envelope = out.splitlines()
+        assert code == 1 and not err
+        assert [line for line in lines if '"ok": false' in line] == [
+            '{"p": 3, "r": 5, "ok": false, "coeffs": []}'
+        ]
+        assert json.loads(envelope)["result"] == {
+            "mode": "alternation", "max": 5, "checked": 6, "failed": 1,
+        }
 
     def test_ceiling_enforced(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--mode", "theorem1", "--max", "50")
@@ -549,128 +560,6 @@ class TestDeterminism:
 
         assert snapshot() == snapshot()
 
-    # sha256 of stdout without elapsed_ms, recorded with the schoolbook field
-    # multiply that the packed kernel replaced
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (
-                ("torus", "roundtrip", "--q", "7", "--p", "3", "--r", "5",
-                 "--count", "3", "--seed", "1", "--vectors", "3"),
-                "c26777d196425bf012b8984930e61739dca5ca32cbc743e4525da68e6b6c516e",
-            ),
-            (
-                ("torus", "theta-demo", "--q", "5", "--p", "2", "--r", "3",
-                 "--count", "5", "--seed", "7"),
-                "83660e571312ba2d1663717224aec5b2f7f47dec378b36d09a8fbab4e6a7836e",
-            ),
-            # the six Bezout exponent polynomials, symbolic and at q = 7
-            (
-                ("torus", "params", "--q", "0", "--p", "3", "--r", "5"),
-                "5c1b10c01ef99c79254712b7037a904fd8a3e2241992d51e90fef1adfb82c68f",
-            ),
-            (
-                ("torus", "params", "--q", "7", "--p", "3", "--r", "5"),
-                "69ab321dcd22c2bdb86d146ff44aaa961fb2ff8117428fc1a05bc9057fb37999",
-            ),
-            # recorded while u1, u_pr, u_p, u_r still came from the oracle,
-            # not from the closed forms of cases ii and iv
-            (
-                ("torus", "params", "--q", "0", "--p", "2", "--r", "3"),
-                "228c5de456fd8fac0bf5dd14110277e13918cfbc69846e6b033f2308e112130c",
-            ),
-            (
-                ("torus", "params", "--q", "0", "--p", "13", "--r", "2"),
-                "55474476c27188429809435c5af3b852f899c863b1247f5a6247da12b721efe8",
-            ),
-            (
-                ("torus", "params", "--q", "0", "--p", "11", "--r", "13"),
-                "e5f07599ba762240442a645b4900dfe51f4dc443c7185819c872b5454ce54fd1",
-            ),
-            (
-                ("torus", "params", "--q", "0", "--p", "29", "--r", "31"),
-                "bb1730258402c5249e3e108f24178bd25e3c9b12d0b6494cf10a666d40a2d03b",
-            ),
-            # a 17-bit q (the widest kernel slots) and q = 2 (123 slots)
-            (
-                ("torus", "roundtrip", "--q", "65537", "--p", "2", "--r", "3",
-                 "--count", "3", "--seed", "1", "--vectors", "3"),
-                "0a12689ab5d95444ca7699bdc62b75fe5d5b014cf55acd3fab0bf0fbf30f6fd6",
-            ),
-            (
-                ("torus", "roundtrip", "--q", "2", "--p", "3", "--r", "41",
-                 "--count", "2", "--seed", "1", "--vectors", "2"),
-                "31b67af16b22ef6840d1a20a157cf021d8472710205d47fcaaecc82ba8e6448d",
-            ),
-            # the two largest derivations under PR_CEILING, recorded while
-            # derive_exponent_polys still checked its three Bezout identities
-            (
-                ("torus", "params", "--q", "0", "--p", "3", "--r", "5333"),
-                "0a10bd4b592f98362688c02ae3ea544aa84aac73c4cb5a9601e9177515d1efdd",
-            ),
-            (
-                ("torus", "params", "--q", "0", "--p", "2", "--r", "7993"),
-                "09ccaba1df3c99cee4a48b38008958d2bfea42fdde676e965ddb11371728c17b",
-            ),
-        ],
-    )
-    def test_seeded_torus_output_golden(self, capsys, argv, digest):
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
-        assert hashlib.sha256(without_elapsed(out).encode()).hexdigest() == digest
-
-    # the degree-840 paths of the Bezout oracle and of the resultant, recorded
-    # with the Fraction-based extended Euclid that pseudo-division replaced
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (
-                ("inv", "29", "899"),
-                "3ee08390896cc9d26d6a7f7383c949c52ef64a05efe1b195afd0689be7a68b2e",
-            ),
-            (
-                ("res", "899", "29"),
-                "b172e44f4c0cd0adabc4a7b69876328e66b83018040bfc40fc6a21d1085fc578",
-            ),
-            # the whole theorem1 sweep at VERIFY_CEILING = 31: these 770 lines
-            # must stay byte-identical when the ceiling is raised
-            (
-                ("verify", "--mode", "theorem1", "--max", "31"),
-                "c8b6111538125656a9f1d11f5e4705036f252b397a94a2b7339d943bbdbe5d21",
-            ),
-            # the largest admitted cyclotomic, recorded with the construction
-            # by exact division by every lower-index cyclotomic
-            (
-                ("phi", "3003"),
-                "52167ed6ec3d309beafaef270e57107125bf08488e585eecc4f8a940c716ccb6",
-            ),
-            # the other three sweeps at their ceilings, recorded before the exit
-            # path and the prime-pair loops of the CLI were rewritten
-            (
-                ("verify", "--mode", "lamleung", "--max", "31"),
-                "b0309fa23efa43f203a4d58c96565c5a514edb67af0de79f952588b473f766e6",
-            ),
-            (
-                ("verify", "--mode", "alternation", "--max", "31"),
-                "6e70584f34f0e3be6045fd2cd20604079bfbf0efd463863bd2994b71e804e3db",
-            ),
-            (
-                ("verify", "--mode", "resultants", "--max", "30"),
-                "bc45a1166f8af13dc90d2fa945f89bfe644d48f774aaee215b34169e1e0f144a",
-            ),
-            # products of a two-term quotient and a long cofactor, both with wide
-            # coefficients, recorded when every product was one packed product
-            (
-                ("inv", "2002", "3003"),
-                "a3ec88c4f5694c018f44484660f6b287dee70f83b0093e4702cd4c3728dbac33",
-            ),
-        ],
-    )
-    def test_seeded_oracle_output_golden(self, capsys, argv, digest):
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
-        assert hashlib.sha256(without_elapsed(out).encode()).hexdigest() == digest
-
     def test_verify_stream_deterministic(self, capsys):
         def lines():
             _, out, _ = run_cli(capsys, "verify", "--mode", "alternation", "--max", "7")
@@ -774,16 +663,21 @@ def test_module_entry_point():
     assert env["result"]["num"] == ["1", "1", "1"]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("torus", "roundtrip", "--q", "5", "--p", "2", "--r", "3", "--count", "5", "--seed", "3"),
-        ("verify", "--mode", "theorem1", "--max", "7"),
-    ],
-    ids=["roundtrip", "theorem1"],
-)
-def test_optimized_interpreter_output_identical(argv):
-    plain = run_module(*argv)
-    optimized = run_module(*argv, python_flags=("-O",))
-    assert plain.returncode == optimized.returncode == 0
-    assert without_elapsed(optimized.stdout) == without_elapsed(plain.stdout)
+def _pinned_rows():
+    """(exit code, sha256, argv) for each row of pinned_commands.txt; '#' starts a comment."""
+    for line in (Path(__file__).parent / "pinned_commands.txt").read_text().splitlines():
+        if fields := line.partition("#")[0].split():
+            yield int(fields[0]), fields[1], tuple(fields[2:])
+
+
+PINNED = list(_pinned_rows())
+
+
+@pytest.mark.parametrize("code, digest, argv", PINNED, ids=[" ".join(argv) for *_, argv in PINNED])
+def test_pinned_command(code, digest, argv):
+    # one run under python -O per row: test_no_bare_assert_in_src shows that src/ has nothing
+    # that -O strips, and every digest was recorded where plain python printed the same bytes
+    assert [row[2] for row in PINNED].count(argv) == 1, "each argv is pinned once"
+    proc = run_module(*argv, python_flags=("-O",))
+    printed = re.sub(r'"elapsed_ms": [0-9.]+', "", proc.stdout) + proc.stderr
+    assert (proc.returncode, hashlib.sha256(printed.encode()).hexdigest()) == (code, digest)

@@ -1,9 +1,9 @@
 """Smoke tests for the tooling around the package.
 
 Every name the benchmark's traced run wraps still exists in src/, no
-module in src/ relies on a bare assert, every name the package exports and
-every public attribute of an exported class has a reader outside the tests,
-and the README's library example runs.
+module in src/ relies on a bare assert or reads __debug__, every name the
+package exports and every public attribute of an exported class has a
+reader outside the tests, and the README's library example runs.
 """
 
 import ast
@@ -35,12 +35,13 @@ def test_benchmark_trace_targets_exist():
 
 
 def test_no_bare_assert_in_src():
-    # invariants raise explicitly, so they still hold under python -O
+    # invariants raise explicitly, and nothing reads __debug__, so python -O runs the same
+    # code: the pinned commands run under -O only
     found = [
         f"{path.relative_to(ROOT)}:{node.lineno}"
         for path in sorted((ROOT / "src" / "cyclokit").rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
+        if isinstance(node, ast.Assert) or isinstance(node, ast.Name) and node.id == "__debug__"
     ]
     assert not found, found
 
