@@ -19,11 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 import time
 from itertools import combinations, permutations
 
+# the rest of the package, and random, load in the commands that run them
 from .cyclotomic import (
     PrimePair,
     cyclotomic,
@@ -33,20 +33,7 @@ from .cyclotomic import (
     primes_upto,
     resultant_apostol,
 )
-from .finitefield import make_ext_field, random_nonzero
-from .intpoly import IntPoly, NotCoprimeError, ScaledPoly, _height, resultant
-from .inverses import difference_inverse, inverse_mod, verify_closed_forms
-from .torus import (
-    TorusMembershipError,
-    decompose,
-    derive_exponent_polys,
-    derive_params,
-    kernel_annihilator,
-    recombine,
-    theta,
-    theta_dimensions,
-    theta_reverse,
-)
+from .intpoly import IntPoly, PreconditionError, ScaledPoly, _height, resultant
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -66,10 +53,6 @@ COUNT_CEILING = 200
 
 
 class UsageError(ValueError):
-    pass
-
-
-class PreconditionError(ValueError):
     pass
 
 
@@ -111,6 +94,8 @@ def _cmd_res(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_inv(args) -> tuple[dict, dict, int]:
+    from .inverses import inverse_mod
+
     _check_indices(args.m, args.n)
     inv = inverse_mod(args.m, args.n)
     return {"m": args.m, "n": args.n}, _poly_payload(inv), EXIT_OK
@@ -131,6 +116,8 @@ def _cmd_eval(args) -> tuple[dict, dict, int]:
 
 
 def _verify_theorem1(bound: int):
+    from .inverses import verify_closed_forms
+
     for p, r in permutations(primes_upto(bound), 2):
         for report in verify_closed_forms(PrimePair.of(p, r)):
             line = report.to_json_dict()
@@ -165,6 +152,8 @@ def _verify_lamleung(bound: int):
 
 
 def _verify_alternation(bound: int):
+    from .inverses import difference_inverse
+
     for p, r in permutations(primes_upto(bound), 2):
         try:
             du = difference_inverse(p, r)
@@ -214,6 +203,8 @@ def _torus_guard(q: int, p: int, r: int) -> None:
 
 
 def _torus_params_payload(args) -> dict:
+    from .torus import derive_exponent_polys, derive_params
+
     q, tail = args.q, {}
     if q == 0:  # symbolic mode: keep q as the indeterminate
         exps = derive_exponent_polys(args.p, args.r)
@@ -229,6 +220,9 @@ def _torus_params_payload(args) -> dict:
 
 
 def _roundtrip_trials(args, params, field, rng) -> tuple[int, dict]:
+    from .finitefield import random_nonzero
+    from .torus import decompose, recombine
+
     passes = 0
 
     def coeffs(e):
@@ -261,6 +255,9 @@ def _roundtrip_trials(args, params, field, rng) -> tuple[int, dict]:
 
 
 def _theta_trials(args, params, big, rng) -> tuple[int, dict]:
+    from .finitefield import make_ext_field, random_nonzero
+    from .torus import kernel_annihilator, theta, theta_dimensions, theta_reverse
+
     p, r = args.p, args.r
     field_p = make_ext_field(args.q, p)
     field_r = make_ext_field(args.q, r)
@@ -308,6 +305,11 @@ def _cmd_torus(args) -> tuple[dict, dict, int]:
     if args.count > COUNT_CEILING:
         raise PreconditionError(f"--count {args.count} exceeds the ceiling {COUNT_CEILING}")
     _torus_guard(args.q, args.p, args.r)
+    import random
+
+    from .finitefield import make_ext_field
+    from .torus import derive_params
+
     params_desc.update({"count": args.count, "seed": args.seed})
     params = derive_params(args.q, args.p, args.r)
     big = make_ext_field(args.q, params.pair.n)
@@ -360,7 +362,8 @@ def _build_parser() -> argparse.ArgumentParser:
 # the first row that matches gives the exit code, so a subclass comes before its base
 _EXIT_CODES = (
     (UsageError, EXIT_USAGE),
-    ((NotCoprimeError, TorusMembershipError, PreconditionError, ZeroDivisionError), EXIT_PRECONDITION),
+    # the precondition base of intpoly: NotCoprimeError and TorusMembershipError derive from it
+    ((PreconditionError, ZeroDivisionError), EXIT_PRECONDITION),
     (ArithmeticError, EXIT_CHECK_FAILED),  # a load-bearing invariant failed
     (ValueError, EXIT_USAGE),
 )

@@ -35,7 +35,11 @@ from operator import add, floordiv, mul, neg
 NEG_INF = float("-inf")
 
 
-class NotCoprimeError(ValueError):
+class PreconditionError(ValueError):
+    """A mathematical precondition or resource ceiling was violated (CLI exit 3)."""
+
+
+class NotCoprimeError(PreconditionError):
     """A Bezout inverse was requested for inputs sharing a factor."""
 
 

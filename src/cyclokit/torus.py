@@ -44,11 +44,11 @@ from .finitefield import (
     make_ext_field,
     random_nonzero,
 )
-from .intpoly import IntPoly, _Record, _trimmed, xgcd_rational
+from .intpoly import IntPoly, PreconditionError, _Record, _trimmed, xgcd_rational
 from .inverses import closed_form_i, closed_form_ii, closed_form_iv
 
 
-class TorusMembershipError(ValueError):
+class TorusMembershipError(PreconditionError):
     """A component failed its subgroup-order membership check."""
 
 

@@ -1,5 +1,6 @@
 """The package's immutable records: frozen fields, value or identity equality,
-pickling, and a CLI import that loads neither dataclasses nor inspect."""
+pickling; and fresh imports that load only the submodules they use, and
+neither dataclasses nor inspect."""
 
 import ast
 import os
@@ -11,6 +12,7 @@ import sys
 
 import pytest
 
+import cyclokit
 from cyclokit import torus
 from cyclokit.cyclotomic import PrimePair
 from cyclokit.finitefield import make_ext_field, random_nonzero
@@ -108,20 +110,45 @@ def test_constructors_keep_their_parameters():
         PrimePair(3, 3)
 
 
+# submodule -> the submodules that importing it loads: a cold command pays for each
+LOADS = {
+    "intpoly": {"intpoly"},
+    "cyclotomic": {"cyclotomic", "intpoly"},
+    "finitefield": {"finitefield", "cyclotomic", "intpoly"},
+    "inverses": {"inverses", "cyclotomic", "intpoly"},
+    "torus": {"torus", "finitefield", "inverses", "cyclotomic", "intpoly"},
+    "cli": {"cli", "cyclotomic", "intpoly"},  # the rest load in the commands that run them
+}
+
+
+def _import_cases():
+    """(statement, submodules it loads): the package alone, the CLI, each library module
+    by name, as an attribute of the package, and through its exported names."""
+    yield "import cyclokit", set()
+    yield "import cyclokit.cli", LOADS["cli"]
+    yield "import cyclokit.cyclotomic", LOADS["cyclotomic"]
+    for module in sorted(set(cyclokit._EXPORTS.values())):
+        yield f"import cyclokit; cyclokit.{module}", LOADS[module]
+        names = ", ".join(name for name, home in cyclokit._EXPORTS.items() if home == module)
+        yield f"from cyclokit import {names}", LOADS[module]
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import cyclokit.cli; import sys; print(sorted(sys.modules))"],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(ast.literal_eval(proc.stdout))
-    assert "cyclokit.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect"}
+    for statement, expected in _import_cases():
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{statement}; import sys; print(sorted(sys.modules))"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, (statement, proc.stderr)
+        loaded = set(ast.literal_eval(proc.stdout))
+        package = {name for name in loaded if name.partition(".")[0] == "cyclokit"}
+        assert package == {"cyclokit", *(f"cyclokit.{m}" for m in expected)}, statement
+        assert not loaded & {"dataclasses", "inspect"}, statement
 
 
 def test_no_dataclass_in_src():
