@@ -385,7 +385,3 @@ def main(argv=None) -> int:
         return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
     _emit(args.command, params, result, started)
     return code
-
-
-def entry() -> None:
-    sys.exit(main())

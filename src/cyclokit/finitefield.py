@@ -219,9 +219,6 @@ class ExtFieldElement(_Record):
 
     _fields = ("field", "packed")
 
-    def __init__(self, field: ExtField, packed: int):
-        self._assign(field, packed)
-
     @property
     def coeffs(self) -> tuple[int, ...]:
         return self.field._unpack(self.packed)

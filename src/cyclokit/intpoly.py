@@ -45,17 +45,23 @@ class NotCoprimeError(PreconditionError):
 
 class _Record:
     """Immutable record: the fields named in ``_fields``, set once by __init__, compared
-    and hashed field-wise within one class; repr ``Name(field=value, ...)``.
+    and hashed field-wise within one class, so that it can key a cache or a set; repr
+    ``Name(field=value, ...)``, as a failure report shows it.
 
-    ``_assign`` is the only writer, so the instance ``__dict__`` holds exactly the
-    fields, in order, and equality and hash read it at C speed. It writes through
-    ``object.__setattr__``, which keeps the fields in the instance's inline values:
-    a write through ``__dict__`` would build the dict at every construction.
+    ``__init__`` takes the values in ``_fields`` order, then the rest by name, and is the
+    only writer, so the instance ``__dict__`` holds exactly the fields, in order, and
+    equality and hash read it at C speed. It writes through ``object.__setattr__``, which
+    keeps the fields in the instance's inline values: a write through ``__dict__`` would
+    build the dict at every construction.
     """
 
     _fields: tuple[str, ...] = ()
 
-    def _assign(self, *values) -> None:
+    def __init__(self, *values, **named):
+        if named:  # a missing field leaves values short, an unknown or repeated one stays in named
+            values += tuple(named.pop(name) for name in self._fields[len(values) :] if name in named)
+        if named or len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)} once each")
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
@@ -164,7 +170,7 @@ class IntPoly(_Record):
     def __init__(self, coeffs: tuple[int, ...] = ()):
         if not all(map(isinstance, coeffs, repeat(int))):
             raise TypeError("IntPoly coefficients must be integers")
-        self._assign(_trimmed(coeffs))
+        _Record.__init__(self, _trimmed(coeffs))
 
     @classmethod
     def one(cls) -> IntPoly:
@@ -202,9 +208,6 @@ class IntPoly(_Record):
     def to_decimal_strings(self) -> list[str]:
         """Little-endian decimal-string form used by the CLI."""
         return list(map(str, self.coeffs))
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
 
     def __add__(self, other: IntPoly) -> IntPoly:
         a, b = self.coeffs, other.coeffs
@@ -256,7 +259,7 @@ class ScaledPoly(_Record):
         if g > 1:
             num = IntPoly(_div_exact(num.coeffs, g))
             den //= g
-        self._assign(num, den)
+        _Record.__init__(self, num, den)
 
     @property
     def is_integral(self) -> bool:

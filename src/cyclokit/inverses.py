@@ -128,10 +128,6 @@ class InverseReport(_Record):
 
     _fields = ("pair", "case_id", "inverse", "failed_check", "observed_min", "observed_max")
 
-    def __init__(self, pair: PrimePair, case_id: str, inverse: ScaledPoly, failed_check: str | None,
-                 observed_min: int, observed_max: int):
-        self._assign(pair, case_id, inverse, failed_check, observed_min, observed_max)
-
     @property
     def bound_satisfied(self) -> bool:
         return self.failed_check is None

@@ -44,7 +44,7 @@ from .finitefield import (
     make_ext_field,
     random_nonzero,
 )
-from .intpoly import IntPoly, PreconditionError, _Record, _trimmed, xgcd_rational
+from .intpoly import PreconditionError, _Record, _trimmed, xgcd_rational
 from .inverses import closed_form_i, closed_form_ii, closed_form_iv
 
 
@@ -56,10 +56,6 @@ class BezoutExponents(_Record):
     """The six exponent polynomials of the two-step recombination."""
 
     _fields = ("u1", "u_pr", "u_p", "u_r", "v1", "v2")
-
-    def __init__(self, u1: IntPoly, u_pr: IntPoly, u_p: IntPoly, u_r: IntPoly, v1: IntPoly,
-                 v2: IntPoly):
-        self._assign(u1, u_pr, u_p, u_r, v1, v2)
 
 
 def derive_exponent_polys(p: int, r: int) -> BezoutExponents:
@@ -93,10 +89,6 @@ class TorusParams(_Record):
     _fields = ("q", "pair", "exps", "norm_exponents", "orders", "recombine_exponents")
     __eq__, __hash__ = object.__eq__, object.__hash__  # compared and hashed by identity
 
-    def __init__(self, q: int, pair: PrimePair, exps: BezoutExponents, norm_exponents: dict[int, int],
-                 orders: dict[int, int], recombine_exponents: dict[int, int]):
-        self._assign(q, pair, exps, norm_exponents, orders, recombine_exponents)
-
 
 def derive_params(q: int, p: int, r: int) -> TorusParams:
     """TorusParams for the prime q and the distinct primes p, r.
@@ -127,11 +119,10 @@ def derive_params(q: int, p: int, r: int) -> TorusParams:
 
 
 class TorusComponents(_Record):
-    _fields = ("t1", "tp", "tr", "tpr")
+    """An element's projections onto T_1, T_p, T_r and T_pr, the subgroups of F_{q^pr}^x
+    of order Phi_k(q): decompose's output, and recombine's input, which gives back x^{pr}."""
 
-    def __init__(self, t1: ExtFieldElement, tp: ExtFieldElement, tr: ExtFieldElement,
-                 tpr: ExtFieldElement):
-        self._assign(t1, tp, tr, tpr)
+    _fields = ("t1", "tp", "tr", "tpr")
 
 
 def _check_big_field(x: ExtFieldElement, params: TorusParams) -> ExtField:
@@ -454,13 +445,11 @@ def composite_exponents(params: TorusParams) -> tuple[int, int, int]:
 
 
 class KernelReport(_Record):
-    """Measured annihilator of the kernel of theta_reverse o theta."""
+    """Measured annihilator of the kernel of theta_reverse o theta: the composite
+    exponents d_x, d_p, d_r, the group exponent of the composite map's kernel, and
+    power, the least k with exponent | (p*r)^k."""
 
     _fields = ("d_x", "d_p", "d_r", "exponent", "power")
-
-    def __init__(self, d_x: int, d_p: int, d_r: int, exponent: int, power: int):
-        # exponent: group exponent of the composite map's kernel; power: least k with exponent | (p*r)^k
-        self._assign(d_x, d_p, d_r, exponent, power)
 
 
 def kernel_annihilator(params: TorusParams) -> KernelReport:

@@ -658,3 +658,15 @@ def test_pinned_command(code, digest, argv):
     proc = run_module(*argv, python_flags=("-O",))
     printed = re.sub(r'"elapsed_ms": [0-9.]+', "", proc.stdout) + proc.stderr
     assert (proc.returncode, hashlib.sha256(printed.encode()).hexdigest()) == (code, digest)
+
+
+def test_every_command_action_and_mode_has_a_passing_row():
+    passing = [" ".join(argv) + " " for code, _, argv in PINNED if code == 0]
+    commands = cli._build_parser()._actions[-1].choices  # the top parser's sub-commands
+    prefixes = [
+        *(f"{command} " for command in commands),
+        *(f"torus {action} " for action in cli._TORUS_ACTIONS),
+        *(f"verify --mode {mode} " for mode in cli._VERIFY_MODES),
+    ]
+    missing = [prefix for prefix in prefixes if not any(row.startswith(prefix) for row in passing)]
+    assert missing == []

@@ -1,5 +1,5 @@
-"""The package's immutable records: frozen fields, value or identity equality,
-pickling; and fresh imports that load only the submodules they use, and
+"""The package's immutable records: frozen fields, construction by position and by name,
+value or identity equality, pickling; and fresh imports that load only the submodules they use, and
 neither dataclasses nor inspect."""
 
 import ast
@@ -108,6 +108,24 @@ def test_constructors_keep_their_parameters():
     assert PrimePair(p=2, r=3) == PrimePair.of(2, 3)
     with pytest.raises(ValueError):
         PrimePair(3, 3)
+    # the records without a constructor of their own take _Record's: by position, then by name
+    for name in ("InverseReport", "ExtFieldElement", "BezoutExponents", "TorusParams", "TorusComponents",
+                 "KernelReport"):
+        record = RECORDS[name][0]()
+        cls, fields = type(record), vars(record)
+        values = list(fields.values())
+        by_position, by_name = cls(*values), cls(**fields)
+        assert list(fields) == list(cls._fields), name
+        assert vars(by_position) == vars(by_name) == fields, name
+        for args, named in (
+            (values[:-1], {}),  # the last field missing
+            ((), dict(list(fields.items())[1:])),  # the first field missing, the rest by name
+            (values, {"not_a_field": 1}),  # an unknown field
+            (values[:1], fields),  # the first field by position and by name
+            (values + [1], {}),  # a value past the last field
+        ):
+            with pytest.raises(TypeError):
+                cls(*args, **named)
 
 
 # submodule -> the submodules that importing it loads: a cold command pays for each
