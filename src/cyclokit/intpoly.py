@@ -14,12 +14,13 @@ Arithmetic over Q never leaves Z[X]: one fraction-free pseudo-division, ``_pseud
 is the only long division. It scales the dividend once and divides it in one of three orders
 chosen from the inputs: Horner's rule as one ``accumulate`` for a monic X - c; a loop over the
 divisor's nonzero terms, whose quotient digits are exact divisions by the leading coefficient;
-or one packed bigint division, at the one slot width the operands' sizes predict, kept only
-under an exact certificate. It serves ``divrem_exact`` (a monic divisor, scale 1), the
-subresultant ``resultant`` on int lists, whose steps divide by ``_div_exact`` as ScaledPoly's
-content does, and the Bezout pairs of ``xgcd_rational``: Euclid on primitive int-list
-remainders, one denominator per cofactor, carries only the short cofactor and stops at the
-first constant remainder, whose cofactor is U; an exact residual division gives the other.
+or one packed bigint division at the one slot width the operands' sizes predict, kept only
+under an exact certificate, tried first word-parallel on the packed quotient and remainder. It
+serves ``divrem_exact`` (a monic divisor, scale 1), the subresultant ``resultant`` on int
+lists, whose steps divide by ``_div_exact`` as ScaledPoly's content does, and the Bezout pairs
+of ``xgcd_rational``: Euclid on primitive int-list remainders, one denominator per cofactor,
+carries only the short cofactor and stops at the first constant remainder, whose cofactor is U;
+an exact division of the residual, one packed product for a monic divisor, gives the other.
 ``_mul`` multiplies in Z[X]: one C pass per nonzero term of a factor of at most
 ``_SHORT_FACTOR`` terms (a Euclid quotient, a constant), else one packed bigint product.
 """
@@ -124,8 +125,8 @@ def _unpack(x: int, size: int, count: int) -> list[int] | None:
     return [int.from_bytes(raw[i : i + size], "little", signed=True) for i in range(0, len(raw), size)]
 
 
-# Measured on inverse_sweep (2-core Xeon VM): 1 243 op/s, against 1 166 with every product
-# packed and 1 017 with none; 1 to 4 terms are even within noise.
+# Re-measured on inverse_sweep's ops in-process (2-core Xeon VM, Python 3.11): 1 to 6 terms and
+# packing none are within 1.5% (about 2 500 op/s); packing every product costs 9%.
 _SHORT_FACTOR = 3
 
 
@@ -162,6 +163,10 @@ def _trimmed(coeffs) -> tuple[int, ...]:
     while end > 0 and out[end - 1] == 0:
         end -= 1
     return out[:end]
+
+
+# holds every coefficient inverse_sweep prints (within +-31) and inv's 8-bit numerators
+_DECIMAL = {i: str(i) for i in range(-256, 257)}
 
 
 class IntPoly(_Record):
@@ -206,8 +211,11 @@ class IntPoly(_Record):
         return acc
 
     def to_decimal_strings(self) -> list[str]:
-        """Little-endian decimal-string form used by the CLI."""
-        return list(map(str, self.coeffs))
+        """The CLI's little-endian decimal strings, str(int(c)) for each c: a lookup if all are small."""
+        try:
+            return list(map(_DECIMAL.__getitem__, self.coeffs))
+        except KeyError:
+            return list(map(int.__repr__, self.coeffs))
 
     def __add__(self, other: IntPoly) -> IntPoly:
         a, b = self.coeffs, other.coeffs
@@ -272,10 +280,42 @@ class ScaledPoly(_Record):
         return {"num": self.num.to_decimal_strings(), "den": str(self.den)}
 
 
-# Measured on the theorem-1 sweep's divisions by other than X - c: below 8 loop updates per
-# dividend slot, as in Euclid's short steps over Q, packing costs more than it saves; from 8
-# to 32 updates the packed division is 2-4 times faster.
+# Re-measured with the word-parallel certificate on inverse_sweep's ops in-process (2-core Xeon
+# VM, Python 3.11): 2 to 8 updates per dividend slot are within 2% of op/s; 12 costs 4% of op/s,
+# 16 costs 8%, and 32 costs 25% and lengthens the tail by 70%.
 _PACKED_DIVISION_MIN_WORK = 8
+
+
+def _digits_within(x: int, size: int, count: int, t: int) -> bool:
+    """Whether x = sum d_i 2^(w*i), i < count, w = 8*size, with each d_i in [-2^t, 2^t), 0 <= t
+    <= w - 2. For e = sum 2^(w*i), i < count, such d_i make y = x + 2^t*e the sum of
+    (d_i + 2^t)*2^(w*i), terms in [0, 2^(t+1)), so in disjoint bits, and y has no bit outside the
+    low t + 1 bits of its count slots (a negative y has infinitely many). Conversely such a y is a
+    sum of y_i*2^(w*i), 0 <= y_i < 2^(t+1), and d_i = y_i - 2^t are x's balanced digits."""
+    e = _sign_bits(size, count) >> (8 * size - 1)
+    return not (x + (e << t)) & ~((e << (t + 1)) - e)
+
+
+def _packed_divrem(pack, top: int, b, steps: int) -> tuple[list[int], list[int]] | None:
+    """(Q, R) of a dividend A of steps + deg b coefficients of at most top by b, in one packed
+    bigint division at the narrowest w of 8, 16, 32 or 64 bits that holds (top + sum|b|)*sum|b|,
+    a guess at max|Q|*sum|b|; None on failure. pack(w // 8) is A at 2^w. Q and R are the balanced
+    w-bit digits of Qi = round(A/B), for B the packed b, and of A - Qi*B, kept only if
+    max|Q|*sum|b| + max|R| + top < 2^w: P = Q*b + R - A is zero at 2^w, so its lowest nonzero
+    coefficient would be a multiple of 2^w, and none is. Then P = 0: Q and R are the unique
+    pseudo-quotient and remainder. ``_digits_within`` tries max|Q|, max|R| <= 2^t first."""
+    norm = sum(map(abs, b))
+    if not (size := next((s for s in _SLOT_TYPES if (top + norm) * norm < 1 << (8 * s - 1)), 0)):
+        return None
+    w, db, B = 8 * size, len(b) - 1, _pack(b, size)
+    qi, ri = divmod(pack(size) + (B >> 1), B)  # qi = round(A/B), ri = A - qi*B + (B >> 1)
+    ri -= B >> 1
+    t = w - 1 - (norm + 1).bit_length()  # >= 0 as 2 <= norm; 2^t*(norm + 1) and top are < 2^(w-1)
+    fits = _digits_within(qi, size, steps, t) and _digits_within(ri, size, db, t)
+    q, r = _unpack(qi, size, steps), _unpack(ri, size, db)
+    if fits or None not in (q, r) and _height(q) * norm + _height(r) + top < 1 << w:
+        return q, r
+    return None
 
 
 def _pseudo_divrem(a, b) -> tuple[int, list[int], list[int]]:
@@ -289,14 +329,8 @@ def _pseudo_divrem(a, b) -> tuple[int, list[int], list[int]]:
     A monic X - c takes Horner's rule: the partial values of one ``accumulate`` from the
     top of a are Q, top digit first, then R = a(c). Otherwise the loop makes steps*len(low)
     updates and takes each quotient digit as an exact division by lc(b). From
-    ``_PACKED_DIVISION_MIN_WORK`` updates per dividend slot, one packed division comes
-    first, at the narrowest w of 8, 16, 32 or 64 bits whose slots hold (max|scale*a| +
-    sum|b|)*sum|b|, a guess at max|Q|*sum|b|; if none does, or its certificate fails, the
-    loop runs. Q and R are the balanced w-bit digits of Qi = round(A/B) and
-    A - Qi*B, for A, B the packed scale*a and b. They are kept only if
-    max|Q|*sum|b| + max|R| + max|scale*a| < 2^w: P = Q*b + R - scale*a is zero at 2^w,
-    so its lowest nonzero coefficient would be a multiple of 2^w, and none is. Then
-    P = 0, and Q, R are the unique pseudo-quotient and remainder.
+    ``_PACKED_DIVISION_MIN_WORK`` updates per dividend slot, one packed division of scale*a
+    comes first, as ``_packed_divrem``; if it finds no slot or no certificate, the loop runs.
     """
     db = len(b) - 1
     lc = b[-1]
@@ -309,14 +343,8 @@ def _pseudo_divrem(a, b) -> tuple[int, list[int], list[int]]:
         a = list(map(mul, a, repeat(scale)))
     low = [(i, bc) for i, bc in enumerate(b[:-1]) if bc]  # cyclotomics and moduli are sparse
     if steps and steps * len(low) >= _PACKED_DIVISION_MIN_WORK * len(a):
-        top, norm = _height(a), sum(map(abs, b))
-        bits = ((top + norm) * norm).bit_length()
-        if size := next((s for s in _SLOT_TYPES if bits < 8 * s), 0):
-            A, B = _pack(a, size), _pack(b, size)
-            qi, ri = divmod(A + (B >> 1), B)  # qi = round(A/B), ri = A - qi*B + (B >> 1)
-            q, r = _unpack(qi, size, steps), _unpack(ri - (B >> 1), size, db)
-            if None not in (q, r) and _height(q) * norm + _height(r) + top < 1 << (8 * size):
-                return scale, q, r
+        if qr := _packed_divrem(lambda size: _pack(a, size), _height(a), b, steps):
+            return scale, *qr
     r = list(a)
     q = [0] * steps
     for k in range(steps - 1, -1, -1):
@@ -342,7 +370,8 @@ def xgcd_rational(a: IntPoly, b: IntPoly) -> tuple[ScaledPoly, ScaledPoly]:
     swapped first, so s_i is the short cofactor, of degree below the smaller input degree.
     Euclid stops at the first constant remainder r_k = c, whose cofactor gives U = s_k/c; an
     empty remainder before it means a common factor. The exact division of den - a*U by b
-    gives V and certifies U.
+    gives V and certifies U. If b is monic and that division would pack, den - a*U is den minus
+    one product of the packed a and U, of height at most max|a|*sum|U| + den, never a list.
     """
     if a.is_zero or b.is_zero:
         raise ValueError("xgcd_rational requires nonzero inputs")
@@ -364,9 +393,16 @@ def xgcd_rational(a: IntPoly, b: IntPoly) -> tuple[ScaledPoly, ScaledPoly]:
         raise NotCoprimeError("inputs share a factor of positive degree")
     # a further step would only divide by c = r1; b*V = den - a*U must divide exactly
     u = ScaledPoly(IntPoly(s1), d1 * r1[0])
-    residual = _mul(a.coeffs, [*map(neg, u.num.coeffs)]) or [0]
-    residual[0] += u.den
-    scale, q, rem = _pseudo_divrem(residual, b.coeffs)
+    a, b, U, scale, qr = a.coeffs, b.coeffs, u.num.coeffs, 1, None
+    steps, low = len(a) + len(U) - len(b), sum(map(bool, b[:-1]))
+    if b[-1] == 1 and U and steps * low >= _PACKED_DIVISION_MIN_WORK * (steps + len(b) - 1):
+        top = _height(a) * sum(map(abs, U)) + u.den
+        qr = _packed_divrem(lambda size: u.den - _pack(a, size) * _pack(U, size), top, b, steps)
+    if not qr:
+        residual = _mul(a, [*map(neg, U)]) or [0]
+        residual[0] += u.den
+        scale, *qr = _pseudo_divrem(residual, b)
+    q, rem = qr
     if any(rem):
         raise ArithmeticError("Bezout residual does not divide exactly")
     v = ScaledPoly(IntPoly(q), scale * u.den)

@@ -334,7 +334,14 @@ def schoolbook_mulmod(a, b, f, q):
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             prod[i + j] += ai * bj
-    for i in range(2 * n - 2, n - 1, -1):  # cancel X^i with c * X^(i-n) * f
+    return schoolbook_rem(prod, f, q)
+
+
+def schoolbook_rem(prod, f, q):
+    """The coefficients prod, of degree at most 2n - 2, modulo the monic f of degree n over F_q."""
+    n = len(f) - 1
+    prod = list(prod)
+    for i in range(len(prod) - 1, n - 1, -1):  # cancel X^i with c * X^(i-n) * f
         c = prod[i] % q
         for j, fj in enumerate(f):
             prod[i - n + j] -= c * fj
@@ -402,6 +409,23 @@ class TestPackedKernel:
             expected = schoolbook_mulmod(top, other, modulus_of(f), q)
             assert got.coeffs == expected
             assert_canonical(got, f, expected)
+
+    # reduce's worst case: degree 2n - 2 with every slot at the kernel's bound n(q - 1)^2, for
+    # n at and past each change of bit_length(n) at q = 2. Reduction is exact whether or not f is
+    # irreducible, so f is fixed: every low coefficient 1, or only the first two
+    @pytest.mark.parametrize(
+        "q, n",
+        [(2, n) for n in (2, 3, 4, 7, 8, 15, 16, 63, 64, 127, 128)]
+        + [(q, n) for q in (3, 7) for n in (2, 15, 35)],
+    )
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_reduce_at_the_slot_bound(self, q, n, dense):
+        f = (1,) * (n + 1) if dense else (1, 1) + (0,) * (n - 2) + (1,)
+        pack, unpack, reduce = _packed_kernel(q, f)
+        worst = [n * (q - 1) ** 2] * (2 * n - 1)
+        expected = schoolbook_rem(worst, f, q)
+        assert reduce(pack(worst)) == pack(expected)  # canonical: no slot at q or above
+        assert unpack(reduce(pack(worst))) == expected
 
     @given(field_and_vectors(1), st.integers(0, 24))
     @settings(max_examples=200, deadline=None)

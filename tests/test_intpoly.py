@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 import pytest
 from hypothesis import example, given, settings
@@ -230,6 +230,31 @@ class TestIntPoly:
     def test_unpack_is_none_past_the_balanced_range(self, x, digits):
         assert intpoly._unpack(x, 1, 3) == digits
 
+    # every digit tuple of count 1-byte slots and one slot past them, whose digit must be 0;
+    # at count 2 only that digit 0, which keeps the 2^16 * 7 checks under a second
+    @pytest.mark.parametrize("count, past", [(0, range(-128, 128)), (1, range(-128, 128)), (2, (0,))])
+    def test_digits_within_matches_a_digit_scan(self, count, past):
+        ts = range(7)
+        for *digits, extra in product(*[range(-128, 128)] * count, past):
+            x = sum(d << (8 * i) for i, d in enumerate((*digits, extra)))
+            least = max((max(d, -d - 1).bit_length() for d in digits), default=0)  # d in [-2^t, 2^t)
+            got = [intpoly._digits_within(x, 1, count, t) for t in ts]
+            assert got == [extra == 0 and t >= least for t in ts], (x, count)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (0, 1, -1),
+            (256, -256, 5),  # the table's edges
+            (257, 1, -257),  # one past each edge
+            (2**70, -(2**70), 3),
+            (True, 0, -1),  # a bool is an int, printed as one
+            (False, True, 2**70),  # and so is it off the table
+        ],
+    )
+    def test_decimal_strings_are_str_of_int(self, coeffs):
+        assert IntPoly(coeffs).to_decimal_strings() == [str(int(c)) for c in IntPoly(coeffs).coeffs]
+
     def test_eval(self):
         assert PHI3.evaluate(2) == 7
         assert PHI1.evaluate(1) == 0
@@ -339,10 +364,44 @@ class TestPseudoDivrem:
         b = [math.comb(9, i) * (-1) ** (9 - i) for i in range(10)]
         assert _pseudo_divrem(a, b) == reference_pseudo_divrem(a, b)
 
+    # X^121 + R by a dense b with sum|b| = 10, in 1-byte slots: the quotient's digits grow to 23.
+    # max|Q|*sum|b| + max|R| + max|a| is 230 + 24 + 2 = 256 = 2^8 for the first R, where 23 is one
+    # past the 22 that max|R| + max|a| = 26 leaves, and 230 + 23 + 2 = 255 for the second
+    @pytest.mark.parametrize(
+        "low, heights, packed",
+        [([-1, 2, -2, 1, 0, 2, 0, 2, 0], 256, False), ([1, 1, 1, 2, 2, -2, 1, -2, -2], 255, True)],
+    )
+    def test_a_quotient_digit_past_the_bound_takes_the_loop(self, monkeypatch, low, heights, packed):
+        a, b = [*low, *[0] * 112, 1], [1, -1, 1, -1, 1, 1, -1, 1, -1, 1]
+        results, packed_divrem = [], intpoly._packed_divrem
+
+        def record(*args):
+            results.append(packed_divrem(*args))
+            return results[-1]
+
+        monkeypatch.setattr(intpoly, "_packed_divrem", record)
+        scale, q, r = _pseudo_divrem(a, b)
+        assert (scale, q, r) == reference_pseudo_divrem(a, b)
+        assert max(map(abs, q)) * 10 + max(map(abs, r)) + 2 == heights
+        assert len(results) == 1 and (results[0] is not None) == packed
+
+    # forced failures: the word-parallel bound never holds, so the exact heights decide; or no
+    # certificate holds, so every division runs the loop
+    @given(long_divisions, st.sampled_from(("heights", "loop")))
+    @settings(max_examples=50, deadline=None)
+    def test_failed_certificates_fall_back(self, case, failing):
+        a, b = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(intpoly, "_digits_within", lambda *args: False)
+            if failing == "loop":
+                patch.setattr(intpoly, "_unpack", lambda *args: None)
+            assert _pseudo_divrem(a, b) == reference_pseudo_divrem(a, b)
+
     def test_sweep_divisions_take_one_pass(self, monkeypatch):
-        # one verify_closed_forms pass over the primes <= 31: each packed division decodes
-        # Q and R once, at its first width, and each X -+ 1 is one Horner accumulate
-        inside, done = [], []
+        # one verify_closed_forms pass over the primes <= 31: each packed division, the Bezout
+        # residuals' included, decodes Q and R once, at its first width, on the word-parallel
+        # bound alone (no exact heights), and each X -+ 1 is one Horner accumulate
+        inside, done = [], []  # [function, args, _unpack, accumulate and _height calls] per call
 
         def counted(f, i):
             def call(*args):
@@ -352,32 +411,54 @@ class TestPseudoDivrem:
 
             return call
 
-        def divide(a, b):
-            inside.append([tuple(b), 0, 0])  # divisor, _unpack calls, accumulate calls
-            try:
-                return pseudo_divrem(a, b)
-            finally:
-                done.append(inside.pop())
+        def framed(f):
+            def call(*args):
+                inside.append([f, args, 0, 0, 0])
+                try:
+                    return f(*args)
+                finally:
+                    done.append(inside.pop())
 
-        pseudo_divrem = intpoly._pseudo_divrem
-        monkeypatch.setattr(intpoly, "_unpack", counted(intpoly._unpack, 1))
-        monkeypatch.setattr(intpoly, "accumulate", counted(intpoly.accumulate, 2))
-        monkeypatch.setattr(intpoly, "_pseudo_divrem", divide)
+            return call
+
+        pseudo_divrem, packed_divrem = intpoly._pseudo_divrem, intpoly._packed_divrem
+        monkeypatch.setattr(intpoly, "_unpack", counted(intpoly._unpack, 2))
+        monkeypatch.setattr(intpoly, "accumulate", counted(intpoly.accumulate, 3))
+        monkeypatch.setattr(intpoly, "_height", counted(intpoly._height, 4))
+        monkeypatch.setattr(intpoly, "_pseudo_divrem", framed(pseudo_divrem))
+        monkeypatch.setattr(intpoly, "_packed_divrem", framed(packed_divrem))
         primes = primes_upto(31)
         for p in primes:
             for r in primes:
                 if p != r:
                     verify_closed_forms(PrimePair.of(p, r))
-        packed = [unpacks for _, unpacks, _ in done if unpacks]
-        by_x_pm_1 = [horner for b, _, horner in done if b in ((-1, 1), (1, 1))]
-        assert len(packed) > 100 and set(packed) == {2}
+        packed = [(unpacks, heights) for f, _, unpacks, _, heights in done if f is packed_divrem]
+        by_x_pm_1 = [h for f, args, _, h, _ in done if f is pseudo_divrem and args[1] in ((-1, 1), (1, 1))]
+        assert len(packed) > 100 and set(packed) == {(2, 0)}
         assert len(by_x_pm_1) > 100 and set(by_x_pm_1) == {1}
 
 
 def counted_divisions(monkeypatch) -> list:
-    """Patch _pseudo_divrem to append one entry per call to the returned list."""
-    calls, pseudo_divrem = [], intpoly._pseudo_divrem
-    monkeypatch.setattr(intpoly, "_pseudo_divrem", lambda a, b: calls.append(b) or pseudo_divrem(a, b))
+    """Patch the long divisions to append the divisor of each to the returned list: every
+    _pseudo_divrem call, and every _packed_divrem call made outside one (a packed residual)."""
+    calls, depth = [], []
+    pseudo_divrem, packed_divrem = intpoly._pseudo_divrem, intpoly._packed_divrem
+
+    def divide(a, b):
+        calls.append(b)
+        depth.append(b)
+        try:
+            return pseudo_divrem(a, b)
+        finally:
+            depth.pop()
+
+    def divide_packed(pack, top, b, steps):
+        if not depth:
+            calls.append(b)
+        return packed_divrem(pack, top, b, steps)
+
+    monkeypatch.setattr(intpoly, "_pseudo_divrem", divide)
+    monkeypatch.setattr(intpoly, "_packed_divrem", divide_packed)
     return calls
 
 
@@ -407,7 +488,8 @@ class TestXgcd:
             xgcd_rational(IntPoly(()), PHI3)
 
     # Phi_7 by X - 1 leaves the constant 7, so Euclid takes one step and the residual one
-    # division; (899, 29) takes two steps. Dividing on past the constant would add one each.
+    # division; (899, 29) takes two steps, and its residual is one packed product and division.
+    # Dividing on past the constant would add one each.
     @pytest.mark.parametrize("m, n, divisions", [(7, 1, 2), (899, 29, 3)])
     def test_euclid_stops_at_the_first_constant_remainder(self, monkeypatch, m, n, divisions):
         a, b = cyclotomic(m), cyclotomic(n)
@@ -440,6 +522,46 @@ class TestXgcd:
         u, v = xgcd_rational(a, b)
         assert u == ScaledPoly(IntPoly((49, -60, -42)), 347)
         assert v == ScaledPoly(IntPoly((40, 28)), 347)
+
+    def test_packed_residual_matches_the_list_path(self, monkeypatch):
+        # every ordered pair of indices up to 60; _PACKED_DIVISION_MIN_WORK = inf sends every
+        # division to the loop and every residual to a list and _pseudo_divrem: one division
+        # more for each residual that packed
+        phis = [cyclotomic(n) for n in range(1, 61)]
+        pairs = [(a, b) for a in phis for b in phis if a != b]
+        calls, pseudo_divrem = [], intpoly._pseudo_divrem
+        monkeypatch.setattr(intpoly, "_pseudo_divrem", lambda a, b: calls.append(b) or pseudo_divrem(a, b))
+        packed = [xgcd_rational(a, b) for a, b in pairs]
+        divisions = len(calls)
+        calls.clear()
+        monkeypatch.setattr(intpoly, "_PACKED_DIVISION_MIN_WORK", math.inf)
+        assert [xgcd_rational(a, b) for a, b in pairs] == packed
+        assert len(calls) - divisions == 598
+
+    # a = Q*b + R for a dense b, monic or not, and R = c, X, -X or X + 3, none of which shares a
+    # root with b, as |b(0)| <= 2: Euclid stops after one or two steps, and a monic b packs the
+    # residual while max|a|*sum|U| + den fits its slots. Failures are forced as in
+    # test_failed_certificates_fall_back, or the residual's packed division never holds.
+    @given(
+        dense_divisors,
+        st.lists(st.integers(-3, 3), min_size=40, max_size=150),
+        st.sampled_from(([1], [-2], [0, 1], [0, -1], [3, 1])),
+        st.sampled_from(("heights", "none")),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_residual_paths_agree(self, b, q, r, failing):
+        a, b = IntPoly(tuple(x + y for x, y in zip_longest(_mul(q, b), r, fillvalue=0))), IntPoly(tuple(b))
+        u, v = xgcd_rational(a, b)
+        assert a * u.num * v.den + b * v.num * u.den == IntPoly((u.den * v.den,))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(intpoly, "_PACKED_DIVISION_MIN_WORK", math.inf)
+            assert xgcd_rational(a, b) == (u, v)
+        with pytest.MonkeyPatch.context() as patch:
+            if failing == "heights":
+                patch.setattr(intpoly, "_digits_within", lambda *args: False)
+            else:
+                patch.setattr(intpoly, "_packed_divrem", lambda *args: None)
+            assert xgcd_rational(a, b) == (u, v)
 
     @given(bezout_polys, bezout_polys)
     @settings(max_examples=150, deadline=None)
