@@ -47,8 +47,8 @@ FIELD_ORDER_CEILING = 2**128
 # (2, 7993) and (3, 5333), below the slowest inv's 5.8-8.4 s; q >= 2 has p*r <= 128 by the field ceiling.
 PR_CEILING = 16000
 # Measured cold on a 2-core Xeon VM: theta-demo ops under the field ceiling are slowest
-# at q=2, n=122 and n=123, 13-20 ms each, so 200 take 3.0-5.7 s with 0.4-1.9 s of
-# set-up, below the slowest inv under INDEX_CEILING.
+# at q=3, n=77 and n=74, 4.5-5.3 ms each (q=2, n=122 and 123: 3.9-4.2 ms), so 200 take
+# 1.1-1.7 s with 0.2-0.9 s of set-up, below the slowest inv under INDEX_CEILING.
 COUNT_CEILING = 200
 
 

@@ -88,7 +88,7 @@ def cyclotomic(n: int) -> IntPoly:
                 a[s::d] = accumulate(a[s::d])
     if a.pop():
         raise ArithmeticError(f"the series for Phi_{n} has a nonzero term past X^{len(a) - 1}")
-    return IntPoly(tuple(a) if n > 1 else (-1, 1))
+    return IntPoly._of(a if n > 1 else (-1, 1))
 
 
 def lam_leung_split(p: int, r: int) -> tuple[int, int]:
@@ -141,7 +141,7 @@ def lam_leung_phi_pr(p: int, r: int) -> IntPoly:
     for i in range(s + 1, r):
         lo = i * p + (t + 1) * r - n
         out[lo : lo + (p - 1 - t) * r : r] = [-1] * (p - 1 - t)
-    return IntPoly(tuple(out))
+    return IntPoly._of(out)
 
 
 def resultant_apostol(m: int, n: int) -> int:

@@ -48,8 +48,9 @@ def _packed_kernel(q: int, f: tuple[int, ...]):
     Every slot value the kernel produces is at most `bound`: a product
     coefficient is a sum of at most n terms (q-1)^2, and the quotient and
     residue steps stay below that too. Barrett's floor(x*m / 2^k) equals
-    floor(x/q) for all x <= bound once bound*(m*q - 2^k) < 2^k; the slot
-    width W holds bound*m. With f = X^n + f_low, a product c = c_hi X^n +
+    floor(x/q) for all x <= bound once bound*(m*q - 2^k) < 2^k, at the least such
+    k >= 1 (at q = 2, k = m = 1; for odd q, m*q - 2^k >= 1 forces 2^k > bound);
+    the slot width W holds bound*m. With f = X^n + f_low, a product c = c_hi X^n +
     c_lo has degree at most 2n - 2. Polynomial Barrett gives the quotient
     Q = floor(c_hi * mu / X^(n-2)) exactly, and the residue is
     c_lo + Q * (-f_low) mod X^n. Every slot is taken mod q before it is
@@ -57,7 +58,7 @@ def _packed_kernel(q: int, f: tuple[int, ...]):
     """
     n = len(f) - 1
     bound = n * (q - 1) ** 2
-    k = bound.bit_length()
+    k = 1
     while bound * (-(-(1 << k) // q) * q - (1 << k)) >= 1 << k:
         k += 1
     m = -(-(1 << k) // q)
@@ -76,7 +77,7 @@ def _packed_kernel(q: int, f: tuple[int, ...]):
 
     # mu = floor(X^(2n-2) / f) over F_q: f is monic, so the quotient over Z
     # reduced mod q is the quotient over F_q
-    mu = pack([c % q for c in divrem_exact(IntPoly.monomial(2 * n - 2), IntPoly(f))[0].coeffs])
+    mu = pack([c % q for c in divrem_exact(IntPoly.monomial(2 * n - 2), IntPoly._of(f))[0].coeffs])
     neg_low = pack([-c % q for c in f[:n]])
     qmask = sum(((1 << (w - k)) - 1) << (w * i) for i in range(2 * n))
     low = (1 << (n * w)) - 1
@@ -147,7 +148,7 @@ class ExtField:
         self.q = q
         self.n = n
         self.order = q**n
-        self.modulus = IntPoly(mod)
+        self.modulus = IntPoly._of(mod)
         self._pack, self._unpack, self._reduce = kernel
         self._frobenius_tables: dict[int, list[int]] = {}
 
@@ -207,7 +208,7 @@ def make_ext_field(q: int, n: int) -> ExtField:
     for k in range(q ** (n - 1), q**n):
         coeffs = tuple(k // q**i % q for i in reversed(range(n)))  # base-q digits (c_0, ..., c_{n-1})
         try:
-            return ExtField(q, IntPoly(coeffs + (1,)))
+            return ExtField(q, IntPoly._of(coeffs + (1,)))
         except ValueError:  # reducible: every candidate is monic of degree n
             continue
     raise ArithmeticError(f"no monic irreducible polynomial of degree {n} over F_{q} found")

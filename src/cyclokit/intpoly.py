@@ -20,7 +20,9 @@ serves ``divrem_exact`` (a monic divisor, scale 1), the subresultant ``resultant
 lists, whose steps divide by ``_div_exact`` as ScaledPoly's content does, and the Bezout pairs
 of ``xgcd_rational``: Euclid on primitive int-list remainders, one denominator per cofactor,
 carries only the short cofactor and stops at the first constant remainder, whose cofactor is U;
-an exact division of the residual, one packed product for a monic divisor, gives the other.
+V comes from Euclid's first quotient, left packed, and one exact division of a short bracket by
+the divisor, so the long input is divided once. ``IntPoly._of`` builds the library's own
+results without the constructor's per-coefficient type check, which outside input keeps.
 ``_mul`` multiplies in Z[X]: one C pass per nonzero term of a factor of at most
 ``_SHORT_FACTOR`` terms (a Euclid quotient, a constant), else one packed bigint product.
 """
@@ -125,8 +127,8 @@ def _unpack(x: int, size: int, count: int) -> list[int] | None:
     return [int.from_bytes(raw[i : i + size], "little", signed=True) for i in range(0, len(raw), size)]
 
 
-# Re-measured on inverse_sweep's ops in-process (2-core Xeon VM, Python 3.11): 1 to 6 terms and
-# packing none are within 1.5% (about 2 500 op/s); packing every product costs 9%.
+# Re-measured as the sum of inverse_sweep's 110 op medians in-process (2-core Xeon VM, Python
+# 3.11): 3 to 10 terms within 1%; 1 term costs 4%, packing none 2%, packing every product 20%.
 _SHORT_FACTOR = 3
 
 
@@ -178,6 +180,13 @@ class IntPoly(_Record):
         _Record.__init__(self, _trimmed(coeffs))
 
     @classmethod
+    def _of(cls, coeffs) -> IntPoly:
+        """IntPoly(coeffs) without the per-coefficient type scan, for ints the library computed."""
+        poly = cls.__new__(cls)
+        _Record.__init__(poly, _trimmed(coeffs))
+        return poly
+
+    @classmethod
     def one(cls) -> IntPoly:
         return cls((1,))
 
@@ -221,20 +230,20 @@ class IntPoly(_Record):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        return IntPoly((*map(add, a, b), *a[len(b) :]))
+        return IntPoly._of((*map(add, a, b), *a[len(b) :]))
 
     def __sub__(self, other: IntPoly) -> IntPoly:
         return self + (-other)
 
     def __neg__(self) -> IntPoly:
-        return IntPoly(tuple(map(neg, self.coeffs)))
+        return IntPoly._of(map(neg, self.coeffs))
 
     def __mul__(self, other: IntPoly | int):
         if isinstance(other, int):
-            return IntPoly(tuple(map(mul, self.coeffs, repeat(other))))
+            return IntPoly._of(map(mul, self.coeffs, repeat(other)))
         if not isinstance(other, IntPoly):
             return NotImplemented
-        return IntPoly(tuple(_mul(self.coeffs, other.coeffs)))
+        return IntPoly._of(_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -250,7 +259,7 @@ def divrem_exact(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     if not b.is_monic:
         raise ValueError("divisor must be monic")
     _, q, r = _pseudo_divrem(a.coeffs, b.coeffs)  # scale 1: b is monic
-    return IntPoly(tuple(q)), IntPoly(tuple(r))
+    return IntPoly._of(q), IntPoly._of(r)
 
 
 class ScaledPoly(_Record):
@@ -263,9 +272,8 @@ class ScaledPoly(_Record):
             raise ValueError("denominator must be a nonzero integer")
         if den < 0:
             num, den = -num, -den
-        g = math.gcd(num.content, den)
-        if g > 1:
-            num = IntPoly(_div_exact(num.coeffs, g))
+        if den != 1 and (g := math.gcd(num.content, den)) > 1:
+            num = IntPoly._of(_div_exact(num.coeffs, g))
             den //= g
         _Record.__init__(self, num, den)
 
@@ -280,9 +288,10 @@ class ScaledPoly(_Record):
         return {"num": self.num.to_decimal_strings(), "den": str(self.den)}
 
 
-# Re-measured with the word-parallel certificate on inverse_sweep's ops in-process (2-core Xeon
-# VM, Python 3.11): 2 to 8 updates per dividend slot are within 2% of op/s; 12 costs 4% of op/s,
-# 16 costs 8%, and 32 costs 25% and lengthens the tail by 70%.
+# Re-measured as _SHORT_FACTOR was: 8 and 10 updates per dividend slot within 1%; 4 to 6 cost 2
+# to 4%, 12 costs 3%, 16 costs 5 to 8%, 32 or never packing 40%. One by one, packing is faster
+# on 62 of the pass's 77 divisions from 8 per slot and on 14 of 367 below, all by divisors of 5
+# to 11 terms (Phi_161 / Phi_7, 5.7 per slot: 22 us packed, 45 us in the loop).
 _PACKED_DIVISION_MIN_WORK = 8
 
 
@@ -296,29 +305,32 @@ def _digits_within(x: int, size: int, count: int, t: int) -> bool:
     return not (x + (e << t)) & ~((e << (t + 1)) - e)
 
 
-def _packed_divrem(pack, top: int, b, steps: int) -> tuple[list[int], list[int]] | None:
-    """(Q, R) of a dividend A of steps + deg b coefficients of at most top by b, in one packed
-    bigint division at the narrowest w of 8, 16, 32 or 64 bits that holds (top + sum|b|)*sum|b|,
-    a guess at max|Q|*sum|b|; None on failure. pack(w // 8) is A at 2^w. Q and R are the balanced
-    w-bit digits of Qi = round(A/B), for B the packed b, and of A - Qi*B, kept only if
+def _packed_divrem(a, b, steps: int, packed_q: bool = False):
+    """(Q, R) of a dividend a of steps + deg b coefficients of at most top = max|a| by b, in one
+    packed bigint division at the narrowest w of 8, 16, 32 or 64 bits that holds (top + sum|b|)*
+    sum|b|, a guess at max|Q|*sum|b|; None on failure. Q and R are the balanced w-bit digits of
+    Qi = round(A/B), for A and B the packed a and b, and of A - Qi*B, kept only if
     max|Q|*sum|b| + max|R| + top < 2^w: P = Q*b + R - A is zero at 2^w, so its lowest nonzero
     coefficient would be a multiple of 2^w, and none is. Then P = 0: Q and R are the unique
-    pseudo-quotient and remainder. ``_digits_within`` tries max|Q|, max|R| <= 2^t first."""
-    norm = sum(map(abs, b))
+    pseudo-quotient and remainder. ``_digits_within`` tries max|Q|, max|R| <= 2^t first; if that
+    holds and packed_q, Q stays packed and comes back as (Qi, w // 8, t), digits in [-2^t, 2^t)."""
+    norm, top = sum(map(abs, b)), _height(a)
     if not (size := next((s for s in _SLOT_TYPES if (top + norm) * norm < 1 << (8 * s - 1)), 0)):
         return None
     w, db, B = 8 * size, len(b) - 1, _pack(b, size)
-    qi, ri = divmod(pack(size) + (B >> 1), B)  # qi = round(A/B), ri = A - qi*B + (B >> 1)
+    qi, ri = divmod(_pack(a, size) + (B >> 1), B)  # qi = round(A/B), ri = A - qi*B + (B >> 1)
     ri -= B >> 1
     t = w - 1 - (norm + 1).bit_length()  # >= 0 as 2 <= norm; 2^t*(norm + 1) and top are < 2^(w-1)
-    fits = _digits_within(qi, size, steps, t) and _digits_within(ri, size, db, t)
-    q, r = _unpack(qi, size, steps), _unpack(ri, size, db)
-    if fits or None not in (q, r) and _height(q) * norm + _height(r) + top < 1 << w:
+    r = _unpack(ri, size, db)
+    if _digits_within(qi, size, steps, t) and _digits_within(ri, size, db, t):
+        return (qi, size, t) if packed_q else _unpack(qi, size, steps), r
+    q = _unpack(qi, size, steps)
+    if None not in (q, r) and _height(q) * norm + _height(r) + top < 1 << w:
         return q, r
     return None
 
 
-def _pseudo_divrem(a, b) -> tuple[int, list[int], list[int]]:
+def _pseudo_divrem(a, b, packed_q: bool = False) -> tuple[int, list[int] | tuple, list[int]]:
     """Pseudo-division of little-endian int lists: (scale, Q, R).
 
     scale*a = Q*b + R with deg R < deg b and
@@ -330,7 +342,8 @@ def _pseudo_divrem(a, b) -> tuple[int, list[int], list[int]]:
     top of a are Q, top digit first, then R = a(c). Otherwise the loop makes steps*len(low)
     updates and takes each quotient digit as an exact division by lc(b). From
     ``_PACKED_DIVISION_MIN_WORK`` updates per dividend slot, one packed division of scale*a
-    comes first, as ``_packed_divrem``; if it finds no slot or no certificate, the loop runs.
+    comes first, as ``_packed_divrem``, which leaves Q packed if packed_q and the word-parallel
+    bound certified it; if it finds no slot or no certificate, the loop runs.
     """
     db = len(b) - 1
     lc = b[-1]
@@ -343,7 +356,7 @@ def _pseudo_divrem(a, b) -> tuple[int, list[int], list[int]]:
         a = list(map(mul, a, repeat(scale)))
     low = [(i, bc) for i, bc in enumerate(b[:-1]) if bc]  # cyclotomics and moduli are sparse
     if steps and steps * len(low) >= _PACKED_DIVISION_MIN_WORK * len(a):
-        if qr := _packed_divrem(lambda size: _pack(a, size), _height(a), b, steps):
+        if qr := _packed_divrem(a, b, steps, packed_q):
             return scale, *qr
     r = list(a)
     q = [0] * steps
@@ -369,21 +382,26 @@ def xgcd_rational(a: IntPoly, b: IntPoly) -> tuple[ScaledPoly, ScaledPoly]:
     as int lists reduced by gcd(content, den) at every step. Inputs with deg a < deg b are
     swapped first, so s_i is the short cofactor, of degree below the smaller input degree.
     Euclid stops at the first constant remainder r_k = c, whose cofactor gives U = s_k/c; an
-    empty remainder before it means a common factor. The exact division of den - a*U by b
-    gives V and certifies U. If b is monic and that division would pack, den - a*U is den minus
-    one product of the packed a and U, of height at most max|a|*sum|U| + den, never a list.
+    empty remainder before it means a common factor. The long a is divided once, by Euclid's first
+    step scale1*a = Q1*b + R1: scale1*(den - a*U) = B - Q1*U*b for the short bracket B =
+    scale1*den - R1*U, whose exact division scale2*B = Q2*b certifies U and gives
+    V = (Q2 - scale2*Q1*U)/(scale1*scale2*den). A Q1 left packed, digits within 2^t, makes that one
+    bigint product at its slots while 2^t*sum|U|*|scale2| + max|Q2| fits them, else one ``_mul``.
     """
     if a.is_zero or b.is_zero:
         raise ValueError("xgcd_rational requires nonzero inputs")
     swapped = a.degree < b.degree
     if swapped:
         a, b = b, a
-    r0, r1 = a.coeffs, b.coeffs
+    a, b = a.coeffs, b.coeffs
+    r0, r1, first = a, b, None
     s0, d0, s1, d1 = [1], 1, [], 1
     while len(r1) > 1:
-        scale, q, rem = _pseudo_divrem(r0, r1)
+        scale, q, rem = _pseudo_divrem(r0, r1, packed_q=not first)
+        first = first or (scale, q, rem)
         g = math.gcd(*rem) or 1
-        # s2 = (scale*s0 - q*s1) / g over the common denominator d0*d1
+        # s2 = (scale*s0 - q*s1) / g over the common denominator d0*d1; s1 = [] at the first
+        # step, whose q may be packed, so _mul returns [] before it reads q
         k, d2 = scale * d1, d0 * d1 * g
         s2 = [k * x - d0 * y for x, y in zip_longest(s0, _mul(q, s1), fillvalue=0)]
         h = math.gcd(d2, *s2)
@@ -391,21 +409,25 @@ def xgcd_rational(a: IntPoly, b: IntPoly) -> tuple[ScaledPoly, ScaledPoly]:
         s0, d0, s1, d1 = s1, d1, [*map(floordiv, s2, repeat(h))], d2 // h
     if not r1:
         raise NotCoprimeError("inputs share a factor of positive degree")
-    # a further step would only divide by c = r1; b*V = den - a*U must divide exactly
-    u = ScaledPoly(IntPoly(s1), d1 * r1[0])
-    a, b, U, scale, qr = a.coeffs, b.coeffs, u.num.coeffs, 1, None
-    steps, low = len(a) + len(U) - len(b), sum(map(bool, b[:-1]))
-    if b[-1] == 1 and U and steps * low >= _PACKED_DIVISION_MIN_WORK * (steps + len(b) - 1):
-        top = _height(a) * sum(map(abs, U)) + u.den
-        qr = _packed_divrem(lambda size: u.den - _pack(a, size) * _pack(U, size), top, b, steps)
-    if not qr:
-        residual = _mul(a, [*map(neg, U)]) or [0]
-        residual[0] += u.den
-        scale, *qr = _pseudo_divrem(residual, b)
-    q, rem = qr
+    # a further step would only divide by c = r1; a constant b takes no step, and U = 0
+    u = ScaledPoly(IntPoly._of(s1), d1 * r1[0])
+    U, den = u.num.coeffs, u.den
+    scale1, q1, rem1 = first or _pseudo_divrem(a, b)
+    bracket = _mul(rem1, [*map(neg, U)]) or [0]
+    bracket[0] += scale1 * den
+    scale2, q2, rem = _pseudo_divrem(bracket, b)
     if any(rem):
         raise ArithmeticError("Bezout residual does not divide exactly")
-    v = ScaledPoly(IntPoly(q), scale * u.den)
+    if isinstance(q1, tuple):  # packed, digits within 2^t: decoded only if Q1*U outgrows the slots
+        qi, size, t = q1
+        fits = (abs(scale2) * sum(map(abs, U)) << t) + max(map(abs, q2), default=0) < 1 << (8 * size - 1)
+        q1 = None if fits else _unpack(qi, size, len(a) - len(b) + 1)
+    if q1 is None:
+        v = _unpack(_pack(q2, size) - scale2 * qi * _pack(U, size), size, len(a) - len(b) + len(U))
+    else:  # for a linear b, U has one term and Q2 none: one pass over Q1
+        v = _mul(q1, [*map(mul, U, repeat(-scale2))]) or [0]  # a constant b: U = [], Q2 one term
+        v[: len(q2)] = map(add, v[: len(q2)], q2)
+    v = ScaledPoly(IntPoly._of(v), scale1 * scale2 * den)
     return (v, u) if swapped else (u, v)
 
 

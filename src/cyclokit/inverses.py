@@ -55,7 +55,7 @@ def closed_form_i(p: int) -> tuple[ScaledPoly, ScaledPoly]:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     reverse = tuple(-(p - 1 - k) for k in range(p - 1))
-    return ScaledPoly(IntPoly.one(), p), ScaledPoly(IntPoly(reverse), p)
+    return ScaledPoly(IntPoly.one(), p), ScaledPoly(IntPoly._of(reverse), p)
 
 
 def closed_form_ii(pair: PrimePair) -> tuple[ScaledPoly, ScaledPoly]:
@@ -68,7 +68,7 @@ def closed_form_ii(pair: PrimePair) -> tuple[ScaledPoly, ScaledPoly]:
     sums = list(accumulate(cyclotomic(pair.n).coeffs, initial=-1))
     if sums[-1]:
         raise ArithmeticError(f"X - 1 does not divide 1 - Phi_pr for ({pair.p}, {pair.r})")
-    return ScaledPoly(IntPoly.one(), 1), ScaledPoly(IntPoly(tuple(sums[1:-1])), 1)
+    return ScaledPoly(IntPoly.one(), 1), ScaledPoly(IntPoly._of(sums[1:-1]), 1)
 
 
 def closed_form_iii(pair: PrimePair) -> tuple[ScaledPoly, ScaledPoly]:
@@ -84,7 +84,7 @@ def closed_form_iii(pair: PrimePair) -> tuple[ScaledPoly, ScaledPoly]:
         a[s::p] = accumulate(a[s::p])
     if any(a[-p:]):
         raise ArithmeticError(f"X^p - 1 does not divide the numerator of V for ({p}, {r})")
-    return ScaledPoly(IntPoly((1,) * e), r), ScaledPoly(IntPoly(tuple(a[:-p])), r)
+    return ScaledPoly(IntPoly._of((1,) * e), r), ScaledPoly(IntPoly._of(a[:-p]), r)
 
 
 def closed_form_iv(p: int, r: int) -> IntPoly:
@@ -102,7 +102,7 @@ def closed_form_iv(p: int, r: int) -> IntPoly:
     u, s = [c - powers[-1] for c in powers[:-1]] + [0], p % r
     if list(map(sub, u[-s:] + u[:-s], u)) != [-1, 1] + [0] * (r - 2):
         raise ArithmeticError(f"closed form iv is not an inverse of Phi_p mod Phi_r for ({p}, {r})")
-    return IntPoly(tuple(u))
+    return IntPoly._of(u)
 
 
 def difference_inverse(p: int, r: int) -> IntPoly:

@@ -214,7 +214,7 @@ def _rref(rows, q) -> tuple[list[list[int]], list[int]]:
 # A polynomial over F_{q^n} is a list of the big field's packed residues,
 # constant term first, no trailing zeros. Degrees stay at most d <= n, so a
 # coefficient sum below has at most d reduced terms (slots <= d(q-1)): valid
-# input to the kernel's reduce, whose slot bound is n(q-1)^2.
+# input to the kernel's reduce, whose slot bound is n(q-1)^2, met at d = n, q = 2.
 
 
 def _padd(a: list[int], b: list[int], big: ExtField) -> list[int]:

@@ -193,21 +193,21 @@ class TestBasicCommands:
         assert err == "error: coefficients not divisible by 4\n"
 
     def test_inexact_bezout_residual_exits_1(self, capsys, monkeypatch):
-        # the residual den - a*U of xgcd_rational(Phi_899, Phi_29) is the only dividend other
-        # than Phi_899 divided by Phi_29, as one packed division of a packed product; a
-        # remainder left there is a failed certificate
-        packed_divrem = intpoly._packed_divrem
+        # xgcd_rational(Phi_899, Phi_29) divides Phi_899 by Phi_29 once, in Euclid's first step;
+        # its only other dividend divided by Phi_29 is the bracket scale1*den - R1*U, whose
+        # remainder left over is a failed certificate
+        pseudo_divrem = intpoly._pseudo_divrem
         phi899, phi29 = cyclotomic(899).coeffs, cyclotomic(29).coeffs
         broken_calls = []
 
-        def broken(pack, top, b, steps):
-            q, r = packed_divrem(pack, top, b, steps)
-            broken_calls.append(tuple(b) == phi29 and pack(2) != intpoly._pack(phi899, 2))
+        def broken(a, b, **kwargs):
+            scale, q, r = pseudo_divrem(a, b, **kwargs)
+            broken_calls.append(tuple(b) == phi29 and tuple(a) != phi899)
             if broken_calls[-1]:
                 r = [r[0] + 1, *r[1:]]
-            return q, r
+            return scale, q, r
 
-        monkeypatch.setattr(intpoly, "_packed_divrem", broken)
+        monkeypatch.setattr(intpoly, "_pseudo_divrem", broken)
         with pytest.raises(ArithmeticError, match="Bezout residual"):
             intpoly.xgcd_rational(cyclotomic(899), cyclotomic(29))
         assert broken_calls[-1] and broken_calls.count(True) == 1  # the last division only

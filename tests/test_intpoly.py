@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic: division, Bezout pairs, resultants."""
 
 import math
+import sys
 from fractions import Fraction
 from itertools import product, zip_longest
 
@@ -398,30 +399,34 @@ class TestPseudoDivrem:
             assert _pseudo_divrem(a, b) == reference_pseudo_divrem(a, b)
 
     def test_sweep_divisions_take_one_pass(self, monkeypatch):
-        # one verify_closed_forms pass over the primes <= 31: each packed division, the Bezout
-        # residuals' included, decodes Q and R once, at its first width, on the word-parallel
-        # bound alone (no exact heights), and each X -+ 1 is one Horner accumulate
-        inside, done = [], []  # [function, args, _unpack, accumulate and _height calls] per call
+        # one verify_closed_forms pass over the primes <= 31: each packed division decodes Q and R
+        # once, at its first width, on the word-parallel bound alone (no heights of Q or R), except
+        # the first division of each oracle call, which decodes only R: xgcd_rational packs Q2
+        # and U and decodes V once, and never Q1. Each X -+ 1 is one Horner accumulate
+        inside, done, oracle = [], [], []  # [function, args, _unpack, accumulate and _height calls] per call
 
         def counted(f, i):
             def call(*args):
-                if inside:
+                if sys._getframe(1).f_code is xgcd_rational.__code__:
+                    oracle.append(f.__name__)
+                elif inside and i:
                     inside[-1][i] += 1
                 return f(*args)
 
             return call
 
         def framed(f):
-            def call(*args):
-                inside.append([f, args, 0, 0, 0])
+            def call(*args, **kwargs):
+                inside.append([f, (*args, *kwargs.values()), 0, 0, 0])
                 try:
-                    return f(*args)
+                    return f(*args, **kwargs)
                 finally:
                     done.append(inside.pop())
 
             return call
 
         pseudo_divrem, packed_divrem = intpoly._pseudo_divrem, intpoly._packed_divrem
+        monkeypatch.setattr(intpoly, "_pack", counted(intpoly._pack, None))
         monkeypatch.setattr(intpoly, "_unpack", counted(intpoly._unpack, 2))
         monkeypatch.setattr(intpoly, "accumulate", counted(intpoly.accumulate, 3))
         monkeypatch.setattr(intpoly, "_height", counted(intpoly._height, 4))
@@ -432,33 +437,55 @@ class TestPseudoDivrem:
             for r in primes:
                 if p != r:
                     verify_closed_forms(PrimePair.of(p, r))
-        packed = [(unpacks, heights) for f, _, unpacks, _, heights in done if f is packed_divrem]
+        packed = [(args[3], unpacks, heights) for f, args, unpacks, _, heights in done if f is packed_divrem]
         by_x_pm_1 = [h for f, args, _, h, _ in done if f is pseudo_divrem and args[1] in ((-1, 1), (1, 1))]
-        assert len(packed) > 100 and set(packed) == {(2, 0)}
+        firsts = packed.count((True, 1, 1))
+        # 60 of the 440 oracle calls pack their first division, and 22 other divisions pack; the
+        # one _height in each is the dividend's, max|a|
+        assert firsts == 60 and len(packed) == 82 and set(packed) == {(False, 2, 1), (True, 1, 1)}
+        assert oracle.count("_pack") == 2 * firsts and oracle.count("_unpack") == firsts
         assert len(by_x_pm_1) > 100 and set(by_x_pm_1) == {1}
 
 
 def counted_divisions(monkeypatch) -> list:
-    """Patch the long divisions to append the divisor of each to the returned list: every
-    _pseudo_divrem call, and every _packed_divrem call made outside one (a packed residual)."""
+    """Patch the long divisions to append (dividend, divisor) of each to the returned list: every
+    _pseudo_divrem call, and every _packed_divrem call made outside one, with dividend None."""
     calls, depth = [], []
     pseudo_divrem, packed_divrem = intpoly._pseudo_divrem, intpoly._packed_divrem
 
-    def divide(a, b):
-        calls.append(b)
+    def divide(a, b, **kwargs):
+        calls.append((a, b))
         depth.append(b)
         try:
-            return pseudo_divrem(a, b)
+            return pseudo_divrem(a, b, **kwargs)
         finally:
             depth.pop()
 
-    def divide_packed(pack, top, b, steps):
+    def divide_packed(a, b, steps, *packed_q):
         if not depth:
-            calls.append(b)
-        return packed_divrem(pack, top, b, steps)
+            calls.append((None, b))
+        return packed_divrem(a, b, steps, *packed_q)
 
     monkeypatch.setattr(intpoly, "_pseudo_divrem", divide)
     monkeypatch.setattr(intpoly, "_packed_divrem", divide_packed)
+    return calls
+
+
+def oracle_packing(monkeypatch) -> list:
+    """Patch _pack and _unpack to append the name of each call made by xgcd_rational itself to the
+    returned list: a packed V is two _pack calls and one _unpack, a decoded Q1 one _unpack."""
+    calls = []
+
+    def counted(f):
+        def call(*args):
+            if sys._getframe(1).f_code is xgcd_rational.__code__:
+                calls.append(f.__name__)
+            return f(*args)
+
+        return call
+
+    monkeypatch.setattr(intpoly, "_pack", counted(intpoly._pack))
+    monkeypatch.setattr(intpoly, "_unpack", counted(intpoly._unpack))
     return calls
 
 
@@ -487,30 +514,32 @@ class TestXgcd:
         with pytest.raises(ValueError):
             xgcd_rational(IntPoly(()), PHI3)
 
-    # Phi_7 by X - 1 leaves the constant 7, so Euclid takes one step and the residual one
-    # division; (899, 29) takes two steps, and its residual is one packed product and division.
-    # Dividing on past the constant would add one each.
+    # Phi_7 by X - 1 leaves the constant 7, so Euclid takes one step and the bracket one
+    # division; (899, 29) takes two steps and the bracket. Dividing on past the constant would add
+    # one each. The long a is divided once: every later dividend is shorter than 2 deg b
     @pytest.mark.parametrize("m, n, divisions", [(7, 1, 2), (899, 29, 3)])
     def test_euclid_stops_at_the_first_constant_remainder(self, monkeypatch, m, n, divisions):
         a, b = cyclotomic(m), cyclotomic(n)
         calls = counted_divisions(monkeypatch)
         u, v = xgcd_rational(a, b)
-        assert len(calls) == divisions and tuple(calls[-1]) == b.coeffs  # the residual's divisor
+        assert len(calls) == divisions and tuple(calls[-1][1]) == b.coeffs  # the bracket's divisor
+        assert calls[0][0] is a.coeffs and all(len(x) < 2 * b.degree for x, _ in calls[1:])
         assert a * u.num * v.den + b * v.num * u.den == IntPoly((u.den * v.den,))
 
     def test_sweep_divisions(self, monkeypatch):
         # one verify_closed_forms pass over the primes <= 31: 440 oracle calls, each one
-        # division fewer than a Euclid that runs to the zero remainder (1 623 divisions)
+        # division fewer than a Euclid that runs to the zero remainder (1 623 divisions); no
+        # packed division runs outside _pseudo_divrem
         calls = counted_divisions(monkeypatch)
         primes = primes_upto(31)
         for p in primes:
             for r in primes:
                 if p != r:
                     verify_closed_forms(PrimePair.of(p, r))
-        assert len(calls) == 1183
+        assert len(calls) == 1183 and None not in (a for a, _ in calls)
 
     def test_constant_inputs(self):
-        # a*U has no coefficient when U = 0, so the residual den - a*U is the constant den
+        # a constant b takes no Euclid step and U = 0, so the bracket scale1*den - R1*U is a constant
         assert xgcd_rational(ONE, ONE) == (ScaledPoly(IntPoly(()), 1), ScaledPoly(ONE, 1))
         assert xgcd_rational(IntPoly((2,)), IntPoly((5,))) == (ScaledPoly(IntPoly(()), 1), ScaledPoly(ONE, 5))
 
@@ -523,25 +552,25 @@ class TestXgcd:
         assert u == ScaledPoly(IntPoly((49, -60, -42)), 347)
         assert v == ScaledPoly(IntPoly((40, 28)), 347)
 
-    def test_packed_residual_matches_the_list_path(self, monkeypatch):
+    def test_packed_divisions_match_the_loop(self, monkeypatch):
         # every ordered pair of indices up to 60; _PACKED_DIVISION_MIN_WORK = inf sends every
-        # division to the loop and every residual to a list and _pseudo_divrem: one division
-        # more for each residual that packed
+        # division to the loop, and so every V to _mul, with the same divisions: Euclid's and one
+        # bracket per call. With packing, 238 calls keep Q1 packed and 226 of them pack V
         phis = [cyclotomic(n) for n in range(1, 61)]
         pairs = [(a, b) for a in phis for b in phis if a != b]
-        calls, pseudo_divrem = [], intpoly._pseudo_divrem
-        monkeypatch.setattr(intpoly, "_pseudo_divrem", lambda a, b: calls.append(b) or pseudo_divrem(a, b))
+        calls, packing = counted_divisions(monkeypatch), oracle_packing(monkeypatch)
         packed = [xgcd_rational(a, b) for a, b in pairs]
-        divisions = len(calls)
-        calls.clear()
+        assert len(calls) == 20696 and packing.count("_pack") == 2 * 226 and packing.count("_unpack") == 238
+        calls.clear(), packing.clear()
         monkeypatch.setattr(intpoly, "_PACKED_DIVISION_MIN_WORK", math.inf)
         assert [xgcd_rational(a, b) for a, b in pairs] == packed
-        assert len(calls) - divisions == 598
+        assert len(calls) == 20696 and not packing
 
     # a = Q*b + R for a dense b, monic or not, and R = c, X, -X or X + 3, none of which shares a
-    # root with b, as |b(0)| <= 2: Euclid stops after one or two steps, and a monic b packs the
-    # residual while max|a|*sum|U| + den fits its slots. Failures are forced as in
-    # test_failed_certificates_fall_back, or the residual's packed division never holds.
+    # root with b, as |b(0)| <= 2: Euclid stops after one or two steps, Q1 stays packed if its
+    # first division packs, and V is one packed product while 2^t*sum|U|*|scale2| + max|Q2| fits
+    # its slots. Failures are forced as in test_failed_certificates_fall_back, or no packed
+    # division ever holds.
     @given(
         dense_divisors,
         st.lists(st.integers(-3, 3), min_size=40, max_size=150),
@@ -562,6 +591,59 @@ class TestXgcd:
             else:
                 patch.setattr(intpoly, "_packed_divrem", lambda *args: None)
             assert xgcd_rational(a, b) == (u, v)
+
+    # b = X - 1 and X + 1 divide by Horner's rule, and the bracket scale1*den - R1*U is a constant:
+    # a nonzero remainder there is the failed certificate, as for any b
+    @pytest.mark.parametrize("m, n", [(7, 1), (15, 2), (899, 1)])
+    def test_broken_bracket_on_the_horner_path_raises(self, monkeypatch, m, n):
+        pseudo_divrem, broken = intpoly._pseudo_divrem, []
+
+        def divide(a, b, **kwargs):
+            scale, q, r = pseudo_divrem(a, b, **kwargs)
+            if len(a) == 1:
+                broken.append((tuple(b), q))
+                r = [r[0] + 1]
+            return scale, q, r
+
+        monkeypatch.setattr(intpoly, "_pseudo_divrem", divide)
+        with pytest.raises(ArithmeticError, match="Bezout residual does not divide exactly"):
+            xgcd_rational(cyclotomic(m), cyclotomic(n))
+        assert broken == [(cyclotomic(n).coeffs, [])]
+
+    # each pair packs its first division, Phi_63 or Phi_126 (degree 36) by Phi_26 or Phi_13, in
+    # 2-byte slots with t = 11, but sum|U| = 27 and 2^11*27 > 2^15, so Q1*U does not fit them: Q1
+    # is decoded once and multiplied by _mul, as the loop's Q1 is
+    @pytest.mark.parametrize("m, n", [(63, 26), (26, 63), (13, 126)])
+    def test_q1_u_past_its_slots_is_decoded(self, monkeypatch, m, n):
+        a, b = cyclotomic(m), cyclotomic(n)
+        packing = oracle_packing(monkeypatch)
+        u, v = xgcd_rational(a, b)
+        assert packing == ["_unpack"]
+        assert a * u.num * v.den + b * v.num * u.den == IntPoly((u.den * v.den,))
+        monkeypatch.setattr(intpoly, "_PACKED_DIVISION_MIN_WORK", math.inf)
+        assert xgcd_rational(a, b) == (u, v)
+
+    # a constant b takes no Euclid step: U = 0 and V = 1/b, through the same bracket. A non-monic
+    # b scales both divisions, packed (lc 2 on 41 terms, scale 2^21) or not (2X + 1, 3X^2 - 1)
+    @pytest.mark.parametrize(
+        "a, b, pair",
+        [
+            (PHI5, IntPoly((3,)), (ScaledPoly(IntPoly(()), 1), ScaledPoly(ONE, 3))),
+            (IntPoly((3,)), PHI15, (ScaledPoly(ONE, 3), ScaledPoly(IntPoly(()), 1))),
+            (PHI15 * 4, IntPoly((-6,)), (ScaledPoly(IntPoly(()), 1), ScaledPoly(ONE, -6))),
+            (IntPoly(tuple(_mul([1] * 21, [1, -1] * 20 + [2]))) + ONE, IntPoly((1, -1) * 20 + (2,)), None),
+            (PHI15, IntPoly((1, 2)), None),
+            (IntPoly((1, -1) * 40 + (3,)), IntPoly((-1, 0, 3)), None),
+        ],
+    )
+    def test_non_monic_and_constant_divisors(self, monkeypatch, a, b, pair):
+        u, v = xgcd_rational(a, b)
+        assert pair is None or (u, v) == pair
+        assert a * u.num * v.den + b * v.num * u.den == IntPoly((u.den * v.den,))
+        assert u.num.degree < b.degree and (b.degree == 0 or v.num.degree < a.degree)
+        assert xgcd_rational(b, a) == (v, u)
+        monkeypatch.setattr(intpoly, "_PACKED_DIVISION_MIN_WORK", math.inf)
+        assert xgcd_rational(a, b) == (u, v)
 
     @given(bezout_polys, bezout_polys)
     @settings(max_examples=150, deadline=None)
