@@ -46,9 +46,9 @@ FIELD_ORDER_CEILING = 2**128
 # Measured cold on a 2-core Xeon VM: torus params --q 0 is slowest at p = 2, 3: 0.35-0.43 s at
 # (2, 7993) and (3, 5333), below the slowest inv's 5.8-8.4 s; q >= 2 has p*r <= 128 by the field ceiling.
 PR_CEILING = 16000
-# Measured cold on a 2-core Xeon VM: theta-demo ops under the field ceiling are slowest
-# at q=3, n=77 and n=74, 4.5-5.3 ms each (q=2, n=122 and 123: 3.9-4.2 ms), so 200 take
-# 1.1-1.7 s with 0.2-0.9 s of set-up, below the slowest inv under INDEX_CEILING.
+# Measured on a 2-core Xeon VM: theta-demo ops under the field ceiling are slowest at q=3,
+# n=77 and n=74, 5.5 and 4.3 ms each (q=2, n=122 and 123: 3.9 ms; medians of six runs), so
+# 200 take 1.2-2.1 s cold with 0.2-1.2 s of set-up, below the slowest inv under INDEX_CEILING.
 COUNT_CEILING = 200
 
 

@@ -21,17 +21,20 @@ e > 0 and no negative powers. Every power runs one right-to-left ladder, whose
 squares x^(2^i) the powers of one base share (ExtFieldElement.powers). The Rabin
 irreducibility test behind the modulus search runs on the same kernel and ladder;
 coefficients are unpacked only when read. The only long division is intpoly's, for mu.
-The Frobenius map y -> y^(q^j) is F_q-linear: a field keeps, per j, the n packed X^(i*q^j)
-mod f, so a step is one weighted sum and one reduce. Every norm y^(1 + q^j + ... + q^(j(k-1)))
-in torus runs on it, as one doubling chain of such steps (ExtField._norm).
+The Frobenius map y -> y^(q^j) is F_q-linear, and sum y_i X^(i*q^j) with every X^(i*q^j) mod f
+reduced has degree below n: a field keeps, per j, lookup tables of such sums over a few digits
+of a few slots, so a step is one masked shift and one lookup per table, one sum and the
+kernel's slot-only Barrett step (fold), with no polynomial step. Every norm
+y^(1 + q^j + ... + q^(j(k-1))) runs on it, as one doubling chain of such steps (ExtField._norm):
+decompose in torus, and torus_membership, which tests x against the norms to the maximal
+subfields of F_{q^k} (Rubin-Silverberg, CRYPTO 2003, Lemma 7).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
 
-from .cyclotomic import cyclotomic, factorize, is_prime
+from .cyclotomic import factorize, is_prime
 from .intpoly import IntPoly, _Record, divrem_exact
 
 
@@ -39,11 +42,13 @@ from .intpoly import IntPoly, _Record, divrem_exact
 
 
 def _packed_kernel(q: int, f: tuple[int, ...]):
-    """(pack, unpack, reduce) for arithmetic mod the monic f of degree n >= 1 over F_q.
+    """(pack, unpack, reduce, fold) for arithmetic mod the monic f of degree n >= 1 over F_q.
 
     pack maps reduced coefficients (c_0, c_1, ...) to sum c_i 2^(W*i),
-    unpack maps a packed residue back to its n coefficients, and reduce
-    maps a packed product of two packed residues to the packed residue.
+    unpack maps a packed residue back to its n coefficients, reduce
+    maps a packed product of two packed residues to the packed residue,
+    and fold is the slot-only Barrett step c - ((c*m >> k) & qmask)*q,
+    which takes every slot at most `bound` mod q and nothing else.
 
     Every slot value the kernel produces is at most `bound`: a product
     coefficient is a sum of at most n terms (q-1)^2, and the quotient and
@@ -83,14 +88,17 @@ def _packed_kernel(q: int, f: tuple[int, ...]):
     low = (1 << (n * w)) - 1
     hi_shift, mu_shift = n * w, max(n - 2, 0) * w
 
-    def reduce(c: int) -> int:
+    def fold(c: int) -> int:
+        return c - ((c * m >> k) & qmask) * q
+
+    def reduce(c: int) -> int:  # fold's step written out three times: the calls cost 3-5% of a reduce
         c -= ((c * m >> k) & qmask) * q
         quo = (c >> hi_shift) * mu >> mu_shift
         quo -= ((quo * m >> k) & qmask) * q
         c = (c & low) + ((quo * neg_low) & low)
         return c - ((c * m >> k) & qmask) * q
 
-    return pack, unpack, reduce
+    return pack, unpack, reduce, fold
 
 
 def _ladder(squares: list[int], e: int, reduce, acc: int = 1) -> int:
@@ -117,7 +125,7 @@ def _is_irreducible(q: int, n: int, kernel) -> bool:
     """
     if n == 1:
         return True
-    pack, _, reduce = kernel
+    pack, _, reduce, _ = kernel
     x, one = pack((0, 1)), pack((1,))
     checkpoints = {n // ell for ell, _ in factorize(n)}
     b, prod = x, one
@@ -149,22 +157,52 @@ class ExtField:
         self.n = n
         self.order = q**n
         self.modulus = IntPoly._of(mod)
-        self._pack, self._unpack, self._reduce = kernel
-        self._frobenius_tables: dict[int, list[int]] = {}
+        self._pack, self._unpack, self._reduce, self._fold = kernel
+        # sigma^j reads y in digit planes of b bits, c = 5 // b slots at a time, so that a table
+        # has 2^(b*c) <= 32 entries; b takes the fewest lookups, ceil(bits/b) * ceil(n/c). The
+        # planes fit the slot: W holds n(q-1)^2, at least 2*bits bits for n >= 2
+        bits, w = (q - 1).bit_length(), self._pack((0, 1)).bit_length() - 1
+        b = min(range(1, min(bits, 5) + 1), key=lambda b: -(-bits // b) * -(-n // (5 // b)))
+        c = 5 // b
+        keys = [0]  # the c digits d_l at bits W*l of a key (y >> s) & mask, in table order
+        for i in range(c):
+            keys = [key | d << (w * i) for key in keys for d in range(1 << b)]
+        self._digits = b, c, w
+        # the last key has every digit at 2^b - 1: it is the mask
+        self._digit_mask, self._digit_index = keys[-1], {key: i for i, key in enumerate(keys)}
+        self._digit_shifts = tuple(w * i + t for i in range(0, n, c) for t in range(0, bits, b))
+        self._frobenius_tables: dict[int, list[tuple[int, list[int]]]] = {}
 
     def _frobenius(self, y: int, j: int) -> int:
-        """The packed y^(q^j): sigma^j(sum a_i X^i) = sum a_i X^(i*q^j), as each a_i is in F_q."""
+        """The packed y^(q^j): sigma^j(sum y_i X^i) = sum y_i X^(i*q^j), as each y_i is in F_q.
+
+        The table for j pairs each shift s = W*i + t of _digit_shifts with a list: the key
+        (y >> s) & _digit_mask holds the digits d_l of planes t..t+b-1 of the c slots i + l,
+        and the list's entry at _digit_index[key] is sum_l d_l 2^t X^((i+l)q^j), unreduced.
+        The entries sum to sum y_i X^(i*q^j) with every X^(i*q^j) reduced: degree < n and
+        slots <= n(q-1)^2, the kernel's bound, so one fold makes it canonical.
+        """
         table = self._frobenius_tables.get(j)
         # X^(i*q^j), i < n: one ladder for X^(q^j), then n - 1 products. X = element((0, 1))
-        # needs n >= 2, and the one caller, _norm, runs on decompose's field of degree pr and
-        # on the big field of an _embedding split, which splits only for d >= 2 with d | n
+        # needs n >= 2, and _norm runs on decompose's field of degree pr, on the big field of an
+        # _embedding split, which splits only for d >= 2 with d | n, and for torus_membership
+        # at k >= 2, k | n
         if table is None:
-            xqj, table = (self.element((0, 1)) ** self.q**j).packed, [1]
-            while len(table) < self.n:
-                table.append(self._reduce(table[-1] * xqj))
+            xqj, powers = (self.element((0, 1)) ** self.q**j).packed, [1]
+            while len(powers) < self.n:
+                powers.append(self._reduce(powers[-1] * xqj))
+            b, c, w = self._digits
+            powers += [0] * (-self.n % c)  # the last chunk's missing slots
+            table = []
+            for s in self._digit_shifts:
+                i, t = divmod(s, w)
+                entries = [0]
+                for x in powers[i:i + c]:
+                    entries = [v + (d << t) * x for v in entries for d in range(1 << b)]
+                table.append((s, entries))
             self._frobenius_tables[j] = table
-        # n terms (q-1)^2 and degree < n: inside reduce's slot bound n(q-1)^2
-        return self._reduce(sum(map(mul, self._unpack(y), table)))
+        mask, index = self._digit_mask, self._digit_index
+        return self._fold(sum([entries[index[y >> s & mask]] for s, entries in table]))
 
     def _norm(self, y: int, j: int, k: int) -> int:
         """The packed y^(1 + q^j + ... + q^(j(k-1))) by the Itoh-Tsujii doubling chain:
@@ -261,12 +299,22 @@ class ExtFieldElement(_Record):
 
 
 def torus_membership(x: ExtFieldElement, k: int) -> bool:
-    """True iff x lies in the order-Phi_k(q) subgroup, i.e. x^{Phi_k(q)} = 1."""
+    """True iff x lies in T_k, the order-Phi_k(q) subgroup, i.e. x^{Phi_k(q)} = 1.
+
+    T_1 = F_q^x holds the nonzero constants. For k >= 2, T_k is the common kernel of the
+    norms from F_{q^k} to its maximal subfields F_{q^(k/l)}, l | k prime (Rubin-Silverberg,
+    CRYPTO 2003, Lemma 7; it has order Phi_k(q)). The norm is y^(1 + q^(k/l) + ... ) =
+    y^((q^k - 1)/(q^(k/l) - 1)) on all of F_{q^n}, so one norm of x being 1 already forces
+    x^(q^k - 1) = 1, that is x in F_{q^k}: x is a member iff every such norm of it is 1.
+    """
     if x.is_zero:
         raise ValueError("membership is defined on nonzero elements")
-    if k < 1 or x.field.n % k:
-        raise ValueError(f"{k} does not divide the extension degree {x.field.n}")
-    return x ** cyclotomic(k).evaluate(x.field.q) == x.field.one
+    field = x.field
+    if k < 1 or field.n % k:
+        raise ValueError(f"{k} does not divide the extension degree {field.n}")
+    if k == 1:
+        return x.packed < field.q  # a reduced constant c < q is its own packed residue
+    return all(field._norm(x.packed, k // ell, ell) == 1 for ell, _ in factorize(k))
 
 
 def random_nonzero(field: ExtField, rng) -> ExtFieldElement:

@@ -18,9 +18,10 @@ same machinery as a near-bijection
 whose kernel is annihilated by a power of p*r; ``kernel_annihilator``
 measures that power from the composite exponents of theta_reverse o theta.
 
-``decompose`` takes its two long norm powers, to F_{q^p} and F_{q^r}, from Frobenius
-conjugates, as torus-based cryptography does (Rubin-Silverberg, CRYPTO 2003), on the
-doubling chain of ExtField._norm. Every other power is short or no norm, and stays on the ladder.
+``decompose`` takes every norm among its four powers, to F_{q^p}, F_{q^r} and F_q, from
+Frobenius conjugates, as torus-based cryptography does (Rubin-Silverberg, CRYPTO 2003), on
+the doubling chain of ExtField._norm; only its three powers q - 1 stay on the ladder.
+``recombine`` checks each membership on the squares that its component's exponent reuses.
 
 The subfield embeddings theta uses are F_q-linear: each is stored, once built, as
 the packed powers beta^j and a packed left inverse from one elimination on those
@@ -135,19 +136,20 @@ def _check_big_field(x: ExtFieldElement, params: TorusParams) -> ExtField:
 def decompose(x: ExtFieldElement, params: TorusParams) -> TorusComponents:
     """Project x onto (T_1, T_p, T_r, T_pr) via the four norm powers U_k(q).
 
-    They share factors: with A = x^{Phi_1 Phi_p}, B = x^{Phi_r Phi_pr} and C = x^{Phi_p Phi_pr},
-    t_pr = A^{Phi_r}, t_r = C^{Phi_1}, t_p = B^{Phi_1} and t_1 = B^{Phi_p}. B and C are the norms
-    x^(1 + q^p + ... + q^(p(r-1))) and x^(1 + q^r + ... + q^(r(p-1))), taken by ExtField._norm.
+    They share factors: with B = x^{Phi_r Phi_pr} and C = x^{Phi_p Phi_pr}, t_1 = B^{Phi_p},
+    t_p = B^{Phi_1}, t_r = C^{Phi_1} and t_pr = (x^{Phi_1})^{Phi_p Phi_r}. Every factor but
+    Phi_1 = q - 1 is a norm, taken by ExtField._norm: Phi_r Phi_pr = 1 + q^p + ... + q^(p(r-1))
+    to F_{q^p}, Phi_p Phi_pr to F_{q^r}, and Phi_p = 1 + q + ... + q^(p-1) and Phi_r to F_q.
     """
     if x.is_zero:
         raise ValueError("cannot decompose zero")
     field = _check_big_field(x, params)
-    p, r = params.pair.p, params.pair.r
-    o, reduce = params.orders, field._reduce
-    b, c = [field._norm(x.packed, p, r)], [field._norm(x.packed, r, p)]
-    a = [_ladder([x.packed], o[1] * o[p], reduce)]
-    comps = ((b, o[p]), (b, o[1]), (c, o[1]), (a, o[r]))
-    return TorusComponents(*(ExtFieldElement(field, _ladder(s, e, reduce)) for s, e in comps))
+    q, p, r = params.q, params.pair.p, params.pair.r
+    norm, reduce = field._norm, field._reduce
+    b, c = norm(x.packed, p, r), norm(x.packed, r, p)
+    tpr = norm(norm(_ladder([x.packed], q - 1, reduce), 1, p), 1, r)
+    comps = (norm(b, 1, p), _ladder([b], q - 1, reduce), _ladder([c], q - 1, reduce), tpr)
+    return TorusComponents(*(ExtFieldElement(field, y) for y in comps))
 
 
 def _member_squares(comp: ExtFieldElement, k: int, params: TorusParams) -> list[int]:

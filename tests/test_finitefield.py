@@ -124,7 +124,7 @@ class TestConstruction:
             prod = prod * IntPoly(g)
         assert tuple(c % 2 for c in prod.coeffs) == f
         kernel = _packed_kernel(2, f)
-        pack, _, reduce = kernel
+        pack, _, reduce, _ = kernel
         x = pack((0, 1))
         assert (_ladder([x], 2**6, reduce) == x) == fixes_x
         assert not _is_irreducible(2, 6, kernel)
@@ -269,6 +269,26 @@ class TestSubgroups:
                 t = x ** norm_exponents[k]
                 assert torus_membership(t, k)
                 assert t ** cyclotomic(k).evaluate(q) == f.one
+
+    @pytest.mark.parametrize("q, n", [(2, 12), (3, 8), (3, 9), (5, 6), (2, 30), (7, 15), (3, 35)])
+    def test_membership_is_the_definition(self, q, n):
+        """torus_membership(x, k), which tests norms, against x^{Phi_k(q)} = 1, for every k | n.
+
+        Why they agree: for k >= 2, T_k(F_q) -- the unique subgroup of order Phi_k(q) of the cyclic
+        F_{q^k}^x -- is the common kernel of the norms from F_{q^k} to F_{q^(k/l)} for the primes
+        l | k (Rubin-Silverberg, CRYPTO 2003, Lemma 7). On x in F_{q^n} such a norm is
+        x^((q^k - 1)/(q^(k/l) - 1)), so if it is 1 then x^(q^k - 1) = 1 and x is in F_{q^k}.
+        Members of every T_d, d | n, put x in the kernel of some norms of T_k but not of all:
+        at k = 6 a member of T_3 has norm 1 to F_{q^2} and norm x^2 to F_{q^3}.
+        """
+        f, rng = make_ext_field(q, n), random.Random(q * n)
+        xs = [random_nonzero(f, rng) for _ in range(4)] + [f.element((c,)) for c in range(1, min(q, 5))]
+        for d in divisors(n):
+            xs += [random_nonzero(f, rng) ** ((f.order - 1) // cyclotomic(d).evaluate(q)) for _ in range(3)]
+        for k in divisors(n):
+            got = [torus_membership(x, k) for x in xs]
+            assert got == [x ** cyclotomic(k).evaluate(q) == f.one for x in xs], k
+            assert True in got and False in got, k
 
     def test_identity_in_every_subgroup(self):
         f = make_ext_field(7, 15)
@@ -421,7 +441,7 @@ class TestPackedKernel:
     @pytest.mark.parametrize("dense", [True, False])
     def test_reduce_at_the_slot_bound(self, q, n, dense):
         f = (1,) * (n + 1) if dense else (1, 1) + (0,) * (n - 2) + (1,)
-        pack, unpack, reduce = _packed_kernel(q, f)
+        pack, unpack, reduce, _ = _packed_kernel(q, f)
         worst = [n * (q - 1) ** 2] * (2 * n - 1)
         expected = schoolbook_rem(worst, f, q)
         assert reduce(pack(worst)) == pack(expected)  # canonical: no slot at q or above
@@ -570,15 +590,13 @@ class TestPackedKernel:
 
 
 class TestFrobenius:
-    @pytest.mark.parametrize("q, p, r", [(7, 3, 5), (3, 5, 7), (2, 3, 7), (5, 2, 3)])
+    # 2642239 has 22 bits, so each of its slots spans several digit planes of the lookup tables
+    @pytest.mark.parametrize("q, p, r", [(7, 3, 5), (3, 5, 7), (2, 3, 7), (5, 2, 3), (2642239, 2, 3)])
     def test_table_and_map_against_powers(self, q, p, r):
         f, rng = make_ext_field(q, p * r), random.Random(q * p * r)
-        x = f.element((0, 1))
         for j in (1, p, r):
             assert f._frobenius(1, j) == 1  # and the table is built
-            assert f._frobenius_tables[j] == [(x ** (i * q**j)).packed for i in range(f.n)]
-            for _ in range(5):
-                y = random_nonzero(f, rng)
+            for y in [random_nonzero(f, rng) for _ in range(5)] + [f.element([q - 1] * f.n)]:
                 assert f._frobenius(y.packed, j) == (y ** q**j).packed
 
     @pytest.mark.parametrize("q, n", KERNEL_FIELDS)

@@ -173,12 +173,14 @@ class TestRoundTrip:
             assert recombine(comps, params) == x**15
 
     def test_field_reductions_per_roundtrip(self, monkeypatch):
-        # decompose takes x^(Phi_5 Phi_15) and x^(Phi_3 Phi_15) as norms on doubling chains
-        # of 3 and 2 Frobenius steps (sigma^3, sigma^6, sigma^3; sigma^5 twice), each step
-        # and the product after it one reduce; x, A, B, C and each component in recombine
-        # are squared once for all their exponents. One ladder per power took 244 here,
-        # one squaring chain per base without conjugates 188, and linear products of
-        # 4 and 2 conjugates 138
+        # decompose takes B = x^(Phi_5 Phi_15), C = x^(Phi_3 Phi_15), t_pr = ((x^6)^Phi_3)^Phi_5
+        # and t_1 = B^Phi_3 as norms on doubling chains of 3, 2, 2 + 3 and 2 Frobenius steps
+        # (sigma^3, sigma^6, sigma^3; sigma^5 twice; then sigma^1 and sigma^2), each
+        # followed by one product, one reduce; a step itself is table lookups and a slot fold,
+        # no reduce. x^6, B^6 and C^6 take 3 reduces each on the ladder; each component in
+        # recombine is squared once for all its exponents. One ladder per power took 244 here,
+        # one squaring chain per base without conjugates 188, linear products of 4 and 2
+        # conjugates 138, and norms for B and C alone (each step one reduce) 136
         params, field = derive_params(7, 3, 5), make_ext_field(7, 15)
         x = field.element([(3 * i + 1) % 7 for i in range(15)])
         decompose(x, params)  # builds the field's Frobenius tables, kept for later calls
@@ -186,9 +188,9 @@ class TestRoundTrip:
         monkeypatch.setattr(field, "_reduce", lambda c: calls.append(c) or reduce(c))
         monkeypatch.setattr(field, "_frobenius", lambda y, j: steps.append(j) or frobenius(y, j))
         comps = decompose(x, params)
-        assert (len(calls), steps) == (51, [3, 6, 3, 5, 5])
+        assert (len(calls), steps) == (21, [3, 6, 3, 5, 5, 1, 1, 1, 2, 1, 1, 1])
         back = recombine(comps, params)
-        assert len(calls) == 136
+        assert len(calls) == 106
         assert back == x**15
 
     def test_recombine_rejects_zero_component(self):
