@@ -111,7 +111,8 @@ class PrimePair(_Record):
     def __init__(self, p: int, r: int):
         if p == r or not is_prime(p) or not is_prime(r):
             raise ValueError(f"({p}, {r}) is not a pair of distinct primes")
-        _Record.__init__(self, p, r)
+        fields = self.__dict__
+        fields["p"], fields["r"] = p, r
 
     @classmethod
     def of(cls, p: int, r: int) -> PrimePair:

@@ -30,8 +30,10 @@ results without the constructor's per-coefficient type check, which outside inpu
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from array import array
+from functools import lru_cache
 from itertools import accumulate, repeat, zip_longest
 from operator import add, floordiv, mul, neg
 
@@ -51,11 +53,14 @@ class _Record:
     and hashed field-wise within one class, so that it can key a cache or a set; repr
     ``Name(field=value, ...)``, as a failure report shows it.
 
-    ``__init__`` takes the values in ``_fields`` order, then the rest by name, and is the
-    only writer, so the instance ``__dict__`` holds exactly the fields, in order, and
-    equality and hash read it at C speed. It writes through ``object.__setattr__``, which
-    keeps the fields in the instance's inline values: a write through ``__dict__`` would
-    build the dict at every construction.
+    ``__init__`` takes the values in ``_fields`` order, then the rest by name. It and the
+    constructors of IntPoly, ScaledPoly and PrimePair are the only writers, so the instance
+    ``__dict__`` holds exactly the fields, in order, and equality and hash read it at C speed. Each writes into
+    ``__dict__`` with one C call, which builds the dict at every construction; ``__eq__`` and
+    ``__hash__`` build it anyway. Against one ``object.__setattr__`` per field (Python 3.11,
+    2-core Xeon VM), ``IntPoly._of`` takes 320-390 ns instead of 770-810 ns and a two-field
+    record through ``__init__`` 640-670 ns instead of 730-790 ns, while a field read takes
+    about 20 ns instead of 6 ns: 3.11 does not keep its specialised read for such a dict.
     """
 
     _fields: tuple[str, ...] = ()
@@ -65,8 +70,7 @@ class _Record:
             values += tuple(named.pop(name) for name in self._fields[len(values) :] if name in named)
         if named or len(values) != len(self._fields):
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)} once each")
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(zip(self._fields, values))
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"record field {name!r} is read-only")
@@ -86,9 +90,12 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-_SLOT_TYPES = {array(t).itemsize: t for t in "bhilq"}  # signed, by size: 1, 2, 4, 8 bytes
+# signed, by size: 1, 2, 4, 8 bytes; under "<", struct gives these codes the same sizes
+# wherever C's short and int have 2 and 4 bytes
+_SLOT_TYPES = {array(t).itemsize: t for t in "bhilq"}
 
 
+@lru_cache(maxsize=256)  # one inverse_sweep pass reads 205 (size, count) keys
 def _sign_bits(size: int, count: int) -> int:
     return int.from_bytes((1 << (8 * size - 1)).to_bytes(size, "little") * count, "little")
 
@@ -97,17 +104,12 @@ def _height(xs) -> int:  # max |x|, in two C passes
     return max(max(xs), -min(xs))
 
 
-def _little(slots: array) -> array:
-    if sys.byteorder == "big":
-        slots.byteswap()
-    return slots
-
-
 def _pack(xs, size: int) -> int:
     """sum(x * 2^(8*size*i)) for |x| < 2^(8*size-1), in linear time: little-endian two's-complement
-    slots (an array for 1, 2, 4 or 8 bytes), then each slot with its sign bit set loses 2^(8*size)."""
+    slots (one struct.pack for 1, 2, 4 or 8 bytes), then each slot with its sign bit set loses
+    2^(8*size)."""
     if typecode := _SLOT_TYPES.get(size):
-        raw = _little(array(typecode, xs)).tobytes()
+        raw = struct.pack(f"<{len(xs)}{typecode}", *xs)
     else:
         raw = b"".join(x.to_bytes(size, "little", signed=True) for x in xs)
     u = int.from_bytes(raw, "little")
@@ -123,7 +125,10 @@ def _unpack(x: int, size: int, count: int) -> list[int] | None:
     except OverflowError:
         return None
     if typecode := _SLOT_TYPES.get(size):
-        return _little(array(typecode, raw)).tolist()
+        slots = array(typecode, raw)
+        if sys.byteorder == "big":
+            slots.byteswap()
+        return slots.tolist()
     return [int.from_bytes(raw[i : i + size], "little", signed=True) for i in range(0, len(raw), size)]
 
 
@@ -177,24 +182,24 @@ class IntPoly(_Record):
     def __init__(self, coeffs: tuple[int, ...] = ()):
         if not all(map(isinstance, coeffs, repeat(int))):
             raise TypeError("IntPoly coefficients must be integers")
-        _Record.__init__(self, _trimmed(coeffs))
+        self.__dict__["coeffs"] = _trimmed(coeffs)
 
     @classmethod
     def _of(cls, coeffs) -> IntPoly:
         """IntPoly(coeffs) without the per-coefficient type scan, for ints the library computed."""
         poly = cls.__new__(cls)
-        _Record.__init__(poly, _trimmed(coeffs))
+        poly.__dict__["coeffs"] = _trimmed(coeffs)
         return poly
 
     @classmethod
     def one(cls) -> IntPoly:
-        return cls((1,))
+        return cls._of((1,))
 
     @classmethod
     def monomial(cls, degree: int) -> IntPoly:
         if degree < 0:
             raise ValueError("monomial degree must be nonnegative")
-        return cls((0,) * degree + (1,))
+        return cls._of((0,) * degree + (1,))
 
     @property
     def degree(self) -> int | float:
@@ -275,7 +280,8 @@ class ScaledPoly(_Record):
         if den != 1 and (g := math.gcd(num.content, den)) > 1:
             num = IntPoly._of(_div_exact(num.coeffs, g))
             den //= g
-        _Record.__init__(self, num, den)
+        fields = self.__dict__
+        fields["num"], fields["den"] = num, int(den)  # a bool den is stored as the int it equals
 
     @property
     def is_integral(self) -> bool:
@@ -291,7 +297,10 @@ class ScaledPoly(_Record):
 # Re-measured as _SHORT_FACTOR was: 8 and 10 updates per dividend slot within 1%; 4 to 6 cost 2
 # to 4%, 12 costs 3%, 16 costs 5 to 8%, 32 or never packing 40%. One by one, packing is faster
 # on 62 of the pass's 77 divisions from 8 per slot and on 14 of 367 below, all by divisors of 5
-# to 11 terms (Phi_161 / Phi_7, 5.7 per slot: 22 us packed, 45 us in the loop).
+# to 11 terms (Phi_161 / Phi_7, 5.7 per slot: 22 us packed, 45 us in the loop). The bound on any
+# better rule: one pass makes 1 183 divisions, 643 of them not by Horner's rule, which take
+# 2.80-2.87 ms; the faster order for each would take 2.62-2.67 ms (44-56 of them gain 10% or
+# more), about 1% of the 20.5 ms pass (2-core Xeon VM, Python 3.11).
 _PACKED_DIVISION_MIN_WORK = 8
 
 

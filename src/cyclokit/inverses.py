@@ -181,8 +181,8 @@ def verify_closed_forms(pair: PrimePair) -> list[InverseReport]:
     for case_ids, closed_pair, m_idx, n_idx in rows:
         oracle_pair, caps = inverse_pair(m_idx, n_idx), (euler_phi(n_idx), euler_phi(m_idx))
         for case_id, closed, oracle, cap in zip(case_ids, closed_pair, oracle_pair, caps):
-            coeffs = closed.num.coeffs or (0,)  # the zero numerator's one coefficient is 0
-            lo, hi = min(coeffs), max(coeffs)
+            values = set(closed.num.coeffs or (0,))  # the zero numerator's one coefficient is 0
+            lo, hi = min(values), max(values)
             if closed != oracle:
                 failed = "oracle"
             elif closed.num.degree >= cap:

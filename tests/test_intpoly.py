@@ -734,6 +734,11 @@ class TestScaledPoly:
         with pytest.raises(ValueError):
             ScaledPoly(ONE, 0)
 
+    def test_bool_denominator_is_stored_as_an_int(self):
+        sp = ScaledPoly(IntPoly((2,)), True)
+        assert type(sp.den) is int and sp == ScaledPoly(IntPoly((2,)), 1)
+        assert sp.to_json_dict() == {"num": ["2"], "den": "1"}
+
     @given(polys, st.integers(-40, 40).filter(bool))
     def test_normalization_idempotent(self, num, den):
         sp = ScaledPoly(num, den)

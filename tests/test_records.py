@@ -126,6 +126,17 @@ def test_constructors_keep_their_parameters():
         ):
             with pytest.raises(TypeError):
                 cls(*args, **named)
+    # the constructors that write the instance dict themselves: the fields in order, and the
+    # value and hash of the same record built through the public constructor
+    for built, public in (
+        (IntPoly._of([1, 2, 0]), IntPoly((1, 2))),
+        (IntPoly.one(), IntPoly((1,))),
+        (IntPoly.monomial(3), IntPoly((0, 0, 0, 1))),
+        (ScaledPoly(IntPoly((2, 4)), -6), ScaledPoly(num=IntPoly((-1, -2)), den=3)),
+        (PrimePair(3, 5), PrimePair(p=3, r=5)),
+    ):
+        assert list(vars(built)) == list(type(built)._fields), built
+        assert built == public and hash(built) == hash(public), built
 
 
 # submodule -> the submodules that importing it loads: a cold command pays for each
