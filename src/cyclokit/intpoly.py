@@ -11,20 +11,23 @@ and keeps gcd(content, den) = 1, so every rational-coefficient result
 (Bezout cofactors, modular inverses) has exactly one representation.
 
 Arithmetic over Q never leaves Z[X]: one fraction-free pseudo-division, ``_pseudo_divrem``,
-is the only long division. It scales the dividend once and divides it in one of three orders
-chosen from the inputs: Horner's rule as one ``accumulate`` for a monic X - c; a loop over the
-divisor's nonzero terms, whose quotient digits are exact divisions by the leading coefficient;
-or one packed bigint division at the one slot width the operands' sizes predict, kept only
-under an exact certificate, tried first word-parallel on the packed quotient and remainder. It
-serves ``divrem_exact`` (a monic divisor, scale 1), the subresultant ``resultant`` on int
-lists, whose steps divide by ``_div_exact`` as ScaledPoly's content does, and the Bezout pairs
-of ``xgcd_rational``: Euclid on primitive int-list remainders, one denominator per cofactor,
-carries only the short cofactor and stops at the first constant remainder, whose cofactor is U;
-V comes from Euclid's first quotient, left packed, and one exact division of a short bracket by
-the divisor, so the long input is divided once. ``IntPoly._of`` builds the library's own
-results without the constructor's per-coefficient type check, which outside input keeps.
-``_mul`` multiplies in Z[X]: one C pass per nonzero term of a factor of at most
-``_SHORT_FACTOR`` terms (a Euclid quotient, a constant), else one packed bigint product.
+is the only long division. A dividend shorter than the divisor takes no step; any other is
+scaled once and divided in one of three orders chosen from the inputs: Horner's rule as one
+``accumulate`` for a monic X - c; a loop over the divisor's nonzero terms, whose quotient digits
+are exact divisions by the leading coefficient; or one packed bigint division at the one slot
+width the operands' sizes predict, that width certified on the packed dividend itself, the
+result kept only under an exact certificate, tried first word-parallel on the packed quotient
+and remainder. It serves ``divrem_exact`` (a monic divisor, scale 1), the subresultant
+``resultant`` on int lists, whose steps divide by ``_div_exact`` as ScaledPoly's content does,
+and the Bezout pairs of ``xgcd_rational``: Euclid on primitive int-list remainders, one
+denominator per cofactor, carries only the short cofactor and stops at the first constant
+remainder, whose cofactor is U. A content or cofactor gcd of 1 divides nothing, and the
+cofactor update is C passes (one ``_mul`` and one slice add). V comes from Euclid's first
+quotient, left packed, and one exact division of a short bracket by the divisor, so the long
+input is divided once. ``IntPoly._of`` builds the library's own results without the
+constructor's per-coefficient type check, which outside input keeps. ``_mul`` multiplies in
+Z[X]: one C pass per nonzero term of a factor of at most ``_SHORT_FACTOR`` terms (a Euclid
+quotient, a constant), else one packed bigint product.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import struct
 import sys
 from array import array
 from functools import lru_cache
-from itertools import accumulate, repeat, zip_longest
+from itertools import accumulate, repeat
 from operator import add, floordiv, mul, neg
 
 NEG_INF = float("-inf")
@@ -95,7 +98,7 @@ class _Record:
 _SLOT_TYPES = {array(t).itemsize: t for t in "bhilq"}
 
 
-@lru_cache(maxsize=256)  # one inverse_sweep pass reads 205 (size, count) keys
+@lru_cache(maxsize=256)  # one inverse_sweep pass reads 212 (size, count) keys
 def _sign_bits(size: int, count: int) -> int:
     return int.from_bytes((1 << (8 * size - 1)).to_bytes(size, "little") * count, "little")
 
@@ -132,8 +135,11 @@ def _unpack(x: int, size: int, count: int) -> list[int] | None:
     return [int.from_bytes(raw[i : i + size], "little", signed=True) for i in range(0, len(raw), size)]
 
 
-# Re-measured as the sum of inverse_sweep's 110 op medians in-process (2-core Xeon VM, Python
-# 3.11): 3 to 10 terms within 1%; 1 term costs 4%, packing none 2%, packing every product 20%.
+# Re-measured as the sum of inverse_sweep's 110 op medians in-process, settings interleaved
+# (2-core Xeon VM, Python 3.11, three runs): 2 and 4 terms within 1%; 6 to 12 faster by 1.0-2.4%,
+# 16 by 0.5-1.0%; 30 or packing none within 1.4%; 1 term costs 4%, packing every product 21%.
+# It stays 3: those gains are sparse short factors', while a dense factor of 10 terms takes 20 us
+# by per-term passes against 30 terms (6 us packed) and 367 us against 800 (41 us packed).
 _SHORT_FACTOR = 3
 
 
@@ -180,6 +186,7 @@ class IntPoly(_Record):
     _fields = ("coeffs",)
 
     def __init__(self, coeffs: tuple[int, ...] = ()):
+        coeffs = tuple(coeffs)  # once, so that a one-shot iterator is scanned and stored alike
         if not all(map(isinstance, coeffs, repeat(int))):
             raise TypeError("IntPoly coefficients must be integers")
         self.__dict__["coeffs"] = _trimmed(coeffs)
@@ -294,13 +301,12 @@ class ScaledPoly(_Record):
         return {"num": self.num.to_decimal_strings(), "den": str(self.den)}
 
 
-# Re-measured as _SHORT_FACTOR was: 8 and 10 updates per dividend slot within 1%; 4 to 6 cost 2
-# to 4%, 12 costs 3%, 16 costs 5 to 8%, 32 or never packing 40%. One by one, packing is faster
-# on 62 of the pass's 77 divisions from 8 per slot and on 14 of 367 below, all by divisors of 5
-# to 11 terms (Phi_161 / Phi_7, 5.7 per slot: 22 us packed, 45 us in the loop). The bound on any
-# better rule: one pass makes 1 183 divisions, 643 of them not by Horner's rule, which take
-# 2.80-2.87 ms; the faster order for each would take 2.62-2.67 ms (44-56 of them gain 10% or
-# more), about 1% of the 20.5 ms pass (2-core Xeon VM, Python 3.11).
+# Re-measured as _SHORT_FACTOR was: 7 and 8 updates per dividend slot level, 5 and 6 within
+# 1.4%; 4 costs 2.7%, 10 0.9%, 12 4.5%, 16 10%, never packing 48%. One pass makes 1 183
+# divisions: 540 by Horner's rule, 24 without a step and 619 by the loop or packed. Timed one
+# by one, packing is faster on 68-71 of the 82 from 8 per slot and on 25-29 of the 537 below;
+# the 619 take 3.07-3.57 ms, and the faster order for each would take 2.80-3.32 ms (30-35 of
+# them gain 10% or more), about 1% of the pass (2-core Xeon VM, Python 3.11, two runs).
 _PACKED_DIVISION_MIN_WORK = 8
 
 
@@ -322,19 +328,39 @@ def _packed_divrem(a, b, steps: int, packed_q: bool = False):
     max|Q|*sum|b| + max|R| + top < 2^w: P = Q*b + R - A is zero at 2^w, so its lowest nonzero
     coefficient would be a multiple of 2^w, and none is. Then P = 0: Q and R are the unique
     pseudo-quotient and remainder. ``_digits_within`` tries max|Q|, max|R| <= 2^t first; if that
-    holds and packed_q, Q stays packed and comes back as (Qi, w // 8, t), digits in [-2^t, 2^t)."""
-    norm, top = sum(map(abs, b)), _height(a)
-    if not (size := next((s for s in _SLOT_TYPES if (top + norm) * norm < 1 << (8 * s - 1)), 0)):
+    holds and packed_q, Q stays packed and comes back as (Qi, w // 8, t), digits in [-2^t, 2^t).
+
+    The width is certified on A, not on a scan of a. For each w, limit is the largest top that
+    w holds; a fails to pack (struct.error) only if some |a_i| >= 2^(w-1) > limit, and A's digits
+    in [-2^s, 2^s), for 2^s the largest power of two <= limit, give top <= limit in one
+    ``_digits_within``. Only if that test fails is top scanned from a, to keep or pass over w as
+    the exact rule does; the fallback certificate scans it too. So each w is the one top picks."""
+    norm, top = sum(map(abs, b)), None
+    for size in _SLOT_TYPES:
+        limit = ((1 << (8 * size - 1)) - 1) // norm - norm  # the largest top with (top + norm)*norm < 2^(w-1)
+        if limit < 0 or top is not None and top > limit:
+            continue
+        try:
+            A = _pack(a, size)
+        except struct.error:  # some |a_i| >= 2^(w-1) > limit
+            continue
+        if limit and _digits_within(A, size, len(a), limit.bit_length() - 1):
+            break
+        if top is None:
+            top = _height(a)
+        if top <= limit:
+            break
+    else:
         return None
     w, db, B = 8 * size, len(b) - 1, _pack(b, size)
-    qi, ri = divmod(_pack(a, size) + (B >> 1), B)  # qi = round(A/B), ri = A - qi*B + (B >> 1)
+    qi, ri = divmod(A + (B >> 1), B)  # qi = round(A/B), ri = A - qi*B + (B >> 1)
     ri -= B >> 1
     t = w - 1 - (norm + 1).bit_length()  # >= 0 as 2 <= norm; 2^t*(norm + 1) and top are < 2^(w-1)
     r = _unpack(ri, size, db)
     if _digits_within(qi, size, steps, t) and _digits_within(ri, size, db, t):
         return (qi, size, t) if packed_q else _unpack(qi, size, steps), r
     q = _unpack(qi, size, steps)
-    if None not in (q, r) and _height(q) * norm + _height(r) + top < 1 << w:
+    if None not in (q, r) and _height(q) * norm + _height(r) + (_height(a) if top is None else top) < 1 << w:
         return q, r
     return None
 
@@ -347,27 +373,30 @@ def _pseudo_divrem(a, b, packed_q: bool = False) -> tuple[int, list[int] | tuple
     Q has one entry per step. b must be nonzero with a nonzero last entry.
     Every evaluation order divides the same once-scaled dividend scale*a by b.
 
-    A monic X - c takes Horner's rule: the partial values of one ``accumulate`` from the
-    top of a are Q, top digit first, then R = a(c). Otherwise the loop makes steps*len(low)
-    updates and takes each quotient digit as an exact division by lc(b). From
-    ``_PACKED_DIVISION_MIN_WORK`` updates per dividend slot, one packed division of scale*a
+    A dividend shorter than b takes no step: Q = [] and R = a. A monic X - c takes Horner's
+    rule: the partial values of one ``accumulate`` from the top of a are Q, top digit first,
+    then R = a(c). Otherwise the loop makes steps*(db - b.count(0)) updates, one per nonzero
+    low term of b in each step, and takes each quotient digit as an exact division by lc(b).
+    From ``_PACKED_DIVISION_MIN_WORK`` updates per dividend slot, one packed division of scale*a
     comes first, as ``_packed_divrem``, which leaves Q packed if packed_q and the word-parallel
     bound certified it; if it finds no slot or no certificate, the loop runs.
     """
     db = len(b) - 1
+    steps = len(a) - db
+    if steps <= 0:
+        return 1, [], list(a)
     lc = b[-1]
     if db == 1 and lc == 1:  # h_k = c*h_(k+1) + a_k for b = X - c
         h = list(accumulate(reversed(a), add if b[0] == -1 else lambda acc, x: x - b[0] * acc))
         return 1, h[-2::-1], h[-1:]
-    steps = max(len(a) - db, 0)
     scale = lc**steps
     if scale != 1:
         a = list(map(mul, a, repeat(scale)))
-    low = [(i, bc) for i, bc in enumerate(b[:-1]) if bc]  # cyclotomics and moduli are sparse
-    if steps and steps * len(low) >= _PACKED_DIVISION_MIN_WORK * len(a):
+    if steps * (db - b.count(0)) >= _PACKED_DIVISION_MIN_WORK * len(a):
         if qr := _packed_divrem(a, b, steps, packed_q):
             return scale, *qr
     r = list(a)
+    low = [(i, bc) for i, bc in enumerate(b[:-1]) if bc]  # cyclotomics and moduli are sparse
     q = [0] * steps
     for k in range(steps - 1, -1, -1):
         # lc^(k+1) divides every entry of r, as it does scale*a; subtracting (c/lc)*X^k*b
@@ -388,7 +417,8 @@ def xgcd_rational(a: IntPoly, b: IntPoly) -> tuple[ScaledPoly, ScaledPoly]:
 
     Fraction-free: Euclid runs on primitive integer remainders r_i, each pseudo-remainder
     divided by its content, and carries cofactors s_i = num_i/den_i with s_i*a = r_i (mod b),
-    as int lists reduced by gcd(content, den) at every step. Inputs with deg a < deg b are
+    as int lists reduced by gcd(content, den); a content or gcd of 1 divides nothing, and the
+    first step, whose s_1 is 0, makes s_2 the constant scale. Inputs with deg a < deg b are
     swapped first, so s_i is the short cofactor, of degree below the smaller input degree.
     Euclid stops at the first constant remainder r_k = c, whose cofactor gives U = s_k/c; an
     empty remainder before it means a common factor. The long a is divided once, by Euclid's first
@@ -407,15 +437,17 @@ def xgcd_rational(a: IntPoly, b: IntPoly) -> tuple[ScaledPoly, ScaledPoly]:
     s0, d0, s1, d1 = [1], 1, [], 1
     while len(r1) > 1:
         scale, q, rem = _pseudo_divrem(r0, r1, packed_q=not first)
-        first = first or (scale, q, rem)
         g = math.gcd(*rem) or 1
-        # s2 = (scale*s0 - q*s1) / g over the common denominator d0*d1; s1 = [] at the first
-        # step, whose q may be packed, so _mul returns [] before it reads q
+        # s2 = (scale*s0 - q*s1) / g over the common denominator d0*d1
         k, d2 = scale * d1, d0 * d1 * g
-        s2 = [k * x - d0 * y for x, y in zip_longest(s0, _mul(q, s1), fillvalue=0)]
+        if first:  # -d0*q*s1, then k*s0 into its low slots: len(q*s1) >= len(s1) >= len(s0)
+            s2 = _mul([*map(mul, q, repeat(-d0))], s1)
+            s2[: len(s0)] = map(add, s2[: len(s0)], s0 if k == 1 else map(mul, s0, repeat(k)))
+        else:  # s0 = [1] and s1 = [], so q, which may be packed, is not read
+            first, s2 = (scale, q, rem), [k]
         h = math.gcd(d2, *s2)
-        r0, r1 = r1, _trimmed(map(floordiv, rem, repeat(g)))
-        s0, d0, s1, d1 = s1, d1, [*map(floordiv, s2, repeat(h))], d2 // h
+        r0, r1 = r1, _trimmed(rem if g == 1 else map(floordiv, rem, repeat(g)))
+        s0, d0, s1, d1 = s1, d1, s2 if h == 1 else [*map(floordiv, s2, repeat(h))], d2 // h
     if not r1:
         raise NotCoprimeError("inputs share a factor of positive degree")
     # a further step would only divide by c = r1; a constant b takes no step, and U = 0

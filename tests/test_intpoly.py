@@ -2,6 +2,7 @@
 
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product, zip_longest
 
@@ -275,6 +276,17 @@ class TestIntPoly:
             IntPoly(bad)
         with pytest.raises(TypeError, match="integers"):
             IntPoly(coeffs=list(bad))
+        with pytest.raises(TypeError, match="integers"):
+            IntPoly(c for c in bad)
+
+    # a generator or iterator is read once, by the type scan and the stored tuple alike
+    def test_one_shot_iterable_coefficients(self):
+        assert IntPoly(c for c in (1, 2)).coeffs == (1, 2)
+        assert IntPoly(iter([3, 4])).coeffs == (3, 4)
+        assert IntPoly(coeffs=(c for c in (5, 0, 0))).coeffs == (5,)
+        assert IntPoly(iter(())) == IntPoly(())
+        with pytest.raises(TypeError, match="integers"):
+            IntPoly(c for c in (1, 2.0))
 
 
 class TestDivRem:
@@ -386,6 +398,29 @@ class TestPseudoDivrem:
         assert max(map(abs, q)) * 10 + max(map(abs, r)) + 2 == heights
         assert len(results) == 1 and (results[0] is not None) == packed
 
+    # a dividend with one coefficient at a slot width's edge, packed whatever its work: the width
+    # _packed_divrem takes, the size of its first _unpack, is the narrowest w of 8, 16, 32 and 64
+    # bits with (max|a| + sum|b|)*sum|b| < 2^(w-1), and (scale, Q, R) are the loop's. sum|b| = 10
+    # leaves the 1-byte slots a largest height of 2: -2 passes the power-of-two test on [-2, 2),
+    # 2 fails it and still fits, 3 takes 2 bytes. sum|b| = 2, 8 and 128 divide 2^(w-1), so one
+    # past the largest height (61, 7 and 127) makes the product exactly 2^(w-1), which does not
+    # fit; sum|b| = 128 leaves the 1-byte slots none. A coefficient of 2^7, 2^15, 2^31 or 2^63 is
+    # past its slot's signed range (struct.error, the next width); 2^62 fits 8 bytes but no bound,
+    # and 2^63 no slot, so both take the loop
+    @pytest.mark.parametrize("b", [[1, -1, 1, -1, 1, 1, -1, 1, -1, 1], [1, 0, 1], [1] * 8, [1] * 128])
+    def test_packed_width_is_the_exact_height_rule(self, monkeypatch, b):
+        sizes, unpack, norm = [], intpoly._unpack, sum(map(abs, b))
+        monkeypatch.setattr(intpoly, "_unpack", lambda x, size, count: sizes.append(size) or unpack(x, size, count))
+        for edge, sign in product([1, 2, 3, 7, 8, 61, 62, 127, 128, 2**15, 2**31, 2**62, 2**63], [1, -1]):
+            a = [1, -1, 0, sign * edge, *[0] * (len(b) + 40), 1]
+            rule = next((s for s in (1, 2, 4, 8) if (edge + norm) * norm < 1 << (8 * s - 1)), None)
+            monkeypatch.setattr(intpoly, "_PACKED_DIVISION_MIN_WORK", math.inf)
+            looped = _pseudo_divrem(a, b)
+            sizes.clear()
+            monkeypatch.setattr(intpoly, "_PACKED_DIVISION_MIN_WORK", 0)
+            assert _pseudo_divrem(a, b) == looped, (edge, sign)
+            assert (sizes[0] if sizes else None) == rule, (edge, sign)
+
     # forced failures: the word-parallel bound never holds, so the exact heights decide; or no
     # certificate holds, so every division runs the loop
     @given(long_divisions, st.sampled_from(("heights", "loop")))
@@ -402,7 +437,8 @@ class TestPseudoDivrem:
         # one verify_closed_forms pass over the primes <= 31: each packed division decodes Q and R
         # once, at its first width, on the word-parallel bound alone (no heights of Q or R), except
         # the first division of each oracle call, which decodes only R: xgcd_rational packs Q2
-        # and U and decodes V once, and never Q1. Each X -+ 1 is one Horner accumulate
+        # and U and decodes V once, and never Q1. Each X -+ 1 that takes a step is one Horner
+        # accumulate; the constant brackets by X -+ 1 take no step and none
         inside, done, oracle = [], [], []  # [function, args, _unpack, accumulate and _height calls] per call
 
         def counted(f, i):
@@ -438,13 +474,17 @@ class TestPseudoDivrem:
                 if p != r:
                     verify_closed_forms(PrimePair.of(p, r))
         packed = [(args[3], unpacks, heights) for f, args, unpacks, _, heights in done if f is packed_divrem]
-        by_x_pm_1 = [h for f, args, _, h, _ in done if f is pseudo_divrem and args[1] in ((-1, 1), (1, 1))]
-        firsts = packed.count((True, 1, 1))
-        # 60 of the 440 oracle calls pack their first division, and 22 other divisions pack; the
-        # one _height in each is the dividend's, max|a|
-        assert firsts == 60 and len(packed) == 82 and set(packed) == {(False, 2, 1), (True, 1, 1)}
+        x_pm_1 = ((-1, 1), (1, 1))
+        by_x_pm_1 = [(len(args[0]) > 1, h) for f, args, _, h, _ in done if f is pseudo_divrem and args[1] in x_pm_1]
+        firsts = sum(packed_q for packed_q, _, _ in packed)
+        # 60 of the 440 oracle calls pack their first division, and 22 other divisions pack. The
+        # packed dividend certifies its own width, with no _height, except in the 7 divisions by
+        # Phi_11: sum|b| = 11 leaves the 1-byte slots a largest height of 0, under every power of
+        # two, so the dividend's one _height moves them to 2 bytes
+        assert Counter(packed) == {(False, 2, 0): 22, (True, 1, 0): 53, (True, 1, 1): 7} and firsts == 60
+        assert all(len(args[1]) == 11 for f, args, *_, heights in done if f is packed_divrem and heights)
         assert oracle.count("_pack") == 2 * firsts and oracle.count("_unpack") == firsts
-        assert len(by_x_pm_1) > 100 and set(by_x_pm_1) == {1}
+        assert len(by_x_pm_1) > 100 and set(by_x_pm_1) == {(True, 1), (False, 0)}
 
 
 def counted_divisions(monkeypatch) -> list:
@@ -592,8 +632,8 @@ class TestXgcd:
                 patch.setattr(intpoly, "_packed_divrem", lambda *args: None)
             assert xgcd_rational(a, b) == (u, v)
 
-    # b = X - 1 and X + 1 divide by Horner's rule, and the bracket scale1*den - R1*U is a constant:
-    # a nonzero remainder there is the failed certificate, as for any b
+    # b = X - 1 and X + 1 divide a by Horner's rule, and the bracket scale1*den - R1*U is a constant,
+    # which takes no step: a nonzero remainder there is the failed certificate, as for any b
     @pytest.mark.parametrize("m, n", [(7, 1), (15, 2), (899, 1)])
     def test_broken_bracket_on_the_horner_path_raises(self, monkeypatch, m, n):
         pseudo_divrem, broken = intpoly._pseudo_divrem, []
