@@ -43,8 +43,8 @@ EXIT_PRECONDITION = 3
 VERIFY_CEILING = 31
 INDEX_CEILING = 3003  # phi/res/inv/eval; see _check_indices
 FIELD_ORDER_CEILING = 2**128
-# Measured cold on a 2-core Xeon VM: torus params --q 0 is slowest at p = 2, 3: 0.35-0.43 s at
-# (2, 7993) and (3, 5333), below the slowest inv's 5.8-8.4 s; q >= 2 has p*r <= 128 by the field ceiling.
+# Measured cold on a 2-core Xeon VM: torus params --q 0 at p*r near 16000 takes 0.12-0.17 s, p = 2 to 113,
+# against 0.11-0.13 s at (3, 5) and the slowest inv's 5.8-8.4 s; q >= 2 has p*r <= 128 by the field ceiling.
 PR_CEILING = 16000
 # Measured on a 2-core Xeon VM: theta-demo ops under the field ceiling are slowest at q=3,
 # n=77 and n=74, 5.5 and 4.3 ms each (q=2, n=122 and 123: 3.9 ms; medians of six runs), so

@@ -290,13 +290,6 @@ class ScaledPoly(_Record):
         fields = self.__dict__
         fields["num"], fields["den"] = num, int(den)  # a bool den is stored as the int it equals
 
-    @property
-    def is_integral(self) -> bool:
-        return self.den == 1
-
-    def scaled(self, k: int) -> ScaledPoly:
-        return ScaledPoly(self.num * k, self.den)
-
     def to_json_dict(self) -> dict:
         return {"num": self.num.to_decimal_strings(), "den": str(self.den)}
 

@@ -3,12 +3,13 @@
 For distinct primes p, r and indices m, n dividing p*r, the inverse of the m-th cyclotomic
 polynomial modulo the n-th has small, structured coefficients. Each builder constructs its case from
 the closed form and raises ArithmeticError only when an identity of that construction fails, never
-on a bound. Case ii divides by X - 1 and case iii, times X - 1, by X^p - 1, as running sums per
-residue class; case iv checks its inverse mod X^r - 1 = (X - 1)*Phi_r by a rotation, so none of them
-shares a division with the oracle. Cases i, ii and iii return the Bezout pair (U, V) with
-Phi_m*U + Phi_n*V = 1, ordered as ``inverse_pair(m, n)``; case iv is one inverse. ``_bound_holds``
-states the bounds of i-b, ii-b, iii-b and iv; ``verify_closed_forms`` checks all seven cases of a
-prime pair against the extended-GCD oracle and reports each verdict with the case's own closed form.
+on a bound. Case ii divides by X - 1 as one running sum; case iii, times X - 1, divides by X^p - 1
+as running sums per residue class in ``_divide_by_binomial``, which also builds the torus's v1; case
+iv checks its inverse mod X^r - 1 = (X - 1)*Phi_r by a rotation, so none of them shares a division
+with the oracle. Cases i, ii and iii return the Bezout pair (U, V) with Phi_m*U + Phi_n*V = 1,
+ordered as ``inverse_pair(m, n)``; case iv is one inverse. ``_bound_holds`` states the bounds of
+i-b, ii-b, iii-b and iv; ``verify_closed_forms`` checks all seven cases of a prime pair against the
+extended-GCD oracle and reports each verdict with the case's own closed form.
 
 Case ids (m index vs modulus index):
     i-a    p   mod 1          1/p
@@ -71,6 +72,16 @@ def closed_form_ii(pair: PrimePair) -> tuple[ScaledPoly, ScaledPoly]:
     return ScaledPoly(IntPoly.one(), 1), ScaledPoly(IntPoly._of(sums[1:-1]), 1)
 
 
+def _divide_by_binomial(a: list[int], k: int, what: str, pair: PrimePair) -> list[int]:
+    """a/(1 - X^k), in place as running sums per residue class mod k: exact iff the top k are 0."""
+    for s in range(k):
+        a[s::k] = accumulate(a[s::k])
+    if any(a[-k:]):
+        raise ArithmeticError(f"X^{k} - 1 does not divide {what} for ({pair.p}, {pair.r})")
+    del a[-k:]
+    return a
+
+
 def closed_form_iii(pair: PrimePair) -> tuple[ScaledPoly, ScaledPoly]:
     """Case iii: (U, V) with Phi_pr*U + Phi_p*V = 1, U = (1/r)(1 + X + ... + X^d), d = (r-1) mod p.
 
@@ -80,11 +91,8 @@ def closed_form_iii(pair: PrimePair) -> tuple[ScaledPoly, ScaledPoly]:
     p, r = pair.p, pair.r
     phi, e = cyclotomic(pair.n).coeffs, (r - 1) % p + 1
     a = list(map(sub, (0,) * e + phi, (phi[0] - r, phi[1] + r, *phi[2:]) + (0,) * e))
-    for s in range(p):
-        a[s::p] = accumulate(a[s::p])
-    if any(a[-p:]):
-        raise ArithmeticError(f"X^p - 1 does not divide the numerator of V for ({p}, {r})")
-    return ScaledPoly(IntPoly._of((1,) * e), r), ScaledPoly(IntPoly._of(a[:-p]), r)
+    v = _divide_by_binomial(a, p, "the numerator of V", pair)
+    return ScaledPoly(IntPoly._of((1,) * e), r), ScaledPoly(IntPoly._of(v), r)
 
 
 def closed_form_iv(p: int, r: int) -> IntPoly:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
+from operator import sub
 
 from .cyclotomic import PrimePair, cyclotomic, divisors, euler_phi, is_prime, moebius
 from .finitefield import (
@@ -45,8 +46,8 @@ from .finitefield import (
     make_ext_field,
     random_nonzero,
 )
-from .intpoly import PreconditionError, _Record, _trimmed, xgcd_rational
-from .inverses import closed_form_i, closed_form_ii, closed_form_iv
+from .intpoly import IntPoly, PreconditionError, _Record, _trimmed
+from .inverses import _divide_by_binomial, closed_form_i, closed_form_ii, closed_form_iv
 
 
 class TorusMembershipError(PreconditionError):
@@ -60,26 +61,29 @@ class BezoutExponents(_Record):
 
 
 def derive_exponent_polys(p: int, r: int) -> BezoutExponents:
-    """All Bezout exponent polynomials for the pair (p, r), exactly.
+    """All Bezout exponent polynomials for the pair (p, r), exactly, from closed forms.
 
-    u1, u_pr (Phi_pr*u1 + Phi_1*u_pr = 1) are the closed forms of case ii,
-    u_p, u_r (Phi_r*u_p + Phi_p*u_r = 1) those of case iv. v1, v2 have no
-    closed form: they are the oracle's p*r-scaled canonical pair for
-    (Phi_p*Phi_r, Phi_1*Phi_pr) and must come out integral. Each identity
-    holds by the check that built its pair: case ii's last prefix sum, case
-    iv's two rotations (the sum is 1 mod Phi_p and mod Phi_r, of degree below
-    theirs), and the oracle's exact residual division.
+    u1, u_pr (Phi_pr*u1 + Phi_1*u_pr = 1) are those of case ii, u_p, u_r (Phi_r*u_p + Phi_p*u_r
+    = 1) those of case iv. With case i-b's numerator b_k, (X - 1)*b_k = k - Phi_k, the pair
+    v2 = Phi_r*b_p + Phi_p*b_r, v1 = 2*Phi_pr + M/(Phi_p*Phi_r), M = pr - p*Phi_r(X^p) - r*Phi_p(X^r),
+    has Phi_p*Phi_r*v1 + Phi_1*Phi_pr*v2 = pr: as Phi_r*Phi_pr = Phi_r(X^p) and Phi_p*Phi_pr =
+    Phi_p(X^r), (X - 1)*Phi_pr*v2 = p*Phi_r(X^p) + r*Phi_p(X^r) - 2*Phi_p*Phi_r*Phi_pr. With deg v2
+    <= p + r - 3 and deg v1 <= phi(pr), it is the oracle's canonical pair times pr. The sparse M is
+    divided by Phi_p, then by Phi_r, as M*(1 - X)/(1 - X^k) in running sums. Each identity holds
+    by the check that built its pair: case ii's last prefix sum, case iv's two rotations (the sum
+    is 1 mod Phi_p and mod Phi_r, of degree below theirs), and both exact divisions of M.
     """
     pair = PrimePair.of(p, r)
     n = pair.n
     u1, u_pr = closed_form_ii(pair)
-    a, b = xgcd_rational(cyclotomic(p) * cyclotomic(r), cyclotomic(1) * cyclotomic(n))
-    v1_s, v2_s = a.scaled(n), b.scaled(n)
-    if not (v1_s.is_integral and v2_s.is_integral):
-        raise ValueError(f"p*r-scaled cofactors are not integral for ({p}, {r})")
+    v2 = cyclotomic(r) * closed_form_i(p)[1].num + cyclotomic(p) * closed_form_i(r)[1].num
+    m = [n - p - r] + [0] * (n - 1)  # M, of degree max(p(r - 1), r(p - 1)) < n
+    m[p::p], m[r::r] = [-p] * (r - 1), [-r] * (p - 1)
+    for k in (p, r):
+        m = _divide_by_binomial([*map(sub, m + [0], [0] + m)], k, "the numerator of v1", pair)
     return BezoutExponents(
         u1=u1.num, u_pr=u_pr.num, u_p=closed_form_iv(r, p), u_r=closed_form_iv(p, r),
-        v1=v1_s.num, v2=v2_s.num,
+        v1=cyclotomic(n) * 2 + IntPoly._of(m), v2=v2,
     )
 
 
@@ -179,15 +183,6 @@ def recombine(c: TorusComponents, params: TorusParams) -> ExtFieldElement:
     for comp, squares, k in zip(comps, tables, ks):
         acc = _ladder(squares, a[k], c.t1._same_field(comp)._reduce, acc)
     return ExtFieldElement(c.t1.field, acc)
-
-
-# -- single-prime analogue ---------------------------------------------------
-
-
-def _single_prime_cofactor(p: int, q: int) -> int:
-    """Integer b with Phi_p(q)*1 + (q-1)*b = p: closed form i-b's numerator at q, since
-    (X - 1) times -(X^(p-2) + 2X^(p-3) + ... + (p-1)) is p - Phi_p, term by term."""
-    return closed_form_i(p)[1].num.evaluate(q)
 
 
 # -- subfield embeddings -----------------------------------------------------
@@ -395,9 +390,9 @@ def theta_reverse(
 ) -> tuple[ExtFieldElement, ExtFieldElement, ExtFieldElement]:
     """Reverse parametrization: decompose x_pr, then rebuild the subfield slots.
 
-    Composing with theta multiplies each input slot by a fixed exponent
-    (see composite_exponents); the deviation from the identity is
-    annihilated by a power of p*r.
+    Composing with theta multiplies each input slot by a fixed exponent (see composite_exponents);
+    the deviation from the identity is annihilated by a power of p*r. Both slots use case i-b's
+    numerator b_k at q, (k - Phi_k(q))/(q - 1), exact as Phi_k(q) = k mod q - 1.
     """
     q, p, r = params.q, params.pair.p, params.pair.r
     if x1.field.n != 1 or x1.field.q != q:
@@ -407,8 +402,8 @@ def theta_reverse(
     big = _check_big_field(xpr, params)
     comps = decompose(xpr, params)
     x1_big = subfield_embed(x1, big)
-    xp_big = x1_big * comps.tp ** _single_prime_cofactor(p, q)
-    xr_big = comps.t1 * comps.tr ** _single_prime_cofactor(r, q)
+    xp_big = x1_big * comps.tp ** ((p - params.orders[p]) // (q - 1))
+    xr_big = comps.t1 * comps.tr ** ((r - params.orders[r]) // (q - 1))
     xp_small = subfield_extract(xp_big, make_ext_field(q, p))
     xr_small = subfield_extract(xr_big, make_ext_field(q, r))
     return comps.tpr, xp_small, xr_small
@@ -441,8 +436,8 @@ def composite_exponents(params: TorusParams) -> tuple[int, int, int]:
     u1, u_p, u_r, v1, v2 = (f.evaluate(q) for f in (exps.u1, exps.u_p, exps.u_r, exps.v1, exps.v2))
     a_q = params.orders[r] * u1 * v1 + params.orders[1] * u_r * v2
     b_q = params.orders[1] * u_p * v2
-    d_p = params.orders[p] + _single_prime_cofactor(p, q) * params.norm_exponents[p] * b_q
-    d_r = (params.norm_exponents[1] + _single_prime_cofactor(r, q) * params.norm_exponents[r]) * a_q
+    d_p = params.orders[p] + (p - params.orders[p]) // (q - 1) * params.norm_exponents[p] * b_q
+    d_r = (params.norm_exponents[1] + (r - params.orders[r]) // (q - 1) * params.norm_exponents[r]) * a_q
     return d_x, d_p, d_r
 
 

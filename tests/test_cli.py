@@ -610,7 +610,7 @@ def test_argv_fuzz_reaches_a_documented_exit(case):
         ("torus", "params", "--q", "2642239", "--p", "2", "--r", "3"),
         ("torus", "roundtrip", "--q", "2642239", "--p", "2", "--r", "3", "--count", "1"),
         ("torus", "roundtrip", "--q", "7", "--p", "3", "--r", "5", "--count", str(COUNT_CEILING)),
-        # the slowest v1/v2 shapes under PR_CEILING: small p, large r
+        # the largest derivations under PR_CEILING, at small p and large r
         ("torus", "params", "--q", "0", "--p", "3", "--r", "5333"),
         ("torus", "params", "--q", "0", "--p", "2", "--r", "7993"),
     ],

@@ -783,7 +783,3 @@ class TestScaledPoly:
     def test_normalization_idempotent(self, num, den):
         sp = ScaledPoly(num, den)
         assert ScaledPoly(sp.num, sp.den) == sp
-
-    def test_scaled(self):
-        assert ScaledPoly(ONE, 3).scaled(3) == ScaledPoly(ONE, 1)
-        assert math.gcd(ScaledPoly(IntPoly((3, 6)), 4).num.content, 4) in (1, 4)

@@ -1,6 +1,7 @@
 """Closed-form inverses against the extended-GCD oracle, plus coefficient bounds."""
 
 import builtins
+import functools
 import json
 import sys
 
@@ -22,6 +23,7 @@ from cyclokit.inverses import (
     inverse_pair,
     verify_closed_forms,
 )
+from cyclokit.torus import derive_exponent_polys
 
 
 def reduce_mod(a: IntPoly, n: int) -> IntPoly:
@@ -461,6 +463,49 @@ class TestObservedEnvelopes:
         for pair in OBSERVED_PAIRS:
             coeffs = set(closed_form_iv(pair.p, pair.r).coeffs)
             assert coeffs <= {-1, 0} or coeffs <= {0, 1}, (pair.p, pair.r)
+
+
+@functools.lru_cache(maxsize=None)
+def torus_v1_v2(p: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    exps = derive_exponent_polys(p, r)
+    return exps.v1.coeffs, exps.v2.coeffs
+
+
+class TestTorusExponentEnvelopes:
+    """The coefficients of the torus exponents v1, v2 over the same 306 pairs, a = min(p, r),
+    b = max(p, r). v2 is p*r times the inverse of Phi_1*Phi_pr mod Phi_p*Phi_r, a product of the
+    polynomials whose inverses the paper bounds.
+
+    The v2 envelope and the symmetry are theorems. Symmetry: derive_exponent_polys' formulas for
+    v1 and v2, M included, are symmetric in p and r. Envelope: v2 = Phi_r*b_p + Phi_p*b_r, and
+    case i-b's b_p has -(p - 1 - j) at X^j for 0 <= j <= p - 2. With t = p - 1 - j, the negated
+    coefficient of Phi_r*b_p at X^i is the sum of the integers t in [1, p - 1] with
+    p - 1 - i <= t <= p + r - 2 - i: a window of r consecutive integers, cut to [1, p - 1]. In the
+    same way Phi_p*b_r's is the sum over a window of p consecutive integers, cut to [1, r - 1].
+    For 0 <= i <= p + r - 3 = deg v2 both windows hold max(1, k - 1 - i) (k = p, r), so each sum
+    is at least 1 and v2's coefficients are at most -2, with -2 at X^(p+r-3), where both windows
+    are {1}. Take p = a by the symmetry. The first sum is at most 1 + ... + (a - 1), the second, of
+    at most a distinct integers below b, at most (b - 1) + ... + (b - a); together a(b - 1). At
+    X^(a-1) the windows are [1, a - 1] and [b - a, b - 1], so -a(b - 1) is attained there.
+
+    v1's least coefficient -2(a - 1)(b - 1) is an observation on this range, without proof.
+    """
+
+    def test_v2_envelope(self):
+        for pair in OBSERVED_PAIRS:
+            a, b = sorted((pair.p, pair.r))
+            v2 = torus_v1_v2(pair.p, pair.r)[1]
+            assert (min(v2), max(v2)) == (-a * (b - 1), -2), (pair.p, pair.r)
+            assert (v2[a - 1], v2[-1], len(v2)) == (-a * (b - 1), -2, a + b - 2), (pair.p, pair.r)
+
+    def test_v1_least_coefficient(self):
+        for pair in OBSERVED_PAIRS:
+            a, b = sorted((pair.p, pair.r))
+            assert min(torus_v1_v2(pair.p, pair.r)[0]) == -2 * (a - 1) * (b - 1), (pair.p, pair.r)
+
+    def test_symmetric_in_p_and_r(self):
+        for pair in OBSERVED_PAIRS:
+            assert torus_v1_v2(pair.p, pair.r) == torus_v1_v2(pair.r, pair.p), (pair.p, pair.r)
 
 
 class TestOraclePairs:

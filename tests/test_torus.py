@@ -6,17 +6,18 @@ import itertools
 import json
 import math
 import random
+import re
 from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclokit import torus
+from cyclokit import cli, inverses, torus
 from cyclokit.cyclotomic import PrimePair, cyclotomic, divisors, primes_upto
 from cyclokit.finitefield import ExtField, ExtFieldElement, make_ext_field, random_nonzero
 from cyclokit.intpoly import IntPoly, ScaledPoly, divrem_exact, xgcd_rational
-from cyclokit.inverses import closed_form_ii, closed_form_iii
+from cyclokit.inverses import closed_form_i, closed_form_ii, closed_form_iii
 from cyclokit.torus import (
     BezoutExponents,
     TorusComponents,
@@ -82,26 +83,42 @@ class TestExponentPolys:
         for p in primes_upto(13):
             for r in primes_upto(13):
                 if p != r:
-                    derive_exponent_polys(p, r)  # raises if v1, v2 were fractional
+                    derive_exponent_polys(p, r)  # raises if Phi_p*Phi_r did not divide M
 
-    def test_fractional_scaled_cofactors_raise(self, monkeypatch):
-        # p*r = 15 times the halves 1/2 is 15/2, so v1 and v2 would not be integral
-        half = ScaledPoly(IntPoly.one(), 2)
-        monkeypatch.setattr(torus, "xgcd_rational", lambda a, b: (half, half))
-        with pytest.raises(ValueError, match=r"not integral for \(3, 5\)"):
+    def test_v1_v2_are_the_oracle_pair_times_pr(self):
+        # the oracle's canonical pair for (Phi_p*Phi_r, Phi_1*Phi_pr), scaled by p*r here
+        for p, r in itertools.permutations(primes_upto(61), 2):
+            n = p * r
+            a, b = xgcd_rational(cyclotomic(p) * cyclotomic(r), cyclotomic(1) * cyclotomic(n))
+            exps = derive_exponent_polys(p, r)
+            assert ScaledPoly(exps.v1) == ScaledPoly(a.num * n, a.den), (p, r)
+            assert ScaledPoly(exps.v2) == ScaledPoly(b.num * n, b.den), (p, r)
+
+    @staticmethod
+    def _break_one_running_sum(monkeypatch):
+        # the first running sum that _divide_by_binomial takes ends one too high; case ii's
+        # prefix sums, the only ones that pass initial=, stay right
+        real, broken = inverses.accumulate, []
+
+        def accumulate(xs, **kwargs):
+            sums = list(real(xs, **kwargs))
+            if not kwargs and not broken:
+                broken.append(sums)
+                sums[-1] += 1
+            return sums
+
+        monkeypatch.setattr(inverses, "accumulate", accumulate)
+
+    def test_inexact_division_of_m_raises(self, monkeypatch, capsys):
+        # a class's last sum lies in the top p terms, which an exact division leaves 0
+        message = "X^3 - 1 does not divide the numerator of v1 for (3, 5)"
+        self._break_one_running_sum(monkeypatch)
+        with pytest.raises(ArithmeticError, match=re.escape(message)):
             derive_exponent_polys(3, 5)
-
-    def test_only_v1_v2_come_from_the_oracle(self, monkeypatch):
-        # u1, u_pr and u_p, u_r are the closed forms of cases ii and iv
-        calls = []
-
-        def recording(a, b):
-            calls.append((a, b))
-            return xgcd_rational(a, b)
-
-        monkeypatch.setattr(torus, "xgcd_rational", recording)
-        assert derive_exponent_polys(3, 5) == BezoutExponents(**GOLDEN_N15)
-        assert calls == [(cyclotomic(3) * cyclotomic(5), cyclotomic(1) * cyclotomic(15))]
+        self._break_one_running_sum(monkeypatch)
+        code = cli.main(["torus", "params", "--q", "0", "--p", "3", "--r", "5"])
+        out, err = capsys.readouterr()
+        assert code == 1 and not out and err == f"error: {message}\n"
 
     def test_v1_v2_from_cases_ii_and_iii_by_crt(self):
         # case iii gives r/Phi_p and p/Phi_r mod Phi_pr as integer polynomials, so their
@@ -232,14 +249,16 @@ class TestRoundTrip:
 
 
 class TestSinglePrime:
-    # theta_reverse recombines T_1 and T_p with x^p = x^{Phi_p(q)} * (x^{q-1})^b
+    # theta_reverse recombines T_1 and T_p with x^p = x^{Phi_p(q)} * (x^{q-1})^b, where
+    # b = (p - Phi_p(q)) // (q - 1) is case i-b's numerator at q
     def test_bezout_arithmetic_p3_q2(self):
         # Phi_3(2) = 7, q - 1 = 1, cofactor -4: 7 - 4 = 3
-        assert torus._single_prime_cofactor(3, 2) == -4
+        assert (3 - cyclotomic(3).evaluate(2)) // (2 - 1) == closed_form_i(3)[1].num.evaluate(2) == -4
 
     def test_random_roundtrip_f7_3(self):
         field = make_ext_field(7, 3)
-        b = torus._single_prime_cofactor(3, 7)
+        b = (3 - cyclotomic(3).evaluate(7)) // (7 - 1)
+        assert b == closed_form_i(3)[1].num.evaluate(7)
         rng = random.Random(77)
         for _ in range(200):
             x = random_nonzero(field, rng)
