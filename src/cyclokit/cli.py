@@ -44,7 +44,7 @@ VERIFY_CEILING = 31
 INDEX_CEILING = 3003  # phi/res/inv/eval; see _check_indices
 FIELD_ORDER_CEILING = 2**128
 # Measured cold on a 2-core Xeon VM: torus params --q 0 at p*r near 16000 takes 0.12-0.17 s, p = 2 to 113,
-# against 0.11-0.13 s at (3, 5) and the slowest inv's 5.8-8.4 s; q >= 2 has p*r <= 128 by the field ceiling.
+# against 0.11-0.13 s at (3, 5) and the slowest inv's 5.3-5.8 s; q >= 2 has p*r <= 128 by the field ceiling.
 PR_CEILING = 16000
 # Measured on a 2-core Xeon VM: theta-demo ops under the field ceiling are slowest at q=3,
 # n=77 and n=74, 5.5 and 4.3 ms each (q=2, n=122 and 123: 3.9 ms; medians of six runs), so
@@ -73,8 +73,8 @@ def _emit(command: str, params: dict, result, started: float) -> None:
 
 
 def _check_indices(*indices: int) -> None:
-    # Measured cold on a 2-core Xeon VM, the slowest under INDEX_CEILING: inv (3003, 2261) 5.8-8.4 s,
-    # (3003, 2431) 5.4-6.2 s, res (3003, 2431) 3.2-3.3 s, phi/eval 0.12-0.13 s (2-3 ms of it builds
+    # Measured cold on a 2-core Xeon VM, the slowest under INDEX_CEILING: inv (3003, 2261) 5.3-5.8 s,
+    # (3003, 2431) 4.5-5.0 s, res (3003, 2431) 2.2-2.4 s, phi/eval 0.12-0.13 s (2-3 ms of it builds
     # Phi_3003); inv (2002, 3003) 0.6-0.7 s. 3003 is the largest index the goldens and benchmark use.
     if min(indices) < 1:
         raise UsageError("indices must be >= 1")

@@ -222,10 +222,6 @@ class ExtField:
             raise ValueError(f"{len(vec)} coefficients for F_{self.q}^{self.n}, more than its degree")
         return ExtFieldElement(self, self._pack(vec))
 
-    @property
-    def one(self) -> ExtFieldElement:
-        return ExtFieldElement(self, 1)
-
 
 @lru_cache(maxsize=None)
 def make_ext_field(q: int, n: int) -> ExtField:
@@ -289,7 +285,7 @@ class ExtFieldElement(_Record):
         if not self.packed:
             if any(e < 0 for e in exps):
                 raise ZeroDivisionError("negative power of zero")
-            return [self if e else field.one for e in exps]
+            return [self if e else ExtFieldElement(field, 1) for e in exps]
         squares, group = [self.packed], field.order - 1
         # x^(q^n - 1) = 1 on nonzero x, so x^(-1) = x^(q^n - 2)
         return [ExtFieldElement(field, _ladder(squares, e % group, field._reduce)) for e in exps]

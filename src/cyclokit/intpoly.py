@@ -10,21 +10,20 @@ ScaledPoly pairs an IntPoly numerator with a positive integer denominator
 and keeps gcd(content, den) = 1, so every rational-coefficient result
 (Bezout cofactors, modular inverses) has exactly one representation.
 
-Arithmetic over Q never leaves Z[X]: one fraction-free pseudo-division, ``_pseudo_divrem``,
-is the only long division. A dividend shorter than the divisor takes no step; any other is
-scaled once and divided in one of three orders chosen from the inputs: Horner's rule as one
+Arithmetic over Q never leaves Z[X]: one fraction-free pseudo-division, ``_pseudo_divrem``, is
+the only long division. A dividend shorter than the divisor takes no step; any other is scaled
+once and divided in one of three orders chosen from the inputs: Horner's rule as one
 ``accumulate`` for a monic X - c; a loop over the divisor's nonzero terms, whose quotient digits
-are exact divisions by the leading coefficient; or one packed bigint division at the one slot
-width the operands' sizes predict, that width certified on the packed dividend itself, the
-result kept only under an exact certificate, tried first word-parallel on the packed quotient
-and remainder. It serves ``divrem_exact`` (a monic divisor, scale 1), the subresultant
-``resultant`` on int lists, whose steps divide by ``_div_exact`` as ScaledPoly's content does,
-and the Bezout pairs of ``xgcd_rational``: Euclid on primitive int-list remainders, one
-denominator per cofactor, carries only the short cofactor and stops at the first constant
-remainder, whose cofactor is U. A content or cofactor gcd of 1 divides nothing, and the
-cofactor update is C passes (one ``_mul`` and one slice add). V comes from Euclid's first
-quotient, left packed, and one exact division of a short bracket by the divisor, so the long
-input is divided once. ``IntPoly._of`` builds the library's own results without the
+are exact divisions by the leading coefficient; or one packed bigint division at the narrowest
+slot width whose packed dividend certifies that it fits, the result kept only if a word-parallel
+test certifies the packed quotient and remainder. It serves ``divrem_exact`` (a monic divisor,
+scale 1), the subresultant ``resultant`` on int lists, whose steps divide by ``_div_exact`` as
+ScaledPoly's content does, and the Bezout pairs of ``xgcd_rational``: Euclid on primitive
+int-list remainders, one denominator per cofactor, carries only the short cofactor and stops at
+the first constant remainder, whose cofactor is U. A content or cofactor gcd of 1 divides
+nothing, and the cofactor update is C passes (one ``_mul`` and one slice add). V comes from
+Euclid's first quotient, left packed, and one exact division of a short bracket by the divisor,
+so the long input is divided once. ``IntPoly._of`` builds the library's own results without the
 constructor's per-coefficient type check, which outside input keeps. ``_mul`` multiplies in
 Z[X]: one C pass per nonzero term of a factor of at most ``_SHORT_FACTOR`` terms (a Euclid
 quotient, a constant), else one packed bigint product.
@@ -119,14 +118,12 @@ def _pack(xs, size: int) -> int:
     return u - ((u & _sign_bits(size, len(xs))) << 1)
 
 
-def _unpack(x: int, size: int, count: int) -> list[int] | None:
-    """The count digits of x in base 2^(8*size), each in [-2^(8*size-1), 2^(8*size-1)); None if there
-    are none. Each digit plus its slot's sign bit, with that bit then flipped, is its two's complement."""
+def _unpack(x: int, size: int, count: int) -> list[int]:
+    """The count digits of x in base 2^(8*size), each in [-2^(8*size-1), 2^(8*size-1)), which every
+    caller certifies or sizes x to have. Each digit plus its slot's sign bit, with that bit then
+    flipped, is its two's complement."""
     signs = _sign_bits(size, count)
-    try:
-        raw = ((x + signs) ^ signs).to_bytes(size * count, "little")
-    except OverflowError:
-        return None
+    raw = ((x + signs) ^ signs).to_bytes(size * count, "little")
     if typecode := _SLOT_TYPES.get(size):
         slots = array(typecode, raw)
         if sys.byteorder == "big":
@@ -314,48 +311,39 @@ def _digits_within(x: int, size: int, count: int, t: int) -> bool:
 
 
 def _packed_divrem(a, b, steps: int, packed_q: bool = False):
-    """(Q, R) of a dividend a of steps + deg b coefficients of at most top = max|a| by b, in one
-    packed bigint division at the narrowest w of 8, 16, 32 or 64 bits that holds (top + sum|b|)*
-    sum|b|, a guess at max|Q|*sum|b|; None on failure. Q and R are the balanced w-bit digits of
-    Qi = round(A/B), for A and B the packed a and b, and of A - Qi*B, kept only if
-    max|Q|*sum|b| + max|R| + top < 2^w: P = Q*b + R - A is zero at 2^w, so its lowest nonzero
-    coefficient would be a multiple of 2^w, and none is. Then P = 0: Q and R are the unique
-    pseudo-quotient and remainder. ``_digits_within`` tries max|Q|, max|R| <= 2^t first; if that
-    holds and packed_q, Q stays packed and comes back as (Qi, w // 8, t), digits in [-2^t, 2^t).
+    """(Q, R) of a dividend a of steps + deg b coefficients by b, in one packed bigint division at
+    the narrowest w of 8, 16, 32 or 64 bits whose packed dividend certifies that it fits; None if
+    no w does or the result fails its certificate. Q and R are the balanced w-bit digits of
+    Qi = round(A/B), for A and B the packed a and b, and of A - Qi*B; if packed_q, Q stays packed
+    and comes back as (Qi, w // 8, t), digits in [-2^t, 2^t).
 
-    The width is certified on A, not on a scan of a. For each w, limit is the largest top that
-    w holds; a fails to pack (struct.error) only if some |a_i| >= 2^(w-1) > limit, and A's digits
-    in [-2^s, 2^s), for 2^s the largest power of two <= limit, give top <= limit in one
-    ``_digits_within``. Only if that test fails is top scanned from a, to keep or pass over w as
-    the exact rule does; the fallback certificate scans it too. So each w is the one top picks."""
-    norm, top = sum(map(abs, b)), None
+    Width: limit is the largest top with (top + sum|b|)*sum|b| < 2^(w-1). w is taken if limit is
+    positive, a packs, and ``_digits_within`` puts A's digits, the a_i, in [-2^s, 2^s), for 2^s
+    the largest power of two <= limit. Certificate: ``_digits_within`` puts Q's and R's digits in
+    [-2^t, 2^t), for the t with 2^t*(sum|b| + 1) < 2^(w-1). Then max|Q|*sum|b| + max|R| + max|a|
+    < 2^(w-1) + limit < 2^w, so P = Q*b + R - a, which is zero at X = 2^w, has no coefficient
+    that is a nonzero multiple of 2^w, as its lowest nonzero one would be: P = 0, and Q and R
+    are the unique pseudo-quotient and remainder."""
+    norm = sum(map(abs, b))
     for size in _SLOT_TYPES:
-        limit = ((1 << (8 * size - 1)) - 1) // norm - norm  # the largest top with (top + norm)*norm < 2^(w-1)
-        if limit < 0 or top is not None and top > limit:
+        limit = ((1 << (8 * size - 1)) - 1) // norm - norm
+        if limit <= 0:
             continue
         try:
             A = _pack(a, size)
         except struct.error:  # some |a_i| >= 2^(w-1) > limit
             continue
-        if limit and _digits_within(A, size, len(a), limit.bit_length() - 1):
-            break
-        if top is None:
-            top = _height(a)
-        if top <= limit:
+        if _digits_within(A, size, len(a), limit.bit_length() - 1):
             break
     else:
         return None
     w, db, B = 8 * size, len(b) - 1, _pack(b, size)
     qi, ri = divmod(A + (B >> 1), B)  # qi = round(A/B), ri = A - qi*B + (B >> 1)
     ri -= B >> 1
-    t = w - 1 - (norm + 1).bit_length()  # >= 0 as 2 <= norm; 2^t*(norm + 1) and top are < 2^(w-1)
-    r = _unpack(ri, size, db)
-    if _digits_within(qi, size, steps, t) and _digits_within(ri, size, db, t):
-        return (qi, size, t) if packed_q else _unpack(qi, size, steps), r
-    q = _unpack(qi, size, steps)
-    if None not in (q, r) and _height(q) * norm + _height(r) + (_height(a) if top is None else top) < 1 << w:
-        return q, r
-    return None
+    t = w - 1 - (norm + 1).bit_length()  # >= 0 as limit > 0
+    if not (_digits_within(qi, size, steps, t) and _digits_within(ri, size, db, t)):
+        return None
+    return (qi, size, t) if packed_q else _unpack(qi, size, steps), _unpack(ri, size, db)
 
 
 def _pseudo_divrem(a, b, packed_q: bool = False) -> tuple[int, list[int] | tuple, list[int]]:
@@ -371,8 +359,8 @@ def _pseudo_divrem(a, b, packed_q: bool = False) -> tuple[int, list[int] | tuple
     then R = a(c). Otherwise the loop makes steps*(db - b.count(0)) updates, one per nonzero
     low term of b in each step, and takes each quotient digit as an exact division by lc(b).
     From ``_PACKED_DIVISION_MIN_WORK`` updates per dividend slot, one packed division of scale*a
-    comes first, as ``_packed_divrem``, which leaves Q packed if packed_q and the word-parallel
-    bound certified it; if it finds no slot or no certificate, the loop runs.
+    comes first, as ``_packed_divrem``, which leaves Q packed if packed_q; if it finds no slot or
+    no certificate, the loop runs.
     """
     db = len(b) - 1
     steps = len(a) - db

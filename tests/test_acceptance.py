@@ -171,9 +171,12 @@ def test_criterion_09_scaled_cofactor_integrality():
                 continue
             try:
                 exps = derive_exponent_polys(p, r)  # raises unless Phi_p*Phi_r divides M exactly
-                ok = ok and exps.v1.content >= 1 and exps.v2.content >= 1
             except ArithmeticError:
                 ok = False
+                continue
+            # the integer cofactors pr*U, pr*V of Phi_p*Phi_r and Phi_1*Phi_pr
+            bezout = cyclotomic(p) * cyclotomic(r) * exps.v1 + cyclotomic(1) * cyclotomic(p * r) * exps.v2
+            ok = ok and bezout == IntPoly((p * r,))
     _report(9, "scaled-cofactor-integrality", ok, started, 60.0)
 
 

@@ -224,13 +224,19 @@ class TestIntPoly:
         assert intpoly._pack(xs, size) == sum(x << (w * i) for i, x in enumerate(xs))
         assert intpoly._unpack(intpoly._pack(xs, size), size, len(xs)) == xs
 
-    # three 1-byte digits in [-128, 128) reach exactly [-128*65793, 127*65793]
+    # three 1-byte digits in [-128, 128) reach exactly [-128*65793, 127*65793]; past that range x
+    # has none (digits None), and _unpack raises rather than return wrong ones: every caller
+    # certifies or sizes x to have them
     @pytest.mark.parametrize(
         "x, digits",
         [(127 * 65793, [127] * 3), (127 * 65793 + 1, None), (-128 * 65793, [-128] * 3), (-128 * 65793 - 1, None)],
     )
     def test_unpack_is_none_past_the_balanced_range(self, x, digits):
-        assert intpoly._unpack(x, 1, 3) == digits
+        if digits is None:
+            with pytest.raises(OverflowError):
+                intpoly._unpack(x, 1, 3)
+        else:
+            assert intpoly._unpack(x, 1, 3) == digits
 
     # every digit tuple of count 1-byte slots and one slot past them, whose digit must be 0;
     # at count 2 only that digit 0, which keeps the 2^16 * 7 checks under a second
@@ -350,13 +356,17 @@ class TestPseudoDivrem:
         "a, b, packed",
         [
             (cyclotomic(899).coeffs, cyclotomic(29).coeffs, True),  # the oracle's first Euclid step
-            (cyclotomic(899).coeffs, [-1] * 20 + [1], True),  # monic, every low term negative
+            (_mul(cyclotomic(29).coeffs, [-1] * 20 + [1]), [-1] * 20 + [1], True),  # monic, every low term negative
             ([1] * 60, [1] * 40 + [2], True),  # non-monic, scale 2^20 fits
             ((-1,) + (0,) * 898 + (1,), (-1, 1), False),  # X - 1 is sparse
             (cyclotomic(899).coeffs, (-1,) + (0,) * 28 + (1,), False),  # so is X^29 - 1
             ([], cyclotomic(29).coeffs, False),  # no step
             ([1] * 28, cyclotomic(29).coeffs, False),
-            (cyclotomic(899).coeffs, [1] * 20 + [-1], True),  # lc -1: scale (-1)^steps
+            (_mul(cyclotomic(31).coeffs, [1] * 20 + [-1]), [1] * 20 + [-1], True),  # lc -1: scale (-1)^steps
+            # the quotients of Phi_899 by these two grow geometrically, to 800 bits: the
+            # certificate fails at the 2-byte slots, and the loop runs
+            (cyclotomic(899).coeffs, [-1] * 20 + [1], False),
+            (cyclotomic(899).coeffs, [1] * 20 + [-1], False),
         ],
     )
     def test_dense_divisors_take_the_packed_division(self, monkeypatch, a, b, packed):
@@ -377,75 +387,84 @@ class TestPseudoDivrem:
         b = [math.comb(9, i) * (-1) ** (9 - i) for i in range(10)]
         assert _pseudo_divrem(a, b) == reference_pseudo_divrem(a, b)
 
-    # X^121 + R by a dense b with sum|b| = 10, in 1-byte slots: the quotient's digits grow to 23.
-    # max|Q|*sum|b| + max|R| + max|a| is 230 + 24 + 2 = 256 = 2^8 for the first R, where 23 is one
-    # past the 22 that max|R| + max|a| = 26 leaves, and 230 + 23 + 2 = 255 for the second
+    # X^121 + R by a dense b with sum|b| = 10: the quotient's digits grow to 23. The 1-byte slots
+    # leave a largest height of 2 and hold a dividend with every digit in [-2, 2), and their
+    # certificate needs Q's digits in [-2^3, 2^3), so the first R takes the loop; even the exact
+    # max|Q|*sum|b| + max|R| + max|a| = 230 + 24 + 2 is 256 = 2^8. A 2 in the dividend moves it to
+    # the 2-byte slots, whose certificate holds Q's digits to 2^11: the second R (230 + 23 + 2 =
+    # 255) and the third (256 again) are certified there
     @pytest.mark.parametrize(
         "low, heights, packed",
-        [([-1, 2, -2, 1, 0, 2, 0, 2, 0], 256, False), ([1, 1, 1, 2, 2, -2, 1, -2, -2], 255, True)],
+        [
+            ([-1, 1, -2, 1, 0, 1, 0, 1, 0], 256, False),
+            ([1, 1, 1, 2, 2, -2, 1, -2, -2], 255, True),
+            ([-1, 2, -2, 1, 0, 2, 0, 2, 0], 256, True),
+        ],
     )
     def test_a_quotient_digit_past_the_bound_takes_the_loop(self, monkeypatch, low, heights, packed):
         a, b = [*low, *[0] * 112, 1], [1, -1, 1, -1, 1, 1, -1, 1, -1, 1]
-        results, packed_divrem = [], intpoly._packed_divrem
+        results, widths, packed_divrem, pack = [], [], intpoly._packed_divrem, intpoly._pack
 
         def record(*args):
             results.append(packed_divrem(*args))
             return results[-1]
 
         monkeypatch.setattr(intpoly, "_packed_divrem", record)
+        monkeypatch.setattr(intpoly, "_pack", lambda xs, size: xs is b and widths.append(size) or pack(xs, size))
         scale, q, r = _pseudo_divrem(a, b)
         assert (scale, q, r) == reference_pseudo_divrem(a, b)
         assert max(map(abs, q)) * 10 + max(map(abs, r)) + 2 == heights
         assert len(results) == 1 and (results[0] is not None) == packed
+        assert widths == [2 if 2 in low else 1]
 
     # a dividend with one coefficient at a slot width's edge, packed whatever its work: the width
-    # _packed_divrem takes, the size of its first _unpack, is the narrowest w of 8, 16, 32 and 64
-    # bits with (max|a| + sum|b|)*sum|b| < 2^(w-1), and (scale, Q, R) are the loop's. sum|b| = 10
-    # leaves the 1-byte slots a largest height of 2: -2 passes the power-of-two test on [-2, 2),
-    # 2 fails it and still fits, 3 takes 2 bytes. sum|b| = 2, 8 and 128 divide 2^(w-1), so one
-    # past the largest height (61, 7 and 127) makes the product exactly 2^(w-1), which does not
-    # fit; sum|b| = 128 leaves the 1-byte slots none. A coefficient of 2^7, 2^15, 2^31 or 2^63 is
-    # past its slot's signed range (struct.error, the next width); 2^62 fits 8 bytes but no bound,
-    # and 2^63 no slot, so both take the loop
+    # _packed_divrem takes, the size it packs b at, is the narrowest w of 8, 16, 32 and 64 bits
+    # with (P + sum|b|)*sum|b| < 2^(w-1), for P the least power of two with every a_i in [-P, P),
+    # and (scale, Q, R) are the loop's. sum|b| = 10 leaves the 1-byte slots a largest height of 2,
+    # so P = 2: -2 stays, 2 takes 2 bytes. sum|b| = 2 and 8 leave them 61 and 7, so P = 32 and 4,
+    # and sum|b| = 128 leaves them none and the 2-byte slots 127, so P = 64 there. A coefficient
+    # of 2^7, 2^15, 2^31 or 2^63 is past its slot's signed range (struct.error, the next width);
+    # 2^62 fits 8 bytes but no bound, and 2^63 no slot, so both take the loop
     @pytest.mark.parametrize("b", [[1, -1, 1, -1, 1, 1, -1, 1, -1, 1], [1, 0, 1], [1] * 8, [1] * 128])
     def test_packed_width_is_the_exact_height_rule(self, monkeypatch, b):
-        sizes, unpack, norm = [], intpoly._unpack, sum(map(abs, b))
-        monkeypatch.setattr(intpoly, "_unpack", lambda x, size, count: sizes.append(size) or unpack(x, size, count))
+        widths, pack, norm = [], intpoly._pack, sum(map(abs, b))
+        monkeypatch.setattr(intpoly, "_pack", lambda xs, size: xs is b and widths.append(size) or pack(xs, size))
         for edge, sign in product([1, 2, 3, 7, 8, 61, 62, 127, 128, 2**15, 2**31, 2**62, 2**63], [1, -1]):
             a = [1, -1, 0, sign * edge, *[0] * (len(b) + 40), 1]
-            rule = next((s for s in (1, 2, 4, 8) if (edge + norm) * norm < 1 << (8 * s - 1)), None)
+            power = 1 << (max(2, edge + (sign > 0)) - 1).bit_length()
+            rule = next((s for s in (1, 2, 4, 8) if (power + norm) * norm < 1 << (8 * s - 1)), None)
             monkeypatch.setattr(intpoly, "_PACKED_DIVISION_MIN_WORK", math.inf)
             looped = _pseudo_divrem(a, b)
-            sizes.clear()
+            widths.clear()
             monkeypatch.setattr(intpoly, "_PACKED_DIVISION_MIN_WORK", 0)
             assert _pseudo_divrem(a, b) == looped, (edge, sign)
-            assert (sizes[0] if sizes else None) == rule, (edge, sign)
+            assert (widths or [None]) == [rule], (edge, sign)
 
-    # forced failures: the word-parallel bound never holds, so the exact heights decide; or no
-    # certificate holds, so every division runs the loop
-    @given(long_divisions, st.sampled_from(("heights", "loop")))
+    # forced failures: no word-parallel test holds, so no width is certified and every division
+    # runs the loop
+    @given(long_divisions)
     @settings(max_examples=50, deadline=None)
-    def test_failed_certificates_fall_back(self, case, failing):
+    def test_failed_certificates_fall_back(self, case):
         a, b = case
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(intpoly, "_digits_within", lambda *args: False)
-            if failing == "loop":
-                patch.setattr(intpoly, "_unpack", lambda *args: None)
             assert _pseudo_divrem(a, b) == reference_pseudo_divrem(a, b)
 
     def test_sweep_divisions_take_one_pass(self, monkeypatch):
         # one verify_closed_forms pass over the primes <= 31: each packed division decodes Q and R
-        # once, at its first width, on the word-parallel bound alone (no heights of Q or R), except
-        # the first division of each oracle call, which decodes only R: xgcd_rational packs Q2
-        # and U and decodes V once, and never Q1. Each X -+ 1 that takes a step is one Horner
-        # accumulate; the constant brackets by X -+ 1 take no step and none
-        inside, done, oracle = [], [], []  # [function, args, _unpack, accumulate and _height calls] per call
+        # once, at the first width it packs at, except the first division of each oracle call,
+        # which decodes only R: xgcd_rational packs Q2 and U and decodes V once, and never Q1.
+        # Each X -+ 1 that takes a step is one Horner accumulate; the constant brackets by X -+ 1
+        # take no step and none
+        inside, done, oracle = [], [], []  # [function, args, _unpack and accumulate calls, widths] per call
 
         def counted(f, i):
             def call(*args):
                 if sys._getframe(1).f_code is xgcd_rational.__code__:
                     oracle.append(f.__name__)
-                elif inside and i:
+                elif inside and i is None:
+                    inside[-1][4].append(args[1])
+                elif inside:
                     inside[-1][i] += 1
                 return f(*args)
 
@@ -453,7 +472,7 @@ class TestPseudoDivrem:
 
         def framed(f):
             def call(*args, **kwargs):
-                inside.append([f, (*args, *kwargs.values()), 0, 0, 0])
+                inside.append([f, (*args, *kwargs.values()), 0, 0, []])
                 try:
                     return f(*args, **kwargs)
                 finally:
@@ -465,7 +484,6 @@ class TestPseudoDivrem:
         monkeypatch.setattr(intpoly, "_pack", counted(intpoly._pack, None))
         monkeypatch.setattr(intpoly, "_unpack", counted(intpoly._unpack, 2))
         monkeypatch.setattr(intpoly, "accumulate", counted(intpoly.accumulate, 3))
-        monkeypatch.setattr(intpoly, "_height", counted(intpoly._height, 4))
         monkeypatch.setattr(intpoly, "_pseudo_divrem", framed(pseudo_divrem))
         monkeypatch.setattr(intpoly, "_packed_divrem", framed(packed_divrem))
         primes = primes_upto(31)
@@ -473,16 +491,15 @@ class TestPseudoDivrem:
             for r in primes:
                 if p != r:
                     verify_closed_forms(PrimePair.of(p, r))
-        packed = [(args[3], unpacks, heights) for f, args, unpacks, _, heights in done if f is packed_divrem]
+        packed = [(args[3], unpacks, tuple(widths)) for f, args, unpacks, _, widths in done if f is packed_divrem]
         x_pm_1 = ((-1, 1), (1, 1))
         by_x_pm_1 = [(len(args[0]) > 1, h) for f, args, _, h, _ in done if f is pseudo_divrem and args[1] in x_pm_1]
         firsts = sum(packed_q for packed_q, _, _ in packed)
-        # 60 of the 440 oracle calls pack their first division, and 22 other divisions pack. The
-        # packed dividend certifies its own width, with no _height, except in the 7 divisions by
-        # Phi_11: sum|b| = 11 leaves the 1-byte slots a largest height of 0, under every power of
-        # two, so the dividend's one _height moves them to 2 bytes
-        assert Counter(packed) == {(False, 2, 0): 22, (True, 1, 0): 53, (True, 1, 1): 7} and firsts == 60
-        assert all(len(args[1]) == 11 for f, args, *_, heights in done if f is packed_divrem and heights)
+        # 60 of the 440 oracle calls pack their first division, and 22 other divisions pack. Each
+        # divisor, Phi_11 to Phi_31, has sum|b| >= 11, which leaves the 1-byte slots no positive
+        # largest height (Phi_11's is 0), so each division packs a and b once, at 2 bytes, and is
+        # certified there
+        assert Counter(packed) == {(True, 1, (2, 2)): 60, (False, 2, (2, 2)): 22} and firsts == 60
         assert oracle.count("_pack") == 2 * firsts and oracle.count("_unpack") == firsts
         assert len(by_x_pm_1) > 100 and set(by_x_pm_1) == {(True, 1), (False, 0)}
 
@@ -609,16 +626,15 @@ class TestXgcd:
     # a = Q*b + R for a dense b, monic or not, and R = c, X, -X or X + 3, none of which shares a
     # root with b, as |b(0)| <= 2: Euclid stops after one or two steps, Q1 stays packed if its
     # first division packs, and V is one packed product while 2^t*sum|U|*|scale2| + max|Q2| fits
-    # its slots. Failures are forced as in test_failed_certificates_fall_back, or no packed
-    # division ever holds.
+    # its slots. Failures are forced as in test_failed_certificates_fall_back, so that no packed
+    # division holds.
     @given(
         dense_divisors,
         st.lists(st.integers(-3, 3), min_size=40, max_size=150),
         st.sampled_from(([1], [-2], [0, 1], [0, -1], [3, 1])),
-        st.sampled_from(("heights", "none")),
     )
     @settings(max_examples=60, deadline=None)
-    def test_residual_paths_agree(self, b, q, r, failing):
+    def test_residual_paths_agree(self, b, q, r):
         a, b = IntPoly(tuple(x + y for x, y in zip_longest(_mul(q, b), r, fillvalue=0))), IntPoly(tuple(b))
         u, v = xgcd_rational(a, b)
         assert a * u.num * v.den + b * v.num * u.den == IntPoly((u.den * v.den,))
@@ -626,10 +642,7 @@ class TestXgcd:
             patch.setattr(intpoly, "_PACKED_DIVISION_MIN_WORK", math.inf)
             assert xgcd_rational(a, b) == (u, v)
         with pytest.MonkeyPatch.context() as patch:
-            if failing == "heights":
-                patch.setattr(intpoly, "_digits_within", lambda *args: False)
-            else:
-                patch.setattr(intpoly, "_packed_divrem", lambda *args: None)
+            patch.setattr(intpoly, "_digits_within", lambda *args: False)
             assert xgcd_rational(a, b) == (u, v)
 
     # b = X - 1 and X + 1 divide a by Horner's rule, and the bracket scale1*den - R1*U is a constant,
