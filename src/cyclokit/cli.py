@@ -119,7 +119,7 @@ def _verify_theorem1(bound: int):
     from .inverses import verify_closed_forms
 
     for p, r in permutations(primes_upto(bound), 2):
-        for report in verify_closed_forms(PrimePair.of(p, r)):
+        for report in verify_closed_forms(PrimePair(p, r)):
             line = report.to_json_dict()
             line["ok"] = report.bound_satisfied
             if not line["ok"]:  # passing lines keep their bytes

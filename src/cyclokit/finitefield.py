@@ -22,9 +22,9 @@ squares x^(2^i) the powers of one base share (ExtFieldElement.powers). The Rabin
 irreducibility test behind the modulus search runs on the same kernel and ladder;
 coefficients are unpacked only when read. The only long division is intpoly's, for mu.
 The Frobenius map y -> y^(q^j) is F_q-linear, and sum y_i X^(i*q^j) with every X^(i*q^j) mod f
-reduced has degree below n: a field keeps, per j, lookup tables of such sums over a few digits
-of a few slots, so a step is one masked shift and one lookup per table, one sum and the
-kernel's slot-only Barrett step (fold), with no polynomial step. Every norm
+reduced has degree below n: a field keeps, per j, one table of such sums for each bit plane of
+each five slots, keyed by those masked bits, so a step is one masked shift and one dict read per
+table, one sum and the kernel's slot-only Barrett step (fold), with no polynomial step. Every norm
 y^(1 + q^j + ... + q^(j(k-1))) runs on it, as one doubling chain of such steps (ExtField._norm):
 decompose in torus, and torus_membership, which tests x against the norms to the maximal
 subfields of F_{q^k} (Rubin-Silverberg, CRYPTO 2003, Lemma 7).
@@ -158,29 +158,21 @@ class ExtField:
         self.order = q**n
         self.modulus = IntPoly._of(mod)
         self._pack, self._unpack, self._reduce, self._fold = kernel
-        # sigma^j reads y in digit planes of b bits, c = 5 // b slots at a time, so that a table
-        # has 2^(b*c) <= 32 entries; b takes the fewest lookups, ceil(bits/b) * ceil(n/c). The
-        # planes fit the slot: W holds n(q-1)^2, at least 2*bits bits for n >= 2
+        # sigma^j reads y one bit plane t < bits(q - 1) of five slots at a time: a table has at
+        # most 32 entries, and a step reads bits(q - 1) * ceil(n/5) of them
         bits, w = (q - 1).bit_length(), self._pack((0, 1)).bit_length() - 1
-        b = min(range(1, min(bits, 5) + 1), key=lambda b: -(-bits // b) * -(-n // (5 // b)))
-        c = 5 // b
-        keys = [0]  # the c digits d_l at bits W*l of a key (y >> s) & mask, in table order
-        for i in range(c):
-            keys = [key | d << (w * i) for key in keys for d in range(1 << b)]
-        self._digits = b, c, w
-        # the last key has every digit at 2^b - 1: it is the mask
-        self._digit_mask, self._digit_index = keys[-1], {key: i for i, key in enumerate(keys)}
-        self._digit_shifts = tuple(w * i + t for i in range(0, n, c) for t in range(0, bits, b))
-        self._frobenius_tables: dict[int, list[tuple[int, list[int]]]] = {}
+        self._digit_planes, self._digit_mask = (bits, w), sum(1 << w * l for l in range(5))
+        self._frobenius_tables: dict[int, list[tuple[int, dict[int, int]]]] = {}
 
     def _frobenius(self, y: int, j: int) -> int:
         """The packed y^(q^j): sigma^j(sum y_i X^i) = sum y_i X^(i*q^j), as each y_i is in F_q.
 
-        The table for j pairs each shift s = W*i + t of _digit_shifts with a list: the key
-        (y >> s) & _digit_mask holds the digits d_l of planes t..t+b-1 of the c slots i + l,
-        and the list's entry at _digit_index[key] is sum_l d_l 2^t X^((i+l)q^j), unreduced.
-        The entries sum to sum y_i X^(i*q^j) with every X^(i*q^j) reduced: degree < n and
-        slots <= n(q-1)^2, the kernel's bound, so one fold makes it canonical.
+        The table for j pairs each shift s = W*i + t, i a multiple of 5, with a dict: its key
+        (y >> s) & _digit_mask holds bit t of each of the slots i + l, l < 5, at bit W*l, and
+        maps to the sum of 2^t X^((i+l)q^j) over the bits set, unreduced. The entries read
+        sum to sum y_i X^(i*q^j) with every X^(i*q^j) reduced: degree < n and slots <=
+        n(q-1)^2, the kernel's bound, so one fold makes it canonical. A reduced y has nothing
+        above slot n - 1, so the last chunk's table keys only its own slots.
         """
         table = self._frobenius_tables.get(j)
         # X^(i*q^j), i < n: one ladder for X^(q^j), then n - 1 products. X = element((0, 1))
@@ -191,18 +183,17 @@ class ExtField:
             xqj, powers = (self.element((0, 1)) ** self.q**j).packed, [1]
             while len(powers) < self.n:
                 powers.append(self._reduce(powers[-1] * xqj))
-            b, c, w = self._digits
-            powers += [0] * (-self.n % c)  # the last chunk's missing slots
+            bits, w = self._digit_planes
             table = []
-            for s in self._digit_shifts:
-                i, t = divmod(s, w)
-                entries = [0]
-                for x in powers[i:i + c]:
-                    entries = [v + (d << t) * x for v in entries for d in range(1 << b)]
-                table.append((s, entries))
+            for i in range(0, self.n, 5):
+                for t in range(bits):
+                    entries = {0: 0}
+                    for l, x in enumerate(powers[i:i + 5]):
+                        entries |= {key | 1 << w * l: v + (x << t) for key, v in entries.items()}
+                    table.append((w * i + t, entries))
             self._frobenius_tables[j] = table
-        mask, index = self._digit_mask, self._digit_index
-        return self._fold(sum([entries[index[y >> s & mask]] for s, entries in table]))
+        mask = self._digit_mask
+        return self._fold(sum([entries[y >> s & mask] for s, entries in table]))
 
     def _norm(self, y: int, j: int, k: int) -> int:
         """The packed y^(1 + q^j + ... + q^(j(k-1))) by the Itoh-Tsujii doubling chain:

@@ -21,12 +21,12 @@ scale 1), the subresultant ``resultant`` on int lists, whose steps divide by ``_
 ScaledPoly's content does, and the Bezout pairs of ``xgcd_rational``: Euclid on primitive
 int-list remainders, one denominator per cofactor, carries only the short cofactor and stops at
 the first constant remainder, whose cofactor is U. A content or cofactor gcd of 1 divides
-nothing, and the cofactor update is C passes (one ``_mul`` and one slice add). V comes from
-Euclid's first quotient, left packed, and one exact division of a short bracket by the divisor,
-so the long input is divided once. ``IntPoly._of`` builds the library's own results without the
-constructor's per-coefficient type check, which outside input keeps. ``_mul`` multiplies in
-Z[X]: one C pass per nonzero term of a factor of at most ``_SHORT_FACTOR`` terms (a Euclid
-quotient, a constant), else one packed bigint product.
+nothing, and the cofactor update is one ``_mul`` and one slice add. V comes from Euclid's first
+quotient, left packed, and one exact division of a short bracket by the divisor, so the long
+input is divided once. ``IntPoly._of`` builds the library's own results without the constructor's
+per-coefficient type check, which outside input keeps. ``_mul`` multiplies in Z[X]: for a factor
+of at most ``_SHORT_FACTOR`` terms (a Euclid quotient, a constant), one comprehension over the
+other per nonzero term, else one packed bigint product.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import sys
 from array import array
 from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import add, floordiv, mul, neg
+from operator import add, floordiv, mul
 
 NEG_INF = float("-inf")
 
@@ -142,17 +142,17 @@ _SHORT_FACTOR = 3
 
 def _mul(a, b) -> list[int]:
     """Product of little-endian int lists: for a factor of at most ``_SHORT_FACTOR`` terms, one
-    C pass over the other per nonzero term, added into a slice of the output; else Kronecker
+    comprehension over the other per nonzero term, added into a slice of the output; else Kronecker
     substitution, one bigint product of slots that hold any product coefficient and each factor."""
     if not a or not b:
         return []
     if len(a) > len(b):
         a, b = b, a
     if len(a) <= _SHORT_FACTOR:
-        out = [*map(mul, b, repeat(a[0])), *repeat(0, len(a) - 1)]
+        out = [a[0] * x for x in b] + [0] * (len(a) - 1)
         for i, c in enumerate(a[1:], 1):
             if c:
-                out[i : i + len(b)] = map(add, out[i : i + len(b)], map(mul, b, repeat(c)))
+                out[i : i + len(b)] = [o + c * x for o, x in zip(out[i : i + len(b)], b)]
         return out
     bound = (_height(a) or 1) * (_height(b) or 1) * len(a)
     size = min((s for s in _SLOT_TYPES if 8 * s > bound.bit_length()), default=bound.bit_length() // 8 + 1)
@@ -245,11 +245,11 @@ class IntPoly(_Record):
         return self + (-other)
 
     def __neg__(self) -> IntPoly:
-        return IntPoly._of(map(neg, self.coeffs))
+        return IntPoly._of([-x for x in self.coeffs])
 
     def __mul__(self, other: IntPoly | int):
         if isinstance(other, int):
-            return IntPoly._of(map(mul, self.coeffs, repeat(other)))
+            return IntPoly._of([other * x for x in self.coeffs])
         if not isinstance(other, IntPoly):
             return NotImplemented
         return IntPoly._of(_mul(self.coeffs, other.coeffs))
@@ -372,7 +372,7 @@ def _pseudo_divrem(a, b, packed_q: bool = False) -> tuple[int, list[int] | tuple
         return 1, h[-2::-1], h[-1:]
     scale = lc**steps
     if scale != 1:
-        a = list(map(mul, a, repeat(scale)))
+        a = [scale * x for x in a]
     if steps * (db - b.count(0)) >= _PACKED_DIVISION_MIN_WORK * len(a):
         if qr := _packed_divrem(a, b, steps, packed_q):
             return scale, *qr
@@ -435,7 +435,7 @@ def xgcd_rational(a: IntPoly, b: IntPoly) -> tuple[ScaledPoly, ScaledPoly]:
     u = ScaledPoly(IntPoly._of(s1), d1 * r1[0])
     U, den = u.num.coeffs, u.den
     scale1, q1, rem1 = first or _pseudo_divrem(a, b)
-    bracket = _mul(rem1, [*map(neg, U)]) or [0]
+    bracket = _mul(rem1, [-x for x in U]) or [0]
     bracket[0] += scale1 * den
     scale2, q2, rem = _pseudo_divrem(bracket, b)
     if any(rem):
@@ -447,7 +447,7 @@ def xgcd_rational(a: IntPoly, b: IntPoly) -> tuple[ScaledPoly, ScaledPoly]:
     if q1 is None:
         v = _unpack(_pack(q2, size) - scale2 * qi * _pack(U, size), size, len(a) - len(b) + len(U))
     else:  # for a linear b, U has one term and Q2 none: one pass over Q1
-        v = _mul(q1, [*map(mul, U, repeat(-scale2))]) or [0]  # a constant b: U = [], Q2 one term
+        v = _mul(q1, [-scale2 * x for x in U]) or [0]  # a constant b: U = [], Q2 one term
         v[: len(q2)] = map(add, v[: len(q2)], q2)
     v = ScaledPoly(IntPoly._of(v), scale1 * scale2 * den)
     return (v, u) if swapped else (u, v)

@@ -103,7 +103,7 @@ def closed_form_iv(p: int, r: int) -> IntPoly:
     Phi_p*U = 1 mod Phi_r is checked as (X^p - 1)*U = X - 1 mod X^r - 1: U in r terms, rotated by p,
     minus U is (-1, 1, 0, ..., 0). ``_bound_holds`` judges its coefficient set.
     """
-    PrimePair.of(p, r)  # validates distinct primes
+    PrimePair(p, r)  # validates distinct primes
     powers = [0] * r
     for i in range(pow(p, -1, r)):
         powers[i * p % r] = 1

@@ -73,7 +73,7 @@ def derive_exponent_polys(p: int, r: int) -> BezoutExponents:
     by the check that built its pair: case ii's last prefix sum, case iv's two rotations (the sum
     is 1 mod Phi_p and mod Phi_r, of degree below theirs), and both exact divisions of M.
     """
-    pair = PrimePair.of(p, r)
+    pair = PrimePair(p, r)
     n = pair.n
     u1, u_pr = closed_form_ii(pair)
     v2 = cyclotomic(r) * closed_form_i(p)[1].num + cyclotomic(p) * closed_form_i(r)[1].num
@@ -104,7 +104,7 @@ def derive_params(q: int, p: int, r: int) -> TorusParams:
     """
     if not is_prime(q):
         raise ValueError(f"q = {q} is not prime")
-    pair = PrimePair.of(p, r)
+    pair = PrimePair(p, r)
     exps = derive_exponent_polys(p, r)
     n = pair.n
     u1, u_pr, u_p, u_r, v1, v2 = (
@@ -416,7 +416,7 @@ def theta_dimensions(p: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     to the domain (next to the phi(n)-dimensional torus); those with
     moebius(n/d) = +1 make up the codomain.
     """
-    pair = PrimePair.of(p, r)
+    pair = PrimePair(p, r)
     n = pair.n
     ins = (euler_phi(n),) + tuple(d for d in divisors(n) if moebius(n // d) == -1)
     outs = tuple(d for d in divisors(n) if moebius(n // d) == +1)

@@ -97,7 +97,7 @@ def test_criterion_04_closed_form_sweep():
         for r in primes:
             if p == r:
                 continue
-            reports = verify_closed_forms(PrimePair.of(p, r))
+            reports = verify_closed_forms(PrimePair(p, r))
             count += len(reports)
             ok = ok and len(reports) == 7 and all(rep.bound_satisfied for rep in reports)
     ok = ok and count == 110 * 7

@@ -223,10 +223,10 @@ class TestLamLeung:
             assert all(c in (-1, 0, 1) for c in lam_leung_phi_pr(p, r).coeffs)
 
     def test_prime_pair(self):
-        assert PrimePair.of(3, 5).n == PrimePair.of(5, 3).n == 15
+        assert PrimePair(3, 5).n == PrimePair(5, 3).n == 15
         for p, r in [(3, 9), (4, 5), (5, 5), (1, 2)]:
             with pytest.raises(ValueError):
-                PrimePair.of(p, r)
+                PrimePair(p, r)
 
 
 class TestApostol:

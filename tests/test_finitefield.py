@@ -590,12 +590,19 @@ class TestPackedKernel:
 
 
 class TestFrobenius:
-    # 2642239 has 22 bits, so each of its slots spans several digit planes of the lookup tables
-    @pytest.mark.parametrize("q, p, r", [(7, 3, 5), (3, 5, 7), (2, 3, 7), (5, 2, 3), (2642239, 2, 3)])
+    # 2642239 has 22 bits, so each of its slots spans 22 one-bit planes, each read by a table of its
+    # own; 13, 23 and 29 serve cli commands at n = 6
+    @pytest.mark.parametrize(
+        "q, p, r", [(7, 3, 5), (3, 5, 7), (2, 3, 7), (5, 2, 3), (2642239, 2, 3), (13, 2, 3), (23, 2, 3), (29, 2, 3)]
+    )
     def test_table_and_map_against_powers(self, q, p, r):
         f, rng = make_ext_field(q, p * r), random.Random(q * p * r)
         for j in (1, p, r):
             assert f._frobenius(1, j) == 1  # and the table is built
+            # one table per bit plane of each five slots, keyed by at most five one-bit digits
+            tables = f._frobenius_tables[j]
+            assert len(tables) == (q - 1).bit_length() * -(-f.n // 5)
+            assert all(len(entries) <= 32 for _, entries in tables)
             for y in [random_nonzero(f, rng) for _ in range(5)] + [f.element([q - 1] * f.n)]:
                 assert f._frobenius(y.packed, j) == (y ** q**j).packed
 

@@ -490,7 +490,7 @@ class TestPseudoDivrem:
         for p in primes:
             for r in primes:
                 if p != r:
-                    verify_closed_forms(PrimePair.of(p, r))
+                    verify_closed_forms(PrimePair(p, r))
         packed = [(args[3], unpacks, tuple(widths)) for f, args, unpacks, _, widths in done if f is packed_divrem]
         x_pm_1 = ((-1, 1), (1, 1))
         by_x_pm_1 = [(len(args[0]) > 1, h) for f, args, _, h, _ in done if f is pseudo_divrem and args[1] in x_pm_1]
@@ -592,7 +592,7 @@ class TestXgcd:
         for p in primes:
             for r in primes:
                 if p != r:
-                    verify_closed_forms(PrimePair.of(p, r))
+                    verify_closed_forms(PrimePair(p, r))
         assert len(calls) == 1183 and None not in (a for a, _ in calls)
 
     def test_constant_inputs(self):

@@ -56,7 +56,7 @@ def bound_cases(draw):
     p, r = draw(st.sampled_from([(p, r) for p in primes_upto(13) for r in primes_upto(13) if p != r]))
     den = draw(st.one_of(st.sampled_from((1, p, r)), st.integers(1, 2 * r)))
     coeffs = draw(st.lists(st.integers(-r - 1, r + 1), max_size=8))
-    return draw(st.sampled_from(CASE_IDS)), PrimePair.of(p, r), ScaledPoly(IntPoly(tuple(coeffs)), den)
+    return draw(st.sampled_from(CASE_IDS)), PrimePair(p, r), ScaledPoly(IntPoly(tuple(coeffs)), den)
 
 
 def assert_bezout_pair(m: int, n: int, u: ScaledPoly, v: ScaledPoly) -> None:
@@ -125,7 +125,7 @@ SMALL_PAIRS = [(p, r) for p in primes_upto(13) for r in primes_upto(13) if p != 
 class TestBezoutPairContract:
     @pytest.mark.parametrize("p, r", SMALL_PAIRS)
     def test_two_sided_builders_return_the_bezout_pair(self, p, r):
-        pair = PrimePair.of(p, r)
+        pair = PrimePair(p, r)
         assert_bezout_pair(p, 1, *closed_form_i(p))
         assert_bezout_pair(p * r, 1, *closed_form_ii(pair))
         assert_bezout_pair(p * r, p, *closed_form_iii(pair))
@@ -150,7 +150,7 @@ class TestClosedFormI:
     @pytest.mark.parametrize("p", primes_upto(31))
     def test_reverse_bound(self, p):
         # den = p and every numerator coefficient in [-(p-1), -1]
-        pair = PrimePair.of(p, 3 if p == 2 else 2)
+        pair = PrimePair(p, 3 if p == 2 else 2)
         r = pair.r
         assert bound_holds("i-b", pair, closed_form_i(p)[1])
         too_low = ScaledPoly(IntPoly((-p, -1)), p)
@@ -172,17 +172,17 @@ class TestClosedFormI:
 
 class TestClosedFormII:
     def test_forward_is_one(self):
-        fwd, _ = closed_form_ii(PrimePair.of(3, 5))
+        fwd, _ = closed_form_ii(PrimePair(3, 5))
         assert fwd == ScaledPoly(IntPoly.one(), 1)
 
     def test_reverse_n15(self):
-        _, rev = closed_form_ii(PrimePair.of(3, 5))
+        _, rev = closed_form_ii(PrimePair(3, 5))
         assert rev == ScaledPoly(IntPoly((0, -1, -1, 0, -1, 0, 0, -1)), 1)
         assert rev == inverse_mod(1, 15)
 
     def test_reverse_coefficients_small(self):
         for p, r in [(2, 3), (2, 7), (5, 7), (3, 11)]:
-            _, rev = closed_form_ii(PrimePair.of(p, r))
+            _, rev = closed_form_ii(PrimePair(p, r))
             assert all(c in (-1, 0, 1) for c in rev.num.coeffs)
             assert rev == inverse_mod(1, p * r)
 
@@ -190,7 +190,7 @@ class TestClosedFormII:
         # Phi_3(1) = 3, not 1: X - 1 does not divide 1 - Phi_3
         monkeypatch.setattr(inverses, "cyclotomic", lambda n: IntPoly((1, 1, 1)))
         with pytest.raises(ArithmeticError, match=r"\(3, 5\)"):
-            closed_form_ii(PrimePair.of(3, 5))
+            closed_form_ii(PrimePair(3, 5))
 
 
 # (p, r) pairs whose builders are profiled or perturbed below
@@ -210,7 +210,7 @@ def test_construction_does_no_long_division(p, r):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        closed_form_iii(PrimePair.of(p, r))
+        closed_form_iii(PrimePair(p, r))
         closed_form_iv(p, r)
     finally:
         sys.setprofile(previous)
@@ -219,9 +219,9 @@ def test_construction_does_no_long_division(p, r):
 
 class TestClosedFormIII:
     def test_forward_examples(self):
-        assert closed_form_iii(PrimePair.of(3, 5))[0] == ScaledPoly(IntPoly((1, 1)), 5)
-        assert closed_form_iii(PrimePair.of(5, 3))[0] == ScaledPoly(IntPoly((1, 1, 1)), 3)
-        assert closed_form_iii(PrimePair.of(2, 3))[0] == ScaledPoly(IntPoly.one(), 3)
+        assert closed_form_iii(PrimePair(3, 5))[0] == ScaledPoly(IntPoly((1, 1)), 5)
+        assert closed_form_iii(PrimePair(5, 3))[0] == ScaledPoly(IntPoly((1, 1, 1)), 3)
+        assert closed_form_iii(PrimePair(2, 3))[0] == ScaledPoly(IntPoly.one(), 3)
 
     def test_forward_reduction_witness(self):
         # Phi_15 * (1 + X) = 5 mod Phi_3
@@ -232,12 +232,12 @@ class TestClosedFormIII:
 
     def test_forward_is_oracle(self):
         for p, r in [(2, 3), (3, 5), (5, 3), (7, 13), (13, 7)]:
-            assert closed_form_iii(PrimePair.of(p, r))[0] == inverse_mod(p * r, p)
+            assert closed_form_iii(PrimePair(p, r))[0] == inverse_mod(p * r, p)
 
     def test_reverse_examples(self):
-        v = closed_form_iii(PrimePair.of(2, 3))[1]
+        v = closed_form_iii(PrimePair(2, 3))[1]
         assert v == ScaledPoly(IntPoly((2, -1)), 3)
-        v = closed_form_iii(PrimePair.of(3, 5))[1]
+        v = closed_form_iii(PrimePair(3, 5))[1]
         assert v.den == 5 and all(c < 5 for c in v.num.coeffs)
 
     @pytest.mark.parametrize("p, r", PROBE_PAIRS)
@@ -246,7 +246,7 @@ class TestClosedFormIII:
         real = inverses.cyclotomic
         monkeypatch.setattr(inverses, "cyclotomic", lambda n: real(n) + IntPoly.one() if n == p * r else real(n))
         with pytest.raises(ArithmeticError, match=rf"\({p}, {r}\)") as exc:
-            closed_form_iii(PrimePair.of(p, r))
+            closed_form_iii(PrimePair(p, r))
         assert type(exc.value) is ArithmeticError
 
     def test_reverse_is_oracle(self):
@@ -254,7 +254,7 @@ class TestClosedFormIII:
             for r in primes_upto(19):
                 if p == r:
                     continue
-                pair = PrimePair.of(p, r)
+                pair = PrimePair(p, r)
                 assert closed_form_iii(pair)[1] == inverse_mod(p, p * r)
 
 
@@ -308,7 +308,7 @@ class TestDifferenceInverse:
 
 class TestVerifyClosedForms:
     def test_pair_3_5(self):
-        reports = verify_closed_forms(PrimePair.of(3, 5))
+        reports = verify_closed_forms(PrimePair(3, 5))
         assert [rep.case_id for rep in reports] == list(CASE_IDS)
         assert all(rep.bound_satisfied for rep in reports)
 
@@ -320,17 +320,17 @@ class TestVerifyClosedForms:
             return xgcd_rational(a, b)
 
         monkeypatch.setattr(inverses, "xgcd_rational", recording)
-        assert all(rep.bound_satisfied for rep in verify_closed_forms(PrimePair.of(3, 5)))
+        assert all(rep.bound_satisfied for rep in verify_closed_forms(PrimePair(3, 5)))
         assert len(calls) == 4
 
     def test_smallest_pair(self):
-        assert all(rep.bound_satisfied for rep in verify_closed_forms(PrimePair.of(2, 3)))
+        assert all(rep.bound_satisfied for rep in verify_closed_forms(PrimePair(2, 3)))
 
     def test_large_pair(self):
-        assert all(rep.bound_satisfied for rep in verify_closed_forms(PrimePair.of(29, 31)))
+        assert all(rep.bound_satisfied for rep in verify_closed_forms(PrimePair(29, 31)))
 
     def test_report_serialization(self):
-        rep = verify_closed_forms(PrimePair.of(2, 3))[0]
+        rep = verify_closed_forms(PrimePair(2, 3))[0]
         d = rep.to_json_dict()
         assert set(d) == {"p", "r", "case", "num", "den", "bound_satisfied", "observed_min", "observed_max"}
         assert d["p"] == 2 and d["case"] == "i-a"
@@ -341,10 +341,10 @@ class TestVerifyClosedForms:
 
     def test_bound_holds_rejects_an_unknown_case(self):
         with pytest.raises(ValueError, match="unknown case id v"):
-            inverses._bound_holds("v", PrimePair.of(3, 5), 1, 0, 0)
+            inverses._bound_holds("v", PrimePair(3, 5), 1, 0, 0)
 
     def test_extrema_recorded(self):
-        reports = {rep.case_id: rep for rep in verify_closed_forms(PrimePair.of(3, 5))}
+        reports = {rep.case_id: rep for rep in verify_closed_forms(PrimePair(3, 5))}
         assert reports["i-b"].observed_min == -2  # -(1/3)(X + 2)
         assert reports["iii-b"].observed_max < 5
 
@@ -368,7 +368,7 @@ class TestVerifyClosedForms:
             "iv": ("closed_form_iv", lambda p, r: bad.num),
         }
         monkeypatch.setattr(inverses, *builders[case_id])
-        reports = {rep.case_id: rep for rep in verify_closed_forms(PrimePair.of(3, 5))}
+        reports = {rep.case_id: rep for rep in verify_closed_forms(PrimePair(3, 5))}
         missed = reports.pop(case_id)
         # the fake is not the oracle's inverse, so that check fails first
         assert not missed.bound_satisfied and missed.failed_check == "oracle"
@@ -408,7 +408,7 @@ class TestVerifyClosedForms:
                 return (scaled if (m, n) == agree_at else u, scaled if (n, m) == agree_at else v)
 
             monkeypatch.setattr(inverses, "inverse_pair", agreeing_pair)
-        reports = {rep.case_id: rep for rep in verify_closed_forms(PrimePair.of(3, 5))}
+        reports = {rep.case_id: rep for rep in verify_closed_forms(PrimePair(3, 5))}
         failed = reports.pop(case_id)
         assert (failed.bound_satisfied, failed.failed_check) == (False, check)
         assert all(rep.failed_check is None for rep in reports.values())
@@ -432,7 +432,7 @@ class TestVerifyClosedForms:
     def test_identity_failure_raises(self, monkeypatch):
         self._wrong_k(monkeypatch)
         with pytest.raises(ArithmeticError, match=r"\(3, 5\)") as exc:
-            verify_closed_forms(PrimePair.of(3, 5))
+            verify_closed_forms(PrimePair(3, 5))
         assert type(exc.value) is ArithmeticError
 
     def test_identity_failure_exits_1(self, monkeypatch, capsys):
@@ -447,7 +447,7 @@ class TestVerifyClosedForms:
 # All 306 ordered pairs of distinct primes <= 61. These pin envelopes that
 # the closed forms show on this range: observations, sharper than the bounds
 # _bound_holds states, which tighten only on the paper's own statements.
-OBSERVED_PAIRS = [PrimePair.of(p, r) for p in primes_upto(61) for r in primes_upto(61) if p != r]
+OBSERVED_PAIRS = [PrimePair(p, r) for p in primes_upto(61) for r in primes_upto(61) if p != r]
 
 
 class TestObservedEnvelopes:

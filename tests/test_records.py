@@ -35,8 +35,8 @@ def _components():
 RECORDS = {
     "IntPoly": (lambda: IntPoly((1, 2)), "coeffs"),
     "ScaledPoly": (lambda: ScaledPoly(IntPoly((1, 2)), 3), "den"),
-    "PrimePair": (lambda: PrimePair.of(3, 5), "p"),
-    "InverseReport": (lambda: verify_closed_forms(PrimePair.of(2, 3))[0], "case_id"),
+    "PrimePair": (lambda: PrimePair(3, 5), "p"),
+    "InverseReport": (lambda: verify_closed_forms(PrimePair(2, 3))[0], "case_id"),
     "ExtFieldElement": (lambda: make_ext_field(5, 2).element((1,)), "packed"),
     "BezoutExponents": (lambda: torus.derive_exponent_polys(2, 3), "v1"),
     "TorusParams": (_params, "orders"),
@@ -77,7 +77,7 @@ def test_equality_needs_the_same_class():
     assert IntPoly((1,)) != ScaledPoly(IntPoly((1,)))
     assert ScaledPoly(IntPoly((1,))) != IntPoly((1,))
     assert IntPoly((1, 2)) != IntPoly((1, 3))
-    assert PrimePair.of(3, 5) != PrimePair.of(5, 3)
+    assert PrimePair(3, 5) != PrimePair(5, 3)
     assert IntPoly((1,)).__eq__((1,)) is NotImplemented
 
 
@@ -97,7 +97,7 @@ def test_pickle_round_trip(name):
 
 
 def test_repr_names_the_fields():
-    assert repr(PrimePair.of(3, 5)) == "PrimePair(p=3, r=5)"
+    assert repr(PrimePair(3, 5)) == "PrimePair(p=3, r=5)"
     assert repr(ScaledPoly(IntPoly((1, 1)), 3)) == "ScaledPoly(num=IntPoly(coeffs=(1, 1)), den=3)"
 
 
