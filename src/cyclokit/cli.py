@@ -46,9 +46,9 @@ FIELD_ORDER_CEILING = 2**128
 # Measured cold on a 2-core Xeon VM: torus params --q 0 at p*r near 16000 takes 0.12-0.17 s, p = 2 to 113,
 # against 0.11-0.13 s at (3, 5) and the slowest inv's 5.3-5.8 s; q >= 2 has p*r <= 128 by the field ceiling.
 PR_CEILING = 16000
-# Measured on a 2-core Xeon VM: theta-demo ops under the field ceiling are slowest at q=3,
-# n=77 and n=74, 5.5 and 4.3 ms each (q=2, n=122 and 123: 3.9 ms; medians of six runs), so
-# 200 take 1.2-2.1 s cold with 0.2-1.2 s of set-up, below the slowest inv under INDEX_CEILING.
+# Measured on a 2-core Xeon VM over 11 shapes: theta-demo ops under the field ceiling are slowest at q=3,
+# n=74 and n=77, 2.9 and 2.5 ms each (q=2, n=122 and 123: 2.1 and 1.8 ms; medians of six runs), so
+# 200 take 0.45-1.5 s cold with 0.15-1.2 s of set-up, below the slowest inv under INDEX_CEILING.
 COUNT_CEILING = 200
 
 

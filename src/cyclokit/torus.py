@@ -17,6 +17,8 @@ same machinery as a near-bijection
 
 whose kernel is annihilated by a power of p*r; ``kernel_annihilator``
 measures that power from the composite exponents of theta_reverse o theta.
+Both directions raise each subfield value in F_{q^p} or F_{q^r}, where it lives,
+and cross to F_{q^pr} only through the embeddings, which are ring maps.
 
 ``decompose`` takes every norm among its four powers, to F_{q^p}, F_{q^r} and F_q, from
 Frobenius conjugates, as torus-based cryptography does (Rubin-Silverberg, CRYPTO 2003), on
@@ -359,11 +361,9 @@ def theta(
 ) -> tuple[ExtFieldElement, ExtFieldElement]:
     """Map (x in T_pr, xp in F_{q^p}^x, xr in F_{q^r}^x) to (x1 in F_q^x, x_pr).
 
-    xp's norm to T_1 becomes the standalone first output; the tuple
-    (xr^{Phi_r(q)}, xp^{q-1}, xr^{q-1}, x) is recombined into the second,
-    whose checks reject x outside T_pr. The T_p check makes the first a
-    constant: with ep the embedded xp, ep^{q-1} in T_p gives ep^{q^p - 1} = 1,
-    so the norm ep^{Phi_p(q)} has (q-1)-th power 1 and lies in F_q.
+    The first output is xp^{Phi_p(q)}, xp's norm to F_q. The tuple (xr^{Phi_r(q)}, xp^{q-1},
+    xr^{q-1}, x) is recombined into the second, whose checks reject x outside T_pr. Each power
+    is taken in F_{q^p} or F_{q^r} and then embedded, as the embedding is a ring map.
     Counts balance: phi(pr) + p + r = 1 + pr.
     """
     q, p, r = params.q, params.pair.p, params.pair.r
@@ -374,13 +374,11 @@ def theta(
         raise ValueError("second argument must live in a degree-p extension")
     if xr.field.q != q or xr.field.n != r:
         raise ValueError("third argument must live in a degree-r extension")
-    ep = subfield_embed(xp, big)
-    er = subfield_embed(xr, big)
-    x1_big, tp = ep.powers(params.orders[p], q - 1)
-    t1, tr = er.powers(params.orders[r], q - 1)
+    x1, tp = xp.powers(params.orders[p], q - 1)
+    t1, tr = xr.powers(params.orders[r], q - 1)
+    t1, tp, tr = (subfield_embed(t, big) for t in (t1, tp, tr))
     xpr = recombine(TorusComponents(t1=t1, tp=tp, tr=tr, tpr=x), params)
-    x1 = make_ext_field(q, 1).element((x1_big.coeffs[0],))
-    return x1, xpr
+    return make_ext_field(q, 1).element(x1.coeffs[:1]), xpr
 
 
 def theta_reverse(
@@ -392,21 +390,19 @@ def theta_reverse(
 
     Composing with theta multiplies each input slot by a fixed exponent (see composite_exponents);
     the deviation from the identity is annihilated by a power of p*r. Both slots use case i-b's
-    numerator b_k at q, (k - Phi_k(q))/(q - 1), exact as Phi_k(q) = k mod q - 1.
+    numerator b_k at q, (k - Phi_k(q))/(q - 1), exact as Phi_k(q) = k mod q - 1. t_p is extracted
+    to F_{q^p}, t_1 and t_r to F_{q^r}, where the powers are taken; x1 enters F_{q^p} as a constant.
     """
     q, p, r = params.q, params.pair.p, params.pair.r
     if x1.field.n != 1 or x1.field.q != q:
         raise ValueError("first argument must be a prime-field element")
     if x1.is_zero:
         raise ValueError("first argument must be nonzero")
-    big = _check_big_field(xpr, params)
-    comps = decompose(xpr, params)
-    x1_big = subfield_embed(x1, big)
-    xp_big = x1_big * comps.tp ** ((p - params.orders[p]) // (q - 1))
-    xr_big = comps.t1 * comps.tr ** ((r - params.orders[r]) // (q - 1))
-    xp_small = subfield_extract(xp_big, make_ext_field(q, p))
-    xr_small = subfield_extract(xr_big, make_ext_field(q, r))
-    return comps.tpr, xp_small, xr_small
+    comps, orders = decompose(xpr, params), params.orders
+    fp, fr = make_ext_field(q, p), make_ext_field(q, r)
+    t1, tr = (subfield_extract(t, fr) for t in (comps.t1, comps.tr))
+    xp = fp.element(x1.coeffs) * subfield_extract(comps.tp, fp) ** ((p - orders[p]) // (q - 1))
+    return comps.tpr, xp, t1 * tr ** ((r - orders[r]) // (q - 1))
 
 
 def theta_dimensions(p: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -1,5 +1,6 @@
 """Decomposition/recombination maps, subfield embeddings, and the parametrization."""
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -203,6 +204,27 @@ class TestRoundTrip:
         back = recombine(comps, params)
         assert len(calls) == 106
         assert back == x**15
+
+    def test_field_reductions_per_theta_roundtrip(self, monkeypatch):
+        # theta raises xp in F_{7^3} and xr in F_{7^5}, then embeds t_1, t_p and t_r with one
+        # F_{7^15} reduce each before recombine. theta_reverse's decompose takes its 21, each of
+        # its three extractions one subfield reduce and one F_{7^15} reduce for the re-embedding
+        # check, and the b_k powers run in the subfields. With the embedded values raised in
+        # F_{7^15}, theta took 113 reduces there and theta_reverse 144, plus 1 in each subfield
+        params, big = derive_params(7, 3, 5), make_ext_field(7, 15)
+        fp, fr = make_ext_field(7, 3), make_ext_field(7, 5)
+        x = big.element([(3 * i + 1) % 7 for i in range(15)]) ** params.norm_exponents[15]
+        xp, xr = fp.element((2, 5, 1)), fr.element((3, 0, 6, 1, 4))
+        theta_reverse(*theta(x, xp, xr, params), params)  # builds the embeddings and tables
+        calls = collections.Counter()  # reduces per field degree
+        for f in (big, fp, fr):
+            monkeypatch.setattr(f, "_reduce", lambda c, n=f.n, reduce=f._reduce: calls.update((n,)) or reduce(c))
+        x1, xpr = theta(x, xp, xr, params)
+        assert calls == {15: 87, 3: 9, 5: 18}
+        calls.clear()
+        back = theta_reverse(x1, xpr, params)
+        assert calls == {15: 24, 3: 14, 5: 25}
+        assert back == (x**15, *(y ** e for y, e in zip((xp, xr), composite_exponents(params)[1:])))
 
     def test_recombine_rejects_zero_component(self):
         params, field = derive_params(5, 2, 3), make_ext_field(5, 6)
@@ -616,6 +638,21 @@ class TestTheta:
         with pytest.raises(ValueError, match="must be nonzero"):
             theta_reverse(ExtFieldElement(make_ext_field(7, 1), 0), big.element((1,)), params)
 
+    @pytest.mark.parametrize("slot", ["t1", "tp", "tr"])
+    def test_reverse_rejects_a_component_outside_its_subfield(self, setup_7_3_5, monkeypatch, slot):
+        # X generates F_{7^15}, so it lies in neither F_{7^3} nor F_{7^5}: the extraction that
+        # moves the component into its subfield must refuse it before any power is taken there
+        params, big, _, _ = setup_7_3_5
+        real = torus.decompose
+
+        def decompose(y, prm):
+            comps = {name: getattr(real(y, prm), name) for name in TorusComponents._fields}
+            return TorusComponents(**{**comps, slot: big.element((0, 1))})
+
+        monkeypatch.setattr(torus, "decompose", decompose)
+        with pytest.raises(ValueError, match="not in the subfield image"):
+            theta_reverse(make_ext_field(7, 1).element((1,)), big.element((1,)), params)
+
     def test_composition_is_fixed_powers(self, setup_7_3_5):
         params, big, fp, fr = setup_7_3_5
         d_x, d_p, d_r = composite_exponents(params)
@@ -661,6 +698,21 @@ class TestTheta:
             assert back == (x**d_x, xp**d_p, xr**d_r)
         report = kernel_annihilator(params)
         assert 6 ** report.power % report.exponent == 0
+
+    def test_theta_values_digest(self):
+        # sha256 of theta's outputs and theta_reverse's three, for x in T_pr drawn as theta-demo
+        # draws it; recorded when theta still raised the embedded xp and xr in F_{q^pr}
+        rows = []
+        for q, p, r in ((5, 2, 3), (3, 2, 5), (2, 3, 7), (7, 3, 5)):
+            params, rng = derive_params(q, p, r), random.Random(q * p * r)
+            big, fp, fr = make_ext_field(q, p * r), make_ext_field(q, p), make_ext_field(q, r)
+            for _ in range(20):
+                x = random_nonzero(big, rng) ** params.norm_exponents[p * r]
+                xp, xr = random_nonzero(fp, rng), random_nonzero(fr, rng)
+                x1, xpr = theta(x, xp, xr, params)
+                rows.append((x1.coeffs, xpr.coeffs, *(y.coeffs for y in theta_reverse(x1, xpr, params))))
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "58a656d9c9cce3d01ffeeb0e5d41879d95e12ffd67190bb8cf2624838c8f511d"
 
 
 def _nonzero_elements(field: ExtField) -> list[ExtFieldElement]:
