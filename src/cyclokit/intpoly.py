@@ -36,7 +36,7 @@ import struct
 import sys
 from array import array
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, zip_longest
 from operator import add, floordiv, mul
 
 NEG_INF = float("-inf")
@@ -236,10 +236,9 @@ class IntPoly(_Record):
             return list(map(int.__repr__, self.coeffs))
 
     def __add__(self, other: IntPoly) -> IntPoly:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPoly._of((*map(add, a, b), *a[len(b) :]))
+        if not isinstance(other, IntPoly):
+            return NotImplemented
+        return IntPoly._of([x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __sub__(self, other: IntPoly) -> IntPoly:
         return self + (-other)

@@ -16,7 +16,7 @@ same machinery as a near-bijection
     T_pr x F_{q^p}^x x F_{q^r}^x  ->  F_q^x x F_{q^{pr}}^x
 
 whose kernel is annihilated by a power of p*r; ``kernel_annihilator``
-measures that power from the composite exponents of theta_reverse o theta.
+measures that power from the closed-form exponents of theta_reverse o theta.
 Both directions raise each subfield value in F_{q^p} or F_{q^r}, where it lives,
 and cross to F_{q^pr} only through the embeddings, which are ring maps.
 
@@ -388,7 +388,7 @@ def theta_reverse(
 ) -> tuple[ExtFieldElement, ExtFieldElement, ExtFieldElement]:
     """Reverse parametrization: decompose x_pr, then rebuild the subfield slots.
 
-    Composing with theta multiplies each input slot by a fixed exponent (see composite_exponents);
+    Composing with theta raises each input slot to a fixed power (see composite_exponents);
     the deviation from the identity is annihilated by a power of p*r. Both slots use case i-b's
     numerator b_k at q, (k - Phi_k(q))/(q - 1), exact as Phi_k(q) = k mod q - 1. t_p is extracted
     to F_{q^p}, t_1 and t_r to F_{q^r}, where the powers are taken; x1 enters F_{q^p} as a constant.
@@ -420,32 +420,30 @@ def theta_dimensions(p: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def composite_exponents(params: TorusParams) -> tuple[int, int, int]:
-    """Fixed exponents (d_x, d_p, d_r) of theta_reverse composed with theta.
+    """Fixed exponents (d_x, d_p, d_r) = (pr, p*pr - (pr - 1)*Phi_p(q), r*pr) of theta_reverse o theta.
 
-    The T_pr slot returns exactly x^{pr}: U_pr * u_pr * v1 = p*r mod Phi_pr, by the
-    first and third Bezout identities of derive_exponent_polys. The subfield
-    slots pick up the integer exponents computed here.
+    recombine(decompose(x)) = x^{pr} at a generator x gives sum_k a_k*U_k(q) = pr mod q^pr - 1 for
+    the two-step exponents a_k, so a_k*U_k(q) = pr mod Phi_k(q), which divides every other U_j(q):
+    decompose(recombine(c)) = c^{pr} slot by slot on T_1 x T_p x T_r x T_pr. So theta_reverse, given
+    theta's x1 = xp^{Phi_p} and recombined (xr^{Phi_r}, xp^{q-1}, xr^{q-1}, x), returns x^{pr},
+    xp^{Phi_p + pr*(q-1)*b_p} and xr^{pr*Phi_r + pr*(q-1)*b_r}; (q - 1)*b_k = k - Phi_k(q) ends it.
     """
-    q, p, r, n = params.q, params.pair.p, params.pair.r, params.pair.n
-    exps = params.exps
-    d_x = n
-    u1, u_p, u_r, v1, v2 = (f.evaluate(q) for f in (exps.u1, exps.u_p, exps.u_r, exps.v1, exps.v2))
-    a_q = params.orders[r] * u1 * v1 + params.orders[1] * u_r * v2
-    b_q = params.orders[1] * u_p * v2
-    d_p = params.orders[p] + (p - params.orders[p]) // (q - 1) * params.norm_exponents[p] * b_q
-    d_r = (params.norm_exponents[1] + (r - params.orders[r]) // (q - 1) * params.norm_exponents[r]) * a_q
-    return d_x, d_p, d_r
+    n, p = params.pair.n, params.pair.p
+    return n, p * n - (n - 1) * params.orders[p], params.pair.r * n
 
 
 class KernelReport(_Record):
-    """Measured annihilator of the kernel of theta_reverse o theta: the composite
-    exponents d_x, d_p, d_r, the group exponent of the composite map's kernel, and
-    power, the least k with exponent | (p*r)^k."""
+    """Annihilator of the kernel of theta_reverse o theta: the composite exponents
+    d_x, d_p, d_r, the group exponent of the composite map's kernel, and power, the
+    least k with exponent | (p*r)^k."""
 
     _fields = ("d_x", "d_p", "d_r", "exponent", "power")
 
 
 def kernel_annihilator(params: TorusParams) -> KernelReport:
+    """KernelReport for params. Its exponent e is {p, r}-smooth: d_x = pr, d_r = r*pr, and a prime
+    l | gcd(d_p, q^p - 1) divides p^2*r if l | Phi_p(q), as d_p = p*pr mod Phi_p(q); otherwise
+    l | q - 1, modulo which Phi_p(q) = p, so d_p = p. The raise guards that argument."""
     q, p, r, n = params.q, params.pair.p, params.pair.r, params.pair.n
     d_x, d_p, d_r = composite_exponents(params)
     e = math.lcm(

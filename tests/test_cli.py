@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -172,6 +173,20 @@ class TestBasicCommands:
         result = last_envelope(out)["result"]
         assert code == 1 and not err and len(out.splitlines()) == 1
         assert result["passes"] == 1 < result["count"] == 2
+
+    def test_doubled_case_iv_inverse_fails_theta_demo(self, capsys, monkeypatch):
+        # Phi_r*u_p + Phi_p*u_r = 2 doubles the T_p and T_r exponents of decompose o recombine,
+        # so theta_reverse o theta leaves the closed-form powers, and theta-demo must say so
+        real = torus.closed_form_iv
+        monkeypatch.setattr(torus, "closed_form_iv", lambda p, r: real(p, r) * 2)
+        params, rng = torus.derive_params(7, 3, 5), random.Random(0)
+        slots = [finitefield.random_nonzero(finitefield.make_ext_field(7, n), rng) for n in (15, 3, 5)]
+        slots[0] **= params.norm_exponents[15]
+        back = torus.theta_reverse(*torus.theta(*slots, params), params)
+        assert back != tuple(y**e for y, e in zip(slots, torus.composite_exponents(params)))
+        for action in ("roundtrip", "theta-demo"):
+            code, out, err = run_cli(capsys, "torus", action, "--q", "7", "--p", "3", "--r", "5", "--count", "3")
+            assert code == 1 and not err and last_envelope(out)["result"]["passes"] == 0, action
 
     def test_inexact_resultant_step_exits_1(self, capsys, monkeypatch):
         # res 10 7 divides its third remainder by beta = 4; adding 1 to the second

@@ -165,6 +165,10 @@ class TestIntPoly:
         p = IntPoly((4, -1, 3))
         assert IntPoly(()) + p == p
         assert IntPoly((0, 0, 1)) + IntPoly((0, 0, -1)) == IntPoly(())
+        # no int addition: + and - refuse an int operand with TypeError, as * refuses a float
+        for bad in (lambda a: a + 1, lambda a: a - 1, lambda a: a * 1.5):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                bad(IntPoly((1, 2)))
 
     def test_mul_examples(self):
         assert (X - ONE) * (X + ONE) == IntPoly((-1, 0, 1))

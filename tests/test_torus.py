@@ -68,7 +68,7 @@ class TestExponentPolys:
             assert phipr * exps.u1 + phi1 * exps.u_pr == one, (p, r)
             assert phir * exps.u_p + phip * exps.u_r == one, (p, r)
             assert phip * phir * exps.v1 + phi1 * phipr * exps.v2 == pr, (p, r)
-            # composite_exponents' T_pr slot: U_pr * u_pr * v1 = p*r mod Phi_pr
+            # the round-trip theorem on T_pr: U_pr * u_pr * v1 = p*r mod Phi_pr
             witness = phi1 * phip * phir * exps.u_pr * exps.v1 - pr
             assert divrem_exact(witness, phipr)[1].is_zero, (p, r)
 
@@ -669,7 +669,7 @@ class TestTheta:
     def test_kernel_annihilator_frozen(self, setup_7_3_5):
         params, _, _, _ = setup_7_3_5
         report = kernel_annihilator(params)
-        assert report.d_x == 15
+        assert (report.d_x, report.d_p, report.d_r) == (15, -753, 75)
         assert report.exponent == 3
         assert report.power == 1
         again = kernel_annihilator(params)
@@ -683,21 +683,33 @@ class TestTheta:
             kernel_annihilator(params)
 
     def test_second_parameter_set(self):
-        params = derive_params(5, 2, 3)
-        big = make_ext_field(5, 6)
-        fp, fr = make_ext_field(5, 2), make_ext_field(5, 3)
-        d_x, d_p, d_r = composite_exponents(params)
-        assert d_x == 6
-        rng = random.Random(55)
-        for _ in range(10):
-            x = random_nonzero(big, rng) ** params.norm_exponents[6]
-            xp = random_nonzero(fp, rng)
-            xr = random_nonzero(fr, rng)
-            x1, xpr = theta(x, xp, xr, params)
-            back = theta_reverse(x1, xpr, params)
-            assert back == (x**d_x, xp**d_p, xr**d_r)
-        report = kernel_annihilator(params)
-        assert 6 ** report.power % report.exponent == 0
+        # the round-trip theorem's exponents written out: (pr, p*pr - (pr - 1)*Phi_p(q), r*pr)
+        for q, p, r in ((5, 2, 3), (2, 2, 3), (3, 5, 2), (13, 2, 3)):
+            params, n = derive_params(q, p, r), p * r
+            big, fp, fr = make_ext_field(q, n), make_ext_field(q, p), make_ext_field(q, r)
+            d_x, d_p, d_r = n, p * n - (n - 1) * (q**p - 1) // (q - 1), r * n
+            assert composite_exponents(params) == (d_x, d_p, d_r)
+            rng = random.Random(55)
+            for _ in range(10):
+                x = random_nonzero(big, rng) ** params.norm_exponents[n]
+                xp = random_nonzero(fp, rng)
+                xr = random_nonzero(fr, rng)
+                x1, xpr = theta(x, xp, xr, params)
+                back = theta_reverse(x1, xpr, params)
+                assert back == (x**d_x, xp**d_p, xr**d_r), (q, p, r)
+
+    def test_kernel_exponent_divides_a_power_of_pr(self):
+        # kernel_annihilator builds no field, so every shape under the field ceiling is cheap
+        shapes = [
+            (q, p, r)
+            for q in primes_upto(31)
+            for p, r in itertools.permutations(primes_upto(13), 2)
+            if q ** (p * r) <= 2**128
+        ]
+        assert len(shapes) == 198
+        for q, p, r in shapes:
+            report = kernel_annihilator(derive_params(q, p, r))
+            assert (p * r) ** report.power % report.exponent == 0, (q, p, r)
 
     def test_theta_values_digest(self):
         # sha256 of theta's outputs and theta_reverse's three, for x in T_pr drawn as theta-demo
@@ -725,7 +737,7 @@ def _order(x: ExtFieldElement) -> int:
 
 class TestExhaustiveOracle:
     """The torus maps on every element of tiny fields: measured, not derived from
-    the exponent formulas that ``kernel_annihilator`` reads."""
+    the closed-form exponents that ``kernel_annihilator`` reads."""
 
     @pytest.mark.parametrize("q, p, r, exponent", [(2, 2, 3, 3), (3, 2, 3, 8), (2, 2, 5, 1)])
     def test_theta_kernel_and_image_by_enumeration(self, q, p, r, exponent):
