@@ -241,6 +241,8 @@ class IntPoly(_Record):
         return IntPoly._of([x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __sub__(self, other: IntPoly) -> IntPoly:
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> IntPoly:

@@ -158,16 +158,6 @@ def decompose(x: ExtFieldElement, params: TorusParams) -> TorusComponents:
     return TorusComponents(*(ExtFieldElement(field, y) for y in comps))
 
 
-def _member_squares(comp: ExtFieldElement, k: int, params: TorusParams) -> list[int]:
-    """The squares comp^(2^i) that give comp^{Phi_k(q)}, once that power is 1;
-    otherwise TorusMembershipError names Phi_k."""
-    field, order = _check_big_field(comp, params), params.orders[k]
-    squares = [comp.packed]
-    if _ladder(squares, order, field._reduce) != 1:  # zero, too, is no member
-        raise TorusMembershipError(f"component is outside the order-Phi_{k}(q) subgroup")
-    return squares
-
-
 def recombine(c: TorusComponents, params: TorusParams) -> ExtFieldElement:
     """Two-step reconstruction; recombine(decompose(x)) = x^{pr}.
 
@@ -177,13 +167,16 @@ def recombine(c: TorusComponents, params: TorusParams) -> ExtFieldElement:
     TorusMembershipError.
     """
     p, r, n = params.pair.p, params.pair.r, params.pair.n
-    comps, ks = (c.t1, c.tp, c.tr, c.tpr), (1, p, r, n)
+    comps, ks, tables, acc = (c.t1, c.tp, c.tr, c.tpr), (1, p, r, n), [], 1
     # load-bearing: the reduced exponents act as the two-step ones only on
     # members, so a non-member must be rejected before any of them is read
-    tables = [_member_squares(comp, k, params) for comp, k in zip(comps, ks)]
-    a, acc = params.recombine_exponents, 1
+    for comp, k in zip(comps, ks):
+        reduce, squares = _check_big_field(comp, params)._reduce, [comp.packed]
+        if _ladder(squares, params.orders[k], reduce) != 1:  # zero, too, is no member
+            raise TorusMembershipError(f"component is outside the order-Phi_{k}(q) subgroup")
+        tables.append(squares)
     for comp, squares, k in zip(comps, tables, ks):
-        acc = _ladder(squares, a[k], c.t1._same_field(comp)._reduce, acc)
+        acc = _ladder(squares, params.recombine_exponents[k], c.t1._same_field(comp)._reduce, acc)
     return ExtFieldElement(c.t1.field, acc)
 
 

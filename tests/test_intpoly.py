@@ -165,9 +165,10 @@ class TestIntPoly:
         p = IntPoly((4, -1, 3))
         assert IntPoly(()) + p == p
         assert IntPoly((0, 0, 1)) + IntPoly((0, 0, -1)) == IntPoly(())
-        # no int addition: + and - refuse an int operand with TypeError, as * refuses a float
-        for bad in (lambda a: a + 1, lambda a: a - 1, lambda a: a * 1.5):
-            with pytest.raises(TypeError, match="unsupported operand"):
+        # no int addition: + and - refuse an int operand with TypeError, as * refuses a float,
+        # and the message names the operator that was applied
+        for op, bad in (("+", lambda a: a + 1), ("-", lambda a: a - 1), ("*", lambda a: a * 1.5)):
+            with pytest.raises(TypeError, match=rf"unsupported operand type\(s\) for \{op}:"):
                 bad(IntPoly((1, 2)))
 
     def test_mul_examples(self):

@@ -241,6 +241,18 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="different fields"):
             recombine(TorusComponents(comps.t1, other.element((1,)), comps.tr, comps.tpr), params)
 
+    def test_recombine_checks_memberships_before_comparing_fields(self):
+        # tp, a member under another modulus of the same q and n, passes its check; the
+        # non-member in tpr is refused before the product would compare tp's field with t1's
+        params, field = derive_params(7, 3, 5), make_ext_field(7, 15)
+        f = field.modulus.coeffs
+        other = ExtField(7, IntPoly(tuple(c * pow(f[0], -1, 7) for c in reversed(f))))
+        assert other.modulus != field.modulus
+        comps, x = decompose(field.element((1,)), params), field.element((0, 1))
+        assert x ** params.orders[15] != field.element((1,))
+        with pytest.raises(TorusMembershipError, match="Phi_15"):
+            recombine(TorusComponents(comps.t1, other.element((1,)), comps.tr, x), params)
+
     def test_decompose_zero_rejected(self):
         params = derive_params(5, 2, 3)
         with pytest.raises(ValueError):
@@ -606,18 +618,18 @@ class TestTheta:
 
     def test_one_membership_check_per_component(self, setup_7_3_5, monkeypatch):
         # recombine's T_pr check covers theta's first argument: no second one
+        # a check is torus's ladder to a subgroup order; theta's subfield powers use finitefield's
         params, big, fp, fr = setup_7_3_5
-        checked = []
+        exponents, ladder, ks = [], torus._ladder, (1, 3, 5, 15)
 
-        member_squares = torus._member_squares
+        def recording(squares, e, *rest):
+            exponents.append(e)
+            return ladder(squares, e, *rest)
 
-        def recording(x, k, *rest):
-            checked.append(k)
-            return member_squares(x, k, *rest)
-
-        monkeypatch.setattr(torus, "_member_squares", recording)
+        monkeypatch.setattr(torus, "_ladder", recording)
         theta(big.element((1,)), fp.element((1,)), fr.element((1,)), params)
-        assert checked == [1, 3, 5, 15]
+        # each slot checked once, in order, and only then raised to its reduced exponent
+        assert exponents == [params.orders[k] for k in ks] + [params.recombine_exponents[k] for k in ks]
 
     def test_rejects_zero_subfield_input(self, setup_7_3_5):
         params, big, fp, fr = setup_7_3_5
